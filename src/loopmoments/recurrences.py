@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .moments import MomentEquation
-from .symbolic import ExpPoly, Moment, Poly
+from .symbolic import ONE, ExpPoly, Moment, Poly
 
 
 class CyclicDependencyError(Exception):
@@ -142,7 +142,7 @@ def build_recurrence(
     init_moments: Mapping[Moment, Poly],
 ) -> Recurrence:
     """Fold already-solved dependencies into a single-variable recurrence."""
-    inhom = ExpPoly.const(eq.constant)
+    pairs = [(ONE, ExpPoly.const(eq.constant))]
     for moment, coeff in eq.linear.items():
         if moment == eq.target:
             continue
@@ -150,13 +150,13 @@ def build_recurrence(
             raise SolverError(
                 f"missing closed form for E[{moment}] while building E[{eq.target}]"
             )
-        inhom = inhom + solved[moment].scale(coeff)
+        pairs.append((coeff, solved[moment]))
     if eq.target not in init_moments:
         raise SolverError(f"missing initial moment for E[{eq.target}]")
     return Recurrence(
         target=eq.target,
         self_coeff=eq.self_coefficient(),
-        inhom=inhom,
+        inhom=ExpPoly.linear_combination(pairs),
         init=init_moments[eq.target],
     )
 
@@ -253,7 +253,9 @@ def solve_first_order(
     alpha = rec.init - particular.value_at_zero()
     closed = particular + ExpPoly.term(alpha, c, 0)
 
-    residual = closed.shift() - closed.scale(c) - rec.inhom
+    residual = ExpPoly.linear_combination(
+        [(ONE, closed.shift()), (-c, closed), (-ONE, rec.inhom)]
+    )
     if not residual.is_zero() or closed.value_at_zero() != rec.init:
         raise SolverError(
             f"internal: closed form for E[{rec.target}] failed its defining "

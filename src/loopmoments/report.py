@@ -212,10 +212,15 @@ def _poly_to_json(p: Poly) -> list[dict[str, Any]]:
 
 
 def _poly_from_json(data: list[dict[str, Any]]) -> Poly:
-    terms = {}
+    # File input: the public constructor canonicalises the monomials and
+    # sums repeated ones.
+    terms = []
     for entry in data:
+        den = int(entry["den"])
+        if den == 0:
+            raise ValueError(f"coefficient with denominator 0 in {entry!r}")
         mono = tuple((str(n), int(e)) for n, e in entry["powers"])
-        terms[mono] = Fraction(int(entry["num"]), int(entry["den"]))
+        terms.append((mono, Fraction(int(entry["num"]), den)))
     return Poly(terms)
 
 

@@ -13,6 +13,22 @@ Two value families live here:
 Everything is immutable and hashable; arithmetic never leaves the exact
 rational world.  There is deliberately no factorization, GCD or
 simplification beyond the expanded normal form.
+
+Normal form, the invariant every value holds:
+
+* a :class:`Poly` maps monomials to nonzero :class:`~fractions.Fraction`
+  coefficients, and each monomial is a tuple of ``(name, exponent)`` pairs
+  sorted by name, with distinct names and positive integer exponents;
+* an :class:`ExpPoly` maps ``(base, degree)`` keys to nonzero coefficient
+  polynomials.
+
+So structural equality is algebraic equality, and equal values hash alike.
+Only the public constructors ``Poly(...)`` and ``ExpPoly(...)`` validate
+(canonicalising monomials, summing coefficients and dropping zeros).  Every
+operation builds its result through the private ``_trusted`` constructors,
+which store an already canonical dict as it is; operations drop a zero
+only where a sum cancels, since a product of nonzero rationals or of
+nonzero polynomials is never zero.
 """
 
 from __future__ import annotations
@@ -61,6 +77,43 @@ def _mono_pow(a: Mono, k: int) -> Mono:
     return tuple((name, exp * k) for name, exp in a)
 
 
+def _canonical_mono(mono: Iterable[tuple[str, int]]) -> Mono:
+    merged: dict[str, int] = {}
+    for name, exp in mono:
+        if exp < 0:
+            raise ValueError(f"negative exponent {exp} of {name!r} in a monomial")
+        merged[name] = merged.get(name, 0) + exp
+    return tuple(sorted((name, exp) for name, exp in merged.items() if exp))
+
+
+def _accumulate(acc: dict[Mono, Fraction], items: Iterable[tuple[Mono, Fraction]]) -> None:
+    """``acc += items`` in place; a monomial whose sum cancels is deleted,
+    as a fold of ``+`` would drop it."""
+    for key, value in items:
+        prev = acc.get(key)
+        if prev is None:
+            acc[key] = value
+        else:
+            total = prev + value
+            if total:
+                acc[key] = total
+            else:
+                del acc[key]
+
+
+def _add_product(
+    acc: dict[Mono, Fraction], a: Mapping[Mono, Fraction], b: Mapping[Mono, Fraction]
+) -> None:
+    """``acc += a * b`` in place over normal-form term dicts."""
+    for m1, c1 in a.items():
+        if m1:
+            _accumulate(acc, ((_mono_mul(m1, m2), c1 * c2) for m2, c2 in b.items()))
+        elif c1 == 1:
+            _accumulate(acc, b.items())
+        else:
+            _accumulate(acc, ((m2, c1 * c2) for m2, c2 in b.items()))
+
+
 def _mono_degree(a: Mono) -> int:
     return sum(exp for _, exp in a)
 
@@ -73,40 +126,53 @@ def _grlex_key(mono: Mono, symbols: tuple[str, ...]) -> tuple:
 
 
 class Poly:
-    """Immutable multivariate polynomial with Fraction coefficients.
-
-    The normal form stores no zero coefficients and keeps each monomial's
-    symbol list sorted, so structural equality is algebraic equality.
-    """
+    """Immutable multivariate polynomial with Fraction coefficients, kept in
+    the module's normal form."""
 
     __slots__ = ("_terms", "_hash")
 
     _terms: dict[Mono, Fraction]
 
-    def __init__(self, terms: Mapping[Mono, Scalar] | None = None):
+    def __init__(
+        self,
+        terms: Mapping[Mono, Scalar] | Iterable[tuple[Mono, Scalar]] | None = None,
+    ):
+        """Validate ``terms`` (a mapping or a sequence of pairs) into normal
+        form: monomials are canonicalised (names sorted and merged, zero
+        exponents dropped, negative ones a ``ValueError``), coefficients of
+        equal monomials are summed and zero sums dropped."""
         clean: dict[Mono, Fraction] = {}
         if terms:
-            for mono, coeff in terms.items():
+            items = terms.items() if isinstance(terms, Mapping) else terms
+            for mono, coeff in items:
+                key = _canonical_mono(mono)
                 q = Fraction(coeff)
-                if q:
-                    clean[mono] = q
-        self._terms = clean
+                clean[key] = clean[key] + q if key in clean else q
+        self._terms = {mono: q for mono, q in clean.items() if q}
         self._hash: int | None = None
+
+    @classmethod
+    def _trusted(cls, terms: dict[Mono, Fraction]) -> "Poly":
+        """Wrap ``terms`` as they are; they must already be in normal form."""
+        poly = object.__new__(cls)
+        poly._terms = terms
+        poly._hash = None
+        return poly
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, value: Scalar) -> "Poly":
-        return cls({_ONE_MONO: Fraction(value)})
+        q = Fraction(value)
+        return cls._trusted({_ONE_MONO: q} if q else {})
 
     @classmethod
     def var(cls, name: str) -> "Poly":
-        return cls({((name, 1),): Fraction(1)})
+        return cls._trusted({((name, 1),): Fraction(1)})
 
     @classmethod
     def monomial(cls, powers: Mapping[str, int], coeff: Scalar = 1) -> "Poly":
-        mono = tuple(sorted((n, e) for n, e in powers.items() if e))
-        return cls({mono: Fraction(coeff)})
+        return cls({tuple(powers.items()): coeff})
 
     # -- predicates and views ----------------------------------------------
 
@@ -162,7 +228,7 @@ class Poly:
                 else:
                     rest.append((sym, e))
             buckets.setdefault(exp, {})[tuple(rest)] = coeff
-        return {d: Poly(t) for d, t in buckets.items()}
+        return {d: Poly._trusted(t) for d, t in buckets.items()}
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -177,10 +243,11 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o._terms:
+            return self
         terms = dict(self._terms)
-        for mono, coeff in o._terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        return Poly(terms)
+        _accumulate(terms, o._terms.items())
+        return Poly._trusted(terms)
 
     __radd__ = __add__
 
@@ -188,31 +255,47 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        terms = dict(self._terms)
+        _accumulate(terms, ((mono, -coeff) for mono, coeff in o._terms.items()))
+        return Poly._trusted(terms)
 
     def __rsub__(self, other) -> "Poly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self._terms.items()})
+        return Poly._trusted({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other) -> "Poly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self._terms or not o._terms:
-            return Poly()
+        a, b = self._terms, o._terms
+        if len(b) == 1 and _ONE_MONO in b:
+            return self._scaled(b[_ONE_MONO])
+        if len(a) == 1 and _ONE_MONO in a:
+            return o._scaled(a[_ONE_MONO])
+        # Sum every product first and drop cancelled monomials at the end,
+        # so each monomial keeps the position of its first product: term
+        # order is observable, as the order of a moment equation's linear
+        # part and hence of the side conditions.
         terms: dict[Mono, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in o._terms.items():
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
                 mono = _mono_mul(m1, m2)
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
-        return Poly(terms)
+                prev = terms.get(mono)
+                terms[mono] = c1 * c2 if prev is None else prev + c1 * c2
+        return Poly._trusted({m: c for m, c in terms.items() if c})
 
     __rmul__ = __mul__
+
+    def _scaled(self, q: Fraction) -> "Poly":
+        """``self * q`` for a nonzero rational ``q``."""
+        if q == 1:
+            return self
+        return Poly._trusted({m: c * q for m, c in self._terms.items()})
 
     def __truediv__(self, other) -> "Poly":
         # Exact division by a nonzero rational only; polynomial divisors go
@@ -221,7 +304,7 @@ class Poly:
             q = Fraction(other)
             if not q:
                 raise ZeroDivisionError("division of polynomial by zero")
-            return self * (1 / q)
+            return self._scaled(1 / q)
         return NotImplemented
 
     def __pow__(self, k: int) -> "Poly":
@@ -260,7 +343,7 @@ class Poly:
                 powers[k] = rep_pow(k - 1) * replacement
             return powers[k]
 
-        out = Poly()
+        out: dict[Mono, Fraction] = {}
         for mono, coeff in self._terms.items():
             exp = 0
             rest = []
@@ -269,11 +352,11 @@ class Poly:
                     exp = e
                 else:
                     rest.append((sym, e))
-            piece = Poly({tuple(rest): coeff})
             if exp:
-                piece = piece * rep_pow(exp)
-            out = out + piece
-        return out
+                _add_product(out, {tuple(rest): coeff}, rep_pow(exp)._terms)
+            else:
+                _accumulate(out, ((tuple(rest), coeff),))
+        return Poly._trusted(out)
 
     def evaluate(self, bindings: Mapping[str, Scalar]) -> Fraction:
         """Exact value under a full binding of the symbols."""
@@ -313,7 +396,7 @@ class Poly:
             exps = {s: r_exps.get(s, 0) - d_exps.get(s, 0) for s in set(r_exps) | set(d_exps)}
             if any(e < 0 for e in exps.values()):
                 return None
-            factor = Poly(
+            factor = Poly._trusted(
                 {tuple(sorted((s, e) for s, e in exps.items() if e)): coeff_r / coeff_d}
             )
             quotient = quotient + factor
@@ -331,7 +414,6 @@ class Poly:
         return f"Poly({self})"
 
 
-ZERO = Poly()
 ONE = Poly.const(1)
 
 
@@ -416,6 +498,32 @@ class ExpPoly:
                     clean[(base, degree)] = coeff
         self._terms = clean
 
+    @classmethod
+    def _trusted(cls, terms: dict[tuple[Poly, int], Poly]) -> "ExpPoly":
+        """Wrap ``terms`` as they are; no coefficient may be zero."""
+        f = object.__new__(cls)
+        f._terms = terms
+        return f
+
+    @staticmethod
+    def linear_combination(pairs: Iterable[tuple[Poly, "ExpPoly"]]) -> "ExpPoly":
+        """``sum coeff * f`` over ``(coeff, f)`` pairs, accumulated in one dict
+        of coefficient dicts without building the intermediate values.
+
+        Equal to the left fold of ``+`` over ``f.scale(coeff)``, down to the
+        order of the (base, degree) keys.
+        """
+        acc: dict[tuple[Poly, int], dict[Mono, Fraction]] = {}
+        for coeff, f in pairs:
+            for key, c in f._terms.items():
+                inner = acc.get(key)
+                if inner is None:
+                    acc[key] = inner = {}
+                _add_product(inner, coeff._terms, c._terms)
+                if not inner:
+                    del acc[key]
+        return ExpPoly._trusted({key: Poly._trusted(t) for key, t in acc.items()})
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -472,7 +580,7 @@ class ExpPoly:
         return total
 
     def drop_zero_base(self) -> "ExpPoly":
-        return ExpPoly({k: v for k, v in self._terms.items() if not k[0].is_zero()})
+        return ExpPoly._trusted({k: v for k, v in self._terms.items() if not k[0].is_zero()})
 
     def zero_base_part(self) -> Poly:
         total = Poly()
@@ -488,15 +596,21 @@ class ExpPoly:
             return NotImplemented
         terms = dict(self._terms)
         for key, coeff in other._terms.items():
-            terms[key] = terms.get(key, ZERO) + coeff
-        return ExpPoly(terms)
+            total = terms[key] + coeff if key in terms else coeff
+            if total.is_zero():
+                del terms[key]
+            else:
+                terms[key] = total
+        return ExpPoly._trusted(terms)
 
     def __sub__(self, other: "ExpPoly") -> "ExpPoly":
         return self + other.scale(-1)
 
     def scale(self, factor: Poly | Scalar) -> "ExpPoly":
         f = factor if isinstance(factor, Poly) else Poly.const(factor)
-        return ExpPoly({k: c * f for k, c in self._terms.items()})
+        if f.is_zero():
+            return ExpPoly._trusted({})
+        return ExpPoly._trusted({k: c * f for k, c in self._terms.items()})
 
     def shift(self) -> "ExpPoly":
         """The sequence n -> f(n+1), again as an exponential polynomial.
@@ -512,8 +626,8 @@ class ExpPoly:
             for j in range(degree + 1):
                 key = (base, j)
                 piece = scaled * math.comb(degree, j)
-                terms[key] = terms.get(key, ZERO) + piece
-        return ExpPoly(terms)
+                terms[key] = terms[key] + piece if key in terms else piece
+        return ExpPoly._trusted({k: c for k, c in terms.items() if not c.is_zero()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExpPoly):

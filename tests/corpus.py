@@ -34,6 +34,18 @@ while true:
   y = y + x + g
 """
 
+# Three chained state variables with multivariate coefficients in y(0) and
+# z(0): the largest program the golden reports cover.
+THREE_VAR = """\
+x = 0
+while true:
+  u = RV(uniform, 0, 1)
+  g = RV(gauss, 0, 1)
+  x = 1/2*x + u @ 1/3; x - u @ 2/3
+  y = y + x*x + g
+  z = 1/3*z + x*y + 1
+"""
+
 # name -> (source, goals, example bindings for numeric oracles)
 CORPUS: dict[str, tuple[str, list, dict[str, Fraction]]] = {
     "walk": (WALK, [1, 2], {"b": Fraction(2), "y(0)": Fraction(1, 3)}),

@@ -1,6 +1,10 @@
 """Goal handling, the analysis pipeline, and report rendering."""
 
+import hashlib
+import json
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +24,7 @@ from loopmoments import (
 )
 from loopmoments.report import invariant_lines, render_closed_form
 
-from corpus import CORPUS, WALK
+from corpus import CORPUS, THREE_VAR, WALK
 
 
 def M(text: str) -> Moment:
@@ -120,6 +124,30 @@ def test_json_round_trip():
     assert report_from_json(emit_json(report)) == report
 
 
+def test_json_loader_canonicalises_polynomials():
+    report = analyze(WALK, [2], name="walk")
+    doc = json.loads(emit_json(report))
+    for entry in doc["invariants"]:
+        for term in entry["closed_form"]:
+            for poly in (term["coeff"], term["base"]):
+                for t in poly:
+                    t["powers"].reverse()
+    # split one coefficient into two entries of the same monomial
+    entry = next(e for e in doc["invariants"] if e["moment"] == "x^2")
+    [summand] = entry["closed_form"][0]["coeff"]
+    assert (summand["num"], summand["den"]) == (1, 3)
+    summand["den"] = 6
+    entry["closed_form"][0]["coeff"].append(dict(summand))
+    assert report_from_json(json.dumps(doc)) == report
+
+
+def test_json_loader_rejects_a_zero_denominator():
+    doc = json.loads(emit_json(walk_report()))
+    doc["initial_moments"][0]["value"] = [{"num": 1, "den": 0, "powers": []}]
+    with pytest.raises(ValueError, match="denominator"):
+        report_from_json(json.dumps(doc))
+
+
 def test_json_round_trip_with_verification():
     from loopmoments.verifier import SimConfig, check, simulate
 
@@ -204,3 +232,34 @@ def test_coupled_polynomial_chain():
     history = iterate_equations(report.equations, report.initial_moments, {}, 12)
     for moment, form in report.invariants.items():
         assert form.evaluate(12, {}) == history[12][moment], str(moment)
+
+
+# -- golden reports -----------------------------------------------------------------
+
+# sha256 digests of the txt and json reports, recorded before the exact kernel
+# was last rewritten; a kernel change must reproduce every report byte for
+# byte.  Regenerate (only for a deliberate output change) with
+#   PYTHONPATH=src:tests python -c "import json, test_pipeline_report as t;
+#   print(json.dumps({n: t.golden_digests(n) for n in sorted(t.GOLDEN_CASES)}, indent=1))"
+GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
+GOLDEN_CASES = {name: (source, goals) for name, (source, goals, _) in CORPUS.items()}
+GOLDEN_CASES["three-var"] = (THREE_VAR, [3])
+
+
+def golden_digests(name: str) -> dict[str, str]:
+    """Digests of one case's txt and json reports, with the run-dependent
+    ``elapsed_seconds`` zeroed."""
+    source, goals = GOLDEN_CASES[name]
+    report = replace(analyze(source, goals, name=name), elapsed_seconds=0.0)
+    return {
+        fmt: hashlib.sha256(emit(report, fmt).encode()).hexdigest() for fmt in ("txt", "json")
+    }
+
+
+def test_golden_digests_cover_every_case():
+    assert sorted(GOLDEN) == sorted(GOLDEN_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_reports_match_golden_digests(name):
+    assert golden_digests(name) == GOLDEN[name]

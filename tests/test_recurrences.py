@@ -19,6 +19,7 @@ from loopmoments import (
     solve_first_order,
     topo_order,
 )
+from loopmoments import recurrences
 
 from corpus import closure_for
 
@@ -239,6 +240,15 @@ def test_random_recurrences_match_exact_iteration():
         for n in range(0, 25):
             assert f.evaluate(n) == value
             value = c_val * value + inhom.evaluate(n)
+
+
+def test_self_check_rejects_a_wrong_closed_form(monkeypatch):
+    exact = recurrences._divide
+    monkeypatch.setattr(
+        recurrences, "_divide", lambda num, divisor, sides: exact(num, divisor, sides) + 1
+    )
+    with pytest.raises(SolverError, match="failed its defining identity"):
+        solve_first_order(rec("x^1", Fraction(1, 2), ExpPoly.const(1), 0))
 
 
 def test_solver_failures_name_the_moment():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from loopmoments import ExpPoly, Moment, Poly
-from loopmoments.symbolic import UnboundSymbolError
+from loopmoments.symbolic import ONE, UnboundSymbolError
 
 x, y, g, u, b = (Poly.var(s) for s in "xygub")
 
@@ -83,6 +83,89 @@ def test_normal_form_is_idempotent():
         assert str(rebuilt) == str(p)
 
 
+def test_public_constructor_canonicalises_monomials():
+    assert Poly({(("y", 1), ("x", 1)): 1}) == x * y
+    assert Poly({(("x", 1), ("x", 2)): 1}) == x**3
+    zero_exponent = Poly({(("x", 0),): 1})
+    assert zero_exponent.is_const()
+    assert zero_exponent == Poly.const(1)
+    assert hash(zero_exponent) == hash(Poly.const(1))
+    # monomials that become equal are summed, and a zero sum is dropped
+    assert Poly({(("x", 1), ("y", 1)): 1, (("y", 1), ("x", 1)): 2}) == 3 * x * y
+    assert Poly({(("x", 1), ("y", 1)): 1, (("y", 1), ("x", 1)): -1}).is_zero()
+    assert Poly([((("x", 1),), 1), ((("x", 1),), Fraction(1, 2))]) == 3 * x / 2
+    with pytest.raises(ValueError):
+        Poly({(("x", -1),): 1})
+
+
+def _assert_normal_poly(p: Poly) -> None:
+    for mono, coeff in p.terms():
+        assert type(coeff) is Fraction and coeff != 0, p
+        names = [name for name, _ in mono]
+        assert names == sorted(set(names)), p
+        assert all(type(e) is int and e > 0 for _, e in mono), p
+
+
+def _assert_normal_exp_poly(f: ExpPoly) -> None:
+    for base, degree, coeff in f.terms():
+        _assert_normal_poly(base)
+        _assert_normal_poly(coeff)
+        assert not coeff.is_zero() and degree >= 0, f
+
+
+def _assert_same_value(p, q) -> None:
+    assert p == q
+    assert hash(p) == hash(q)
+
+
+def test_kernel_results_stay_in_normal_form():
+    rng = random.Random(4711)
+    for _ in range(60):
+        p, q, r = (_random_poly(rng, symbols="xyz") for _ in range(3))
+        results = [p + q, p - q, -p, p * q, p / Fraction(-3, 7), p**3]
+        results += [p.substitute("x", q), p.substitute("y", q * r)]
+        results += p.coefficients_by_power("y").values()
+        results.append(p.exact_div(Poly.var("y") + 1))
+        if not q.is_zero():
+            results += [p.exact_div(q), (p * q).exact_div(q)]
+        for res in results:
+            if res is not None:
+                _assert_normal_poly(res)
+                _assert_same_value(res, Poly(dict(res.terms())))
+        _assert_same_value(p + q, q + p)
+        _assert_same_value(p * q, q * p)
+        _assert_same_value(p * (q + r), p * q + p * r)
+        _assert_same_value(p.substitute("x", q), p.substitute("x", q + r - r))
+
+        f, h = (_random_exp_poly(rng, lambda: _random_poly(rng, "xy", 2)) for _ in range(2))
+        folded = ExpPoly.const(r) + f.scale(p) + h.scale(q) + f.scale(-p)
+        combined = ExpPoly.linear_combination([(ONE, ExpPoly.const(r)), (p, f), (q, h), (-p, f)])
+        for res in (f + h, f - h, f.scale(p), f.shift(), folded, combined):
+            _assert_normal_exp_poly(res)
+        _assert_same_value(f + h, h + f)
+        _assert_same_value(combined, folded)
+        # the fold's key order too, on which the order of side conditions rests
+        assert [k for *k, _ in combined.terms()] == [k for *k, _ in folded.terms()]
+
+
+def test_cancellation_gives_the_empty_value():
+    for zero in ((x + y) - (x + y), x * (y - y)):
+        assert zero.is_zero()
+        _assert_same_value(zero, Poly())
+    f = ExpPoly.term(x, 2, 1) + ExpPoly.const(y)
+    cancelled = [
+        f + ExpPoly.term(-x, 2, 1) - ExpPoly.const(y),
+        ExpPoly.term(x, 2, 1) + ExpPoly.term(-x, 2, 1),
+        ExpPoly.linear_combination([(y, f), (-y, f)]),
+        f.scale(x - x),
+    ]
+    for zero in cancelled:
+        assert zero.is_zero()
+        _assert_same_value(zero, ExpPoly())
+    partial = f + ExpPoly.term(-x, 2, 1)
+    assert [(base, degree) for base, degree, _ in partial.terms()] == [(ONE, 0)]
+
+
 def test_evaluate_and_unbound_error():
     p = b**2 * x / 3
     assert p.evaluate({"b": 2, "x": 5}) == Fraction(20, 3)
@@ -132,12 +215,15 @@ def test_exp_poly_zero_base_is_an_indicator():
     assert f.zero_base_part() == Poly.const(3)
 
 
-def _random_exp_poly(rng: random.Random) -> ExpPoly:
+def _random_exp_poly(rng: random.Random, random_coeff=None) -> ExpPoly:
     bases = [Poly.const(1), Poly.const(2), Poly.const(Fraction(1, 2)),
              Poly.const(Fraction(-1, 2)), Poly.const(0)]
     total = ExpPoly.zero()
     for _ in range(rng.randint(1, 4)):
-        coeff = Poly.const(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        if random_coeff is None:
+            coeff = Poly.const(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        else:
+            coeff = random_coeff()
         total = total + ExpPoly.term(coeff, rng.choice(bases), rng.randint(0, 3))
     return total
 
