@@ -40,7 +40,6 @@ from .pipeline import (
     parse_goals,
 )
 from .recurrences import (
-    CyclicDependencyError,
     Recurrence,
     SolverError,
     UnresolvedBaseError,
@@ -49,7 +48,7 @@ from .recurrences import (
     solve_first_order,
     topo_order,
 )
-from .report import emit, emit_json, emit_tex, emit_txt, parse_closed_form, report_from_json
+from .report import emit, emit_json, emit_tex, emit_txt, report_from_json
 from .symbolic import ExpPoly, Moment, Poly, UnboundSymbolError
 from .verifier import MomentEstimate, SimConfig, VerifierError, check, simulate
 
@@ -59,7 +58,6 @@ __all__ = [
     "AllVarsGoal",
     "BranchUpdate",
     "ClosureOverflowError",
-    "CyclicDependencyError",
     "Distribution",
     "ExpPoly",
     "Goal",
@@ -96,7 +94,6 @@ __all__ = [
     "initial_moment",
     "moment_closure",
     "moment_equation",
-    "parse_closed_form",
     "parse_goals",
     "parse_program",
     "report_from_json",

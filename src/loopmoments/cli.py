@@ -23,7 +23,7 @@ from typing import Sequence
 from .frontend import ParseError, UnsupportedProgramError
 from .moments import ClosureOverflowError
 from .pipeline import GoalError, InvariantReport, analyze
-from .recurrences import CyclicDependencyError, SolverError
+from .recurrences import SolverError
 from .report import FORMATS, emit
 from .verifier import SimConfig, VerifierError, check, simulate
 
@@ -166,7 +166,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UnsupportedProgramError as exc:
         print(f"error: unsupported program structure: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (SolverError, CyclicDependencyError, ClosureOverflowError) as exc:
+    except (SolverError, ClosureOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except VerifierError as exc:

@@ -135,26 +135,6 @@ class Program:
     update_assignments: tuple[UpdateAssignment, ...]
     parameters: frozenset[str]
 
-    @property
-    def source_span_map(self) -> dict[tuple[str, str], int]:
-        spans: dict[tuple[str, str], int] = {}
-        for a in self.init_assignments:
-            spans[("init", a.var)] = a.line
-        for r in self.rv_assignments:
-            spans[("rv", r.var)] = r.line
-        for u in self.update_assignments:
-            spans[("update", u.var)] = u.line
-        return spans
-
-    def assigned_variables(self) -> list[str]:
-        names = [a.var for a in self.init_assignments]
-        names += [r.var for r in self.rv_assignments]
-        names += [u.var for u in self.update_assignments]
-        seen: dict[str, None] = {}
-        for n in names:
-            seen.setdefault(n)
-        return list(seen)
-
 
 @dataclass(frozen=True, eq=False)
 class ValidatedProgram:
@@ -608,24 +588,16 @@ def poly_to_source(p: Poly) -> str:
     return " ".join(parts)
 
 
-def _init_value_to_source(value: InitValue) -> str:
-    if isinstance(value, Distribution):
-        return (
-            f"RV({value.kind}, {poly_to_source(value.arg1)}, "
-            f"{poly_to_source(value.arg2)})"
-        )
-    return poly_to_source(value)
-
-
 def format_program(p: Program) -> str:
     """Source text for a parsed program; parsing it back yields an equal
     :class:`Program` (up to line numbers)."""
     out: list[str] = []
     for a in p.init_assignments:
-        out.append(f"{a.var} = {_init_value_to_source(a.value)}")
+        value = a.value if isinstance(a.value, Distribution) else poly_to_source(a.value)
+        out.append(f"{a.var} = {value}")
     out.append(_HEADER)
     for r in p.rv_assignments:
-        out.append(f"{r.var} = {_init_value_to_source(r.dist)}")
+        out.append(f"{r.var} = {r.dist}")
     for u in p.update_assignments:
         branches = []
         for br in u.update.branches:

@@ -51,15 +51,6 @@ class MomentEquation:
     def self_coefficient(self) -> Poly:
         return self.linear.get(self.target, Poly())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MomentEquation):
-            return NotImplemented
-        return (
-            self.target == other.target
-            and dict(self.linear) == dict(other.linear)
-            and self.constant == other.constant
-        )
-
     def __str__(self) -> str:
         parts = []
         for m in sorted(self.linear, key=Moment.sort_key):

@@ -47,12 +47,13 @@ class GoalError(ValueError):
 
 
 def parse_goals(
-    raw: Sequence[Union[str, int]], variables: Iterable[str] | None = None
+    raw: Sequence[Union[Goal, str, int]], variables: Iterable[str] | None = None
 ) -> list[Goal]:
-    """Turn goal tokens into goals.
+    """Turn goal tokens into goals and check them.
 
-    Integer tokens (or digit strings) become :class:`AllVarsGoal`; anything
-    else is parsed as a monomial.  When ``variables`` is given, monomial
+    Goal objects are taken as they are, integer tokens (or digit strings)
+    become :class:`AllVarsGoal`, and anything else is parsed as a monomial.
+    Every order must be at least 1; when ``variables`` is given, monomial
     goals must only mention those names.
     """
     if not raw:
@@ -60,23 +61,25 @@ def parse_goals(
     known = set(variables) if variables is not None else None
     goals: list[Goal] = []
     for token in raw:
-        if isinstance(token, int) or (isinstance(token, str) and token.strip().lstrip("-").isdigit()):
-            k = int(token)
-            if k < 1:
-                raise GoalError(f"moment order must be >= 1, got {k}")
-            goals.append(AllVarsGoal(k))
-            continue
-        try:
-            moment = Moment.parse(str(token))
-        except ValueError as exc:
-            raise GoalError(str(exc)) from None
-        if known is not None:
-            unknown = sorted(set(moment.variables()) - known)
+        if isinstance(token, (AllVarsGoal, MomentGoal)):
+            goal = token
+        elif isinstance(token, int) or (isinstance(token, str) and token.strip().lstrip("-").isdigit()):
+            goal = AllVarsGoal(int(token))
+        else:
+            try:
+                goal = MomentGoal(Moment.parse(str(token)))
+            except ValueError as exc:
+                raise GoalError(str(exc)) from None
+        if isinstance(goal, AllVarsGoal):
+            if goal.k < 1:
+                raise GoalError(f"moment order must be >= 1, got {goal.k}")
+        elif known is not None:
+            unknown = sorted(set(goal.moment.variables()) - known)
             if unknown:
                 raise GoalError(
-                    f"goal {token!r} mentions unknown variable(s): {', '.join(unknown)}"
+                    f"goal {str(token)!r} mentions unknown variable(s): {', '.join(unknown)}"
                 )
-        goals.append(MomentGoal(moment))
+        goals.append(goal)
     return goals
 
 
@@ -119,7 +122,7 @@ class VerifyReport:
         return all(e.passed for e in self.entries)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class InvariantReport:
     """Everything the analysis produced, ready for rendering.
 
@@ -147,22 +150,6 @@ class InvariantReport:
         object.__setattr__(self, "invariants", dict(self.invariants))
         object.__setattr__(self, "initial_moments", dict(self.initial_moments))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, InvariantReport):
-            return NotImplemented
-        return (
-            self.program_name == other.program_name
-            and self.variables == other.variables
-            and self.parameters == other.parameters
-            and self.goals == other.goals
-            and dict(self.invariants) == dict(other.invariants)
-            and dict(self.initial_moments) == dict(other.initial_moments)
-            and self.symbolic_initials == other.symbolic_initials
-            and self.side_conditions == other.side_conditions
-            and self.elapsed_seconds == other.elapsed_seconds
-            and self.verification == other.verification
-        )
-
     def with_verification(self, verification: VerifyReport) -> "InvariantReport":
         return replace(self, verification=verification)
 
@@ -178,21 +165,7 @@ def analyze(
     started = time.perf_counter()
     program = parse_program(source_text)
     vp = validate_program(program)
-
-    parsed_goals: list[Goal] = []
-    for goal in goals:
-        if isinstance(goal, (AllVarsGoal, MomentGoal)):
-            if isinstance(goal, MomentGoal):
-                unknown = sorted(set(goal.moment.variables()) - set(vp.all_variables()))
-                if unknown:
-                    raise GoalError(
-                        f"goal {goal} mentions unknown variable(s): {', '.join(unknown)}"
-                    )
-            parsed_goals.append(goal)
-        else:
-            parsed_goals.extend(parse_goals([goal], vp.all_variables()))
-    if not parsed_goals:
-        raise GoalError("at least one goal is required")
+    parsed_goals = parse_goals(goals, vp.all_variables())
 
     table = MomentTable()
     targets = goal_moments(parsed_goals, vp)

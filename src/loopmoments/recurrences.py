@@ -28,17 +28,6 @@ from .moments import MomentEquation
 from .symbolic import ONE, ExpPoly, Moment, Poly
 
 
-class CyclicDependencyError(Exception):
-    """Moment equations depend on each other in a cycle (other than the
-    usual self-loop); unreachable for validated programs."""
-
-    def __init__(self, cycle: list[Moment]):
-        super().__init__(
-            "cyclic dependency between moments: " + " -> ".join(f"E[{m}]" for m in cycle)
-        )
-        self.cycle = cycle
-
-
 class SolverError(Exception):
     """The solver could not produce (or verify) a closed form."""
 
@@ -112,28 +101,13 @@ def topo_order(equations: Mapping[Moment, MomentEquation]) -> list[Moment]:
             if remaining[user] == 0:
                 heapq.heappush(ready, ready_key(user))
     if len(order) != len(moments):
-        leftover = [m for m in sorted(moments, key=Moment.sort_key) if m not in set(order)]
-        raise CyclicDependencyError(_find_cycle(leftover, deps))
-    return order
-
-
-def _find_cycle(leftover: list[Moment], deps: Mapping[Moment, set[Moment]]) -> list[Moment]:
-    stuck = set(leftover)
-    start = leftover[0]
-    path = [start]
-    seen = {start}
-    current = start
-    while True:
-        nxt = min(
-            (d for d in deps[current] if d in stuck), key=Moment.sort_key, default=None
+        # Unreachable for validated programs, whose updates only depend on
+        # themselves and on earlier variables.
+        stuck = sorted((m for m, count in remaining.items() if count), key=Moment.sort_key)
+        raise SolverError(
+            "cyclic dependency between moments " + ", ".join(f"E[{m}]" for m in stuck)
         )
-        if nxt is None:
-            return path
-        if nxt in seen:
-            return path[path.index(nxt) :] + [nxt]
-        path.append(nxt)
-        seen.add(nxt)
-        current = nxt
+    return order
 
 
 def build_recurrence(
@@ -161,24 +135,12 @@ def build_recurrence(
     )
 
 
-class _SideConditions:
-    """Collects distinctness assumptions made about parameterized bases."""
-
-    def __init__(self):
-        self.notes: list[str] = []
-
-    def assume_distinct(self, base: Poly, coeff: Poly) -> None:
-        note = f"{base} != {coeff}"
-        if note not in self.notes:
-            self.notes.append(note)
-
-
-def _divide(numerator: Poly, divisor: Poly, sides: _SideConditions | None) -> Poly:
+def _divide(numerator: Poly, divisor: Poly) -> Poly:
     """Exact division in the coefficient ring.
 
     Rational divisors always succeed; parameterized divisors succeed only
-    when the quotient stays polynomial, and record the nonzero-divisor
-    assumption as a side condition.
+    when the quotient stays polynomial, and raise
+    :class:`UnresolvedBaseError` otherwise.
     """
     if divisor.is_zero():
         raise SolverError("internal: division by zero while matching coefficients")
@@ -190,9 +152,7 @@ def _divide(numerator: Poly, divisor: Poly, sides: _SideConditions | None) -> Po
     return quotient
 
 
-def solve_first_order(
-    rec: Recurrence, side_conditions: _SideConditions | None = None
-) -> ExpPoly:
+def solve_first_order(rec: Recurrence, side_conditions: list[str] | None = None) -> ExpPoly:
     """Exact closed form of a first-order constant-coefficient recurrence.
 
     Per inhomogeneity base rho with polynomial part P of degree d:
@@ -208,8 +168,11 @@ def solve_first_order(
     at n = 0; base-0 resonance (c == 0 meeting a base-0 inhomogeneity)
     would need a correction at n = 1, which this representation cannot
     express, so it is reported as an error.
+
+    Each parameterized base assumed distinct from ``c`` is appended to
+    ``side_conditions`` as ``"base != c"``, once.
     """
-    sides = side_conditions if side_conditions is not None else _SideConditions()
+    sides = side_conditions if side_conditions is not None else []
     c = rec.self_coeff
     particular = ExpPoly.zero()
 
@@ -231,13 +194,14 @@ def solve_first_order(
                 for j in range(m + 2, degree + 2):
                     if j in q:
                         acc = acc + q[j] * math.comb(j, m)
-                target = _divide(coeffs[m], base, sides) - acc
-                q[m + 1] = _divide(target, Poly.const(math.comb(m + 1, m)), sides)
+                q[m + 1] = (_divide(coeffs[m], base) - acc) / (m + 1)
             for j, qj in q.items():
                 particular = particular + ExpPoly.term(qj, base, j)
         else:
             if not delta.is_const():
-                sides.assume_distinct(base, c)
+                note = f"{base} != {c}"
+                if note not in sides:
+                    sides.append(note)
             # Distinct base: Q of degree d with base*Q(n+1) - c*Q(n) = P(n);
             # coefficient of n^m gives (base - c)*q_m + base*sum_{j>m} ...
             q = {}
@@ -246,7 +210,7 @@ def solve_first_order(
                 for j in range(m + 1, degree + 1):
                     if j in q:
                         acc = acc + q[j] * math.comb(j, m)
-                q[m] = _divide(coeffs[m] - base * acc, delta, sides)
+                q[m] = _divide(coeffs[m] - base * acc, delta)
             for j, qj in q.items():
                 particular = particular + ExpPoly.term(qj, base, j)
 
@@ -275,7 +239,7 @@ def solve_all(
     (parameterized bases treated as distinct from self-coefficients).
     """
     solved: dict[Moment, ExpPoly] = {}
-    sides = _SideConditions()
+    sides: list[str] = []
     for moment in order:
         rec = build_recurrence(equations[moment], solved, init_moments)
         try:
@@ -284,4 +248,4 @@ def solve_all(
             if f"E[{moment}]" not in str(exc):
                 exc.args = (f"E[{moment}]: {exc.args[0]}",)
             raise
-    return solved, sides.notes
+    return solved, sides

@@ -3,22 +3,21 @@
 Three output surfaces share one canonical content model:
 
 * ``txt`` -- one plain-text line per moment, ``E[x^2] = b^2*n/3`` style.
-  The closed-form syntax is deliberately simple enough to re-parse;
-  :func:`parse_closed_form` turns an emitted right-hand side back into an
-  equal :class:`~loopmoments.symbolic.ExpPoly`.
 * ``tex`` -- the same invariants as LaTeX math lines.
-* ``json`` -- a machine-readable document; :func:`report_from_json` is the
-  bundled reader and reproduces an equal report.
+* ``json`` -- a machine-readable document and the one report format that
+  is read back: :func:`report_from_json` reproduces an equal report.
 
-A closed form containing a base-0 term (an indicator of ``n == 0``) is
-printed as its ``n >= 1`` form with the initial value annotated, since the
-one-point correction has no conventional surface syntax.
+``txt`` and ``tex`` render the closed forms through the one
+:func:`~loopmoments.symbolic.render_sum`, in its ``TEXT`` and ``TEX``
+styles.  A closed form containing a base-0 term (an indicator of
+``n == 0``) is printed as its ``n >= 1`` form with the initial value
+annotated, since the one-point correction has no conventional surface
+syntax.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from typing import Any
 
@@ -30,7 +29,7 @@ from .pipeline import (
     VerifyEntry,
     VerifyReport,
 )
-from .symbolic import ExpPoly, Moment, Poly
+from .symbolic import TEX, ExpPoly, Moment, Poly, exp_poly_summands, poly_summands, render_sum
 
 FORMATS = ("txt", "tex", "json")
 
@@ -129,70 +128,11 @@ def emit_tex(report: InvariantReport) -> str:
 
 
 def _tex_closed_form(form: ExpPoly) -> str:
-    plain = form.drop_zero_base()
-    text = _tex_exp_poly(plain)
+    text = render_sum(exp_poly_summands(form.drop_zero_base()), TEX)
     if not form.zero_base_part().is_zero():
-        init = _tex_poly(form.value_at_zero())
+        init = render_sum(poly_summands(form.value_at_zero()), TEX)
         text += rf" \quad (n \geq 1;\ {init}\text{{ at }}n=0)"
     return text
-
-
-def _tex_monomial(mono) -> str:
-    return " ".join(
-        name if exp == 1 else f"{name}^{{{exp}}}" for name, exp in mono
-    )
-
-
-def _tex_summand(coeff: Fraction, mono, ndeg: int, base: Poly | None) -> str:
-    num_parts = []
-    num = abs(coeff.numerator)
-    mono_text = _tex_monomial(mono)
-    if num != 1 or (not mono_text and ndeg == 0 and base is None):
-        num_parts.append(str(num))
-    if mono_text:
-        num_parts.append(mono_text)
-    if ndeg:
-        num_parts.append("n" if ndeg == 1 else f"n^{{{ndeg}}}")
-    if base is not None:
-        num_parts.append(f"{_tex_base(base)}^{{n}}")
-    body = " ".join(num_parts)
-    if coeff.denominator != 1:
-        body = rf"\frac{{{body}}}{{{coeff.denominator}}}"
-    return body
-
-
-def _tex_base(base: Poly) -> str:
-    if base.is_const():
-        q = base.const_value()
-        if q.denominator == 1 and q >= 0:
-            return str(q.numerator)
-        sign = "-" if q < 0 else ""
-        return rf"\left({sign}\frac{{{abs(q.numerator)}}}{{{q.denominator}}}\right)"
-    return rf"\left({_tex_poly(base)}\right)"
-
-
-def _tex_poly(p: Poly) -> str:
-    parts = []
-    for mono, coeff in p.sorted_terms():
-        body = _tex_summand(coeff, mono, 0, None)
-        if not parts:
-            parts.append(body if coeff >= 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if coeff >= 0 else f"- {body}")
-    return " ".join(parts) if parts else "0"
-
-
-def _tex_exp_poly(form: ExpPoly) -> str:
-    parts = []
-    for base, degree, coeff in form.sorted_terms():
-        base_part = None if base == Poly.const(1) else base
-        for mono, q in coeff.sorted_terms():
-            body = _tex_summand(q, mono, degree, base_part)
-            if not parts:
-                parts.append(body if q >= 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if q >= 0 else f"- {body}")
-    return " ".join(parts) if parts else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -354,175 +294,3 @@ def report_from_json(text: str) -> InvariantReport:
         elapsed_seconds=float(doc["elapsed_seconds"]),
         verification=_verification_from_json(doc.get("verification")),
     )
-
-
-# ---------------------------------------------------------------------------
-# Re-parsing emitted closed forms
-# ---------------------------------------------------------------------------
-
-_CF_TOKEN = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9]*(?:\(0\))?)|(?P<int>\d+)|(?P<sym>[-+*/^()]))"
-)
-
-
-def _cf_tokens(text: str) -> list[str]:
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _CF_TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ValueError(f"cannot tokenize closed form near {text[pos:]!r}")
-            break
-        tokens.append(m.group().strip())
-        pos = m.end()
-    return tokens
-
-
-class _ClosedFormParser:
-    """Parses the rendered closed-form syntax back into an ExpPoly.
-
-    Handles exactly what the renderer produces: sums of products of an
-    integer numerator, named powers, ``n^k``, a ``base^n`` factor, and a
-    trailing integer denominator.
-    """
-
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def _peek(self, ahead: int = 0) -> str | None:
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
-
-    def _next(self) -> str:
-        tok = self._peek()
-        if tok is None:
-            raise ValueError("unexpected end of closed form")
-        self.pos += 1
-        return tok
-
-    def _expect(self, token: str) -> None:
-        got = self._next()
-        if got != token:
-            raise ValueError(f"expected {token!r}, got {got!r}")
-
-    def parse(self) -> ExpPoly:
-        total = ExpPoly.zero()
-        sign = 1
-        if self._peek() in {"+", "-"}:
-            sign = -1 if self._next() == "-" else 1
-        total = total + self._summand(sign)
-        while self._peek() is not None:
-            op = self._next()
-            if op not in {"+", "-"}:
-                raise ValueError(f"expected '+' or '-', got {op!r}")
-            total = total + self._summand(-1 if op == "-" else 1)
-        return total
-
-    def _summand(self, sign: int) -> ExpPoly:
-        coeff = Fraction(sign)
-        powers: dict[str, int] = {}
-        ndeg = 0
-        base: Poly | None = None
-        while True:
-            coeff, powers, ndeg, base = self._factor(coeff, powers, ndeg, base)
-            nxt = self._peek()
-            if nxt == "*":
-                self._next()
-                continue
-            if nxt == "/":
-                self._next()
-                den = self._next()
-                if not den.isdigit():
-                    raise ValueError(f"expected integer denominator, got {den!r}")
-                coeff /= int(den)
-            break
-        coeff_poly = Poly.monomial(powers, coeff)
-        return ExpPoly.term(coeff_poly, base if base is not None else Poly.const(1), ndeg)
-
-    def _factor(self, coeff, powers, ndeg, base):
-        tok = self._next()
-        if tok == "(":
-            inner = self._poly_until_close()
-            self._expect("^")
-            self._expect("n")
-            if base is not None:
-                raise ValueError("two exponential factors in one summand")
-            return coeff, powers, ndeg, inner
-        if tok.isdigit():
-            if self._peek() == "^" and self._peek(1) == "n":
-                self._next(), self._next()
-                if base is not None:
-                    raise ValueError("two exponential factors in one summand")
-                return coeff, powers, ndeg, Poly.const(int(tok))
-            return coeff * int(tok), powers, ndeg, base
-        if tok == "n":
-            exp = 1
-            if self._peek() == "^":
-                self._next()
-                exp = int(self._next())
-            return coeff, powers, ndeg + exp, base
-        # a named symbol, possibly exponentiated by an integer or by n
-        if self._peek() == "^":
-            if self._peek(1) == "n":
-                self._next(), self._next()
-                if base is not None:
-                    raise ValueError("two exponential factors in one summand")
-                return coeff, powers, ndeg, Poly.var(tok)
-            self._next()
-            exp = int(self._next())
-        else:
-            exp = 1
-        powers[tok] = powers.get(tok, 0) + exp
-        return coeff, powers, ndeg, base
-
-    def _poly_until_close(self) -> Poly:
-        # Inside parentheses the renderer writes either a rational constant
-        # like -1/2 or a parameter polynomial like p + 1 or b^2/3 + 1.
-        total = Poly()
-        sign = 1
-        if self._peek() in {"+", "-"}:
-            sign = -1 if self._next() == "-" else 1
-        total = total + self._poly_summand(sign)
-        while self._peek() != ")":
-            op = self._next()
-            if op not in {"+", "-"}:
-                raise ValueError(f"expected '+' or '-' inside base, got {op!r}")
-            total = total + self._poly_summand(-1 if op == "-" else 1)
-        self._expect(")")
-        return total
-
-    def _poly_summand(self, sign: int) -> Poly:
-        coeff = Fraction(sign)
-        powers: dict[str, int] = {}
-        while True:
-            tok = self._next()
-            if tok.isdigit():
-                coeff *= int(tok)
-            else:
-                exp = 1
-                if self._peek() == "^":
-                    self._next()
-                    exp = int(self._next())
-                powers[tok] = powers.get(tok, 0) + exp
-            nxt = self._peek()
-            if nxt == "*":
-                self._next()
-                continue
-            if nxt == "/":
-                self._next()
-                coeff /= int(self._next())
-            break
-        return Poly.monomial(powers, coeff)
-
-
-def parse_closed_form(text: str) -> ExpPoly:
-    """Parse an emitted right-hand side (txt format) back into an ExpPoly.
-
-    The ``[n >= 1; ...]`` annotation of forms with a one-point correction is
-    not re-parsed; strip it first or parse the JSON output instead.
-    """
-    if "[" in text:
-        raise ValueError("annotated closed forms cannot be re-parsed from text")
-    return _ClosedFormParser(_cf_tokens(text)).parse()

@@ -71,12 +71,6 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(sorted(merged.items()))
 
 
-def _mono_pow(a: Mono, k: int) -> Mono:
-    if k == 0 or not a:
-        return _ONE_MONO
-    return tuple((name, exp * k) for name, exp in a)
-
-
 def _canonical_mono(mono: Iterable[tuple[str, int]]) -> Mono:
     merged: dict[str, int] = {}
     for name, exp in mono:
@@ -195,14 +189,6 @@ class Poly:
 
     def total_degree(self) -> int:
         return max((_mono_degree(m) for m in self._terms), default=0)
-
-    def degree_in(self, name: str) -> int:
-        deg = 0
-        for mono in self._terms:
-            for sym, exp in mono:
-                if sym == name:
-                    deg = max(deg, exp)
-        return deg
 
     def terms(self) -> Iterator[tuple[Mono, Fraction]]:
         return iter(self._terms.items())
@@ -406,9 +392,7 @@ class Poly:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        return render_sum(
-            [(coeff, mono, 0, None) for mono, coeff in self.sorted_terms()]
-        )
+        return render_sum(poly_summands(self))
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -660,55 +644,108 @@ class ExpPoly:
     # -- rendering --------------------------------------------------------------
 
     def __str__(self) -> str:
-        summands: list[tuple[Fraction, Mono, int, Poly | None]] = []
-        for base, degree, coeff in self.sorted_terms():
-            base_part = None if base == ONE else base
-            for mono, q in coeff.sorted_terms():
-                summands.append((q, mono, degree, base_part))
-        return render_sum(summands)
+        return render_sum(exp_poly_summands(self))
 
     def __repr__(self) -> str:
         return f"ExpPoly({self})"
 
 
-def render_sum(summands: Iterable[tuple[Fraction, Mono, int, Poly | None]]) -> str:
-    """Render flat summands (coeff, monomial, n-degree, base or None) as text.
+# -- rendering ------------------------------------------------------------------
 
-    Produces the canonical surface syntax, e.g. ``b^2*n/3 + y(0)^2`` or
-    ``n*2^n/2``; every summand is a single product so the output is easy to
-    re-parse.
+# One summand of a rendered sum: coeff * monomial * n**degree * base**n, with
+# base None for a plain polynomial term.
+Summand = tuple[Fraction, Mono, int, Poly | None]
+
+
+@dataclass(frozen=True)
+class Style:
+    """The surface syntax of a rendered sum, as four format strings: the
+    separator between the factors of a product, ``power`` (base,
+    exponent), ``fraction`` (numerator, integer denominator) and ``group``
+    (a parenthesised base of ``base^n``)."""
+
+    join: str
+    power: str
+    fraction: str
+    group: str
+
+
+TEXT = Style(join="*", power="{}^{}", fraction="{}/{}", group="({})")
+TEX = Style(
+    join=" ", power="{}^{{{}}}", fraction=r"\frac{{{}}}{{{}}}", group=r"\left({}\right)"
+)
+
+
+def poly_summands(p: Poly) -> list[Summand]:
+    """The terms of ``p`` as summands, in canonical print order."""
+    return [(coeff, mono, 0, None) for mono, coeff in p.sorted_terms()]
+
+
+def exp_poly_summands(f: ExpPoly) -> list[Summand]:
+    """The terms of ``f`` flattened to one summand per coefficient monomial,
+    in canonical print order."""
+    summands: list[Summand] = []
+    for base, degree, coeff in f.sorted_terms():
+        base_part = None if base == ONE else base
+        for mono, q in coeff.sorted_terms():
+            summands.append((q, mono, degree, base_part))
+    return summands
+
+
+def render_sum(summands: Iterable[Summand], style: Style = TEXT) -> str:
+    r"""Render flat summands as one line in ``style``.
+
+    Every summand is a single product over an integer denominator, e.g.
+    ``b^2*n/3 + y(0)^2`` or ``n*2^n/2`` in :data:`TEXT` and
+    ``\frac{b^{2} n}{3}`` in :data:`TEX`.
     """
+    power, join, fraction = style.power.format, style.join.join, style.fraction.format
     parts: list[str] = []
+    # Monomials and bases repeat across summands; each is rendered once.
+    mono_texts: dict[Mono, str] = {}
+    base_texts: dict[Poly, str] = {}
     for coeff, mono, ndeg, base in summands:
-        factors: list[str] = []
-        num, den = abs(coeff.numerator), coeff.denominator
-        for name, exp in mono:
-            factors.append(name if exp == 1 else f"{name}^{exp}")
+        factors = []
+        if mono:
+            text = mono_texts.get(mono)
+            if text is None:
+                text = mono_texts[mono] = join(
+                    [name if exp == 1 else power(name, exp) for name, exp in mono]
+                )
+            factors.append(text)
         if ndeg:
-            factors.append("n" if ndeg == 1 else f"n^{ndeg}")
+            factors.append("n" if ndeg == 1 else power("n", ndeg))
         if base is not None:
-            factors.append(f"{_render_base(base)}^n")
+            text = base_texts.get(base)
+            if text is None:
+                text = base_texts[base] = power(_render_base(base, style), "n")
+            factors.append(text)
+        num, den = coeff.numerator, coeff.denominator
+        negative = num < 0
+        if negative:
+            num = -num
         if num != 1 or not factors:
             factors.insert(0, str(num))
-        body = "*".join(factors)
+        body = join(factors)
         if den != 1:
-            body += f"/{den}"
-        if not parts:
-            parts.append(body if coeff >= 0 else f"-{body}")
+            body = fraction(body, den)
+        if parts:
+            parts.append(f"- {body}" if negative else f"+ {body}")
         else:
-            parts.append(f"+ {body}" if coeff >= 0 else f"- {body}")
-    if not parts:
+            parts.append(f"-{body}" if negative else body)
+    return " ".join(parts) if parts else "0"
+
+
+def _render_base(base: Poly, style: Style) -> str:
+    """A base of ``base^n``: bare when it is a nonnegative integer or a single
+    symbol, grouped otherwise."""
+    terms = base._terms
+    if len(terms) == 1:
+        [(mono, coeff)] = terms.items()
+        if mono == _ONE_MONO and coeff.denominator == 1 and coeff > 0:
+            return str(coeff.numerator)
+        if len(mono) == 1 and mono[0][1] == 1 and coeff == 1:
+            return mono[0][0]
+    elif not terms:
         return "0"
-    return " ".join(parts)
-
-
-def _render_base(base: Poly) -> str:
-    if base.is_const():
-        q = base.const_value()
-        if q.denominator == 1 and q >= 0:
-            return str(q.numerator)
-        return f"({q})"
-    text = str(base)
-    if re.fullmatch(r"[A-Za-z][A-Za-z0-9]*(\(0\))?", text):
-        return text
-    return f"({text})"
+    return style.group.format(render_sum(poly_summands(base), style))
