@@ -6,7 +6,6 @@ recurrence, report, and verifier modules expose the individual stages.
 """
 
 from .frontend import (
-    BranchUpdate,
     Distribution,
     ParseError,
     Program,
@@ -53,56 +52,3 @@ from .symbolic import ExpPoly, Moment, Poly, UnboundSymbolError
 from .verifier import MomentEstimate, SimConfig, VerifierError, check, simulate
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AllVarsGoal",
-    "BranchUpdate",
-    "ClosureOverflowError",
-    "Distribution",
-    "ExpPoly",
-    "Goal",
-    "GoalError",
-    "InvariantReport",
-    "Moment",
-    "MomentEquation",
-    "MomentEstimate",
-    "MomentGoal",
-    "MomentTable",
-    "ParseError",
-    "Poly",
-    "Program",
-    "Recurrence",
-    "SimConfig",
-    "SolverError",
-    "UnboundSymbolError",
-    "UnresolvedBaseError",
-    "UnsupportedProgramError",
-    "UpdateBranch",
-    "ValidatedProgram",
-    "VerifierError",
-    "VerifyEntry",
-    "VerifyReport",
-    "analyze",
-    "build_recurrence",
-    "check",
-    "emit",
-    "emit_json",
-    "emit_tex",
-    "emit_txt",
-    "format_program",
-    "goal_moments",
-    "initial_moment",
-    "moment_closure",
-    "moment_equation",
-    "parse_goals",
-    "parse_program",
-    "report_from_json",
-    "resolve_initial_value",
-    "rv_raw_moment",
-    "simulate",
-    "solve_all",
-    "solve_first_order",
-    "topo_order",
-    "validate_program",
-    "__version__",
-]

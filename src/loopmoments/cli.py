@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .frontend import ParseError, UnsupportedProgramError
 from .moments import ClosureOverflowError
-from .pipeline import GoalError, InvariantReport, analyze
+from .pipeline import GoalError, analyze
 from .recurrences import SolverError
 from .report import FORMATS, emit
 from .verifier import SimConfig, VerifierError, check, simulate
@@ -95,68 +95,28 @@ def _parse_bindings(pairs: Sequence[str]) -> dict[str, Fraction]:
     return bindings
 
 
-def run(
-    program_path: str,
-    goal_tokens: Sequence[str],
-    fmt: str = "txt",
-    out_path: str | None = None,
-    *,
-    max_closure: int = 10_000,
-    verify: bool = False,
-    bindings: dict[str, Fraction] | None = None,
-    iters: int = 20,
-    trials: int = 100_000,
-    seed: int = 0,
-) -> tuple[InvariantReport, str, int]:
-    """Full pipeline for one CLI invocation.
-
-    Returns the report, its rendering, and the exit code, and writes the
-    rendering to ``out_path`` when given.  Raises the same exceptions the
-    library raises; :func:`main` maps them to exit codes.
-    """
-    with open(program_path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    report = analyze(source, list(goal_tokens), name=program_path, max_closure=max_closure)
-    code = EXIT_OK
-    if verify:
-        cfg = SimConfig(
-            bindings=bindings or {},
-            iterations=iters,
-            trials=trials,
-            seed=seed,
-        )
-        assert report.validated is not None
-        estimates = simulate(report.validated, cfg, set(report.invariants))
-        verification = check(report.invariants, estimates, cfg)
-        report = report.with_verification(verification)
-        if not verification.passed:
-            code = EXIT_FAILURE
-    rendered = emit(report, fmt)
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-    return report, rendered, code
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    code = EXIT_OK
     try:
         if not args.goal:
             raise GoalError("at least one goal is required (use --goal)")
         bindings = _parse_bindings(args.param)
-        report, rendered, code = run(
-            args.program,
-            args.goal,
-            args.format,
-            args.out,
-            max_closure=args.max_closure,
-            verify=args.verify,
-            bindings=bindings,
-            iters=args.iters,
-            trials=args.trials,
-            seed=args.seed,
-        )
+        with open(args.program, "r", encoding="utf-8") as handle:
+            source = handle.read()
+        report = analyze(source, args.goal, name=args.program, max_closure=args.max_closure)
+        if args.verify:
+            cfg = SimConfig(
+                bindings=bindings, iterations=args.iters, trials=args.trials, seed=args.seed
+            )
+            estimates = simulate(report.validated, cfg, set(report.invariants))
+            report = report.with_verification(check(report.invariants, estimates, cfg))
+            if not report.verification.passed:
+                code = EXIT_FAILURE
+        rendered = emit(report, args.format)
+        if args.out is not None:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
     except OSError as exc:
         print(f"error: file access failed: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -26,7 +26,7 @@ and returns a :class:`ValidatedProgram` for the rest of the pipeline.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -93,11 +93,6 @@ class UpdateBranch:
     prob: Poly
 
 
-@dataclass(frozen=True)
-class BranchUpdate:
-    branches: tuple[UpdateBranch, ...]
-
-
 InitValue = Union[Poly, Distribution]
 
 
@@ -105,21 +100,21 @@ InitValue = Union[Poly, Distribution]
 class InitAssignment:
     var: str
     value: InitValue
-    line: int
+    line: int = field(compare=False)
 
 
 @dataclass(frozen=True)
 class RvAssignment:
     var: str
     dist: Distribution
-    line: int
+    line: int = field(compare=False)
 
 
 @dataclass(frozen=True)
 class UpdateAssignment:
     var: str
-    update: BranchUpdate
-    line: int
+    branches: tuple[UpdateBranch, ...]
+    line: int = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -127,7 +122,8 @@ class Program:
     """A parsed loop, before validation.
 
     Assignment order is textual order; ``parameters`` holds every symbol
-    that is never assigned anywhere in the program.
+    that is never assigned anywhere in the program.  Equality ignores the
+    source line numbers.
     """
 
     init_assignments: tuple[InitAssignment, ...]
@@ -322,7 +318,7 @@ def _split_assignment(text: str, line: int) -> tuple[str, str]:
     return var, rhs
 
 
-def _parse_update(rhs: str, line: int) -> BranchUpdate:
+def _parse_update(rhs: str, line: int) -> tuple[UpdateBranch, ...]:
     chunks = rhs.split(";")
     branches: list[UpdateBranch] = []
     for chunk in chunks:
@@ -340,7 +336,7 @@ def _parse_update(rhs: str, line: int) -> BranchUpdate:
             expr = parse_expression(chunk, line)
             prob = Poly.const(1)
         branches.append(UpdateBranch(expr, prob))
-    return BranchUpdate(tuple(branches))
+    return tuple(branches)
 
 
 def parse_program(source_text: str) -> Program:
@@ -403,7 +399,7 @@ def parse_program(source_text: str) -> Program:
     for r in rvs:
         mentioned |= r.dist.arg1.symbols() | r.dist.arg2.symbols()
     for u in updates:
-        for br in u.update.branches:
+        for br in u.branches:
             mentioned |= br.expr.symbols() | br.prob.symbols()
     parameters = frozenset(mentioned - assigned)
 
@@ -479,7 +475,7 @@ def validate_program(p: Program) -> ValidatedProgram:
 
     for u in p.update_assignments:
         total = Poly()
-        for br in u.update.branches:
+        for br in u.branches:
             _check_parameter_only(br.prob, program_vars, "branch probability", u.line)
             if br.prob.is_const() and br.prob.const_value() < 0:
                 raise UnsupportedProgramError(
@@ -499,7 +495,7 @@ def validate_program(p: Program) -> ValidatedProgram:
     # assigned earlier (random draws, earlier updates, init-only constants).
     visible = set(rv_dists) | set(const_vars)
     for u in p.update_assignments:
-        for br in u.update.branches:
+        for br in u.branches:
             by_power = br.expr.coefficients_by_power(u.var)
             if any(d > 1 for d in by_power):
                 raise UnsupportedProgramError(
@@ -590,7 +586,7 @@ def poly_to_source(p: Poly) -> str:
 
 def format_program(p: Program) -> str:
     """Source text for a parsed program; parsing it back yields an equal
-    :class:`Program` (up to line numbers)."""
+    :class:`Program`."""
     out: list[str] = []
     for a in p.init_assignments:
         value = a.value if isinstance(a.value, Distribution) else poly_to_source(a.value)
@@ -600,23 +596,11 @@ def format_program(p: Program) -> str:
         out.append(f"{r.var} = {r.dist}")
     for u in p.update_assignments:
         branches = []
-        for br in u.update.branches:
-            if len(u.update.branches) == 1 and br.prob == Poly.const(1):
+        for br in u.branches:
+            if len(u.branches) == 1 and br.prob == Poly.const(1):
                 branches.append(poly_to_source(br.expr))
             else:
                 branches.append(f"{poly_to_source(br.expr)} @ {poly_to_source(br.prob)}")
         out.append(f"{u.var} = {'; '.join(branches)}")
     return "\n".join(out) + "\n"
 
-
-def structurally_equal(a: Program, b: Program) -> bool:
-    """Equality ignoring source line numbers (for round-trip checks)."""
-    return (
-        [(x.var, x.value) for x in a.init_assignments]
-        == [(x.var, x.value) for x in b.init_assignments]
-        and [(r.var, r.dist) for r in a.rv_assignments]
-        == [(r.var, r.dist) for r in b.rv_assignments]
-        and [(u.var, u.update) for u in a.update_assignments]
-        == [(u.var, u.update) for u in b.update_assignments]
-        and a.parameters == b.parameters
-    )

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .frontend import Distribution, UnsupportedProgramError, ValidatedProgram, resolve_initial_value
+from .frontend import Distribution, ValidatedProgram, resolve_initial_value
 from .symbolic import Moment, Poly
 
 
@@ -127,28 +127,22 @@ def moment_equation(
     fresh value.  A target over draw variables only therefore reduces to a
     constant, and a mixed target keeps the exact joint expectation.
     """
+    state_vars = vp.state_vars()
     for var, _ in target.powers:
-        if var not in vp.rv_dists and var not in vp.state_vars():
+        if var not in vp.rv_dists and var not in state_vars:
             raise ValueError(f"{var!r} is not an assigned variable of the program")
 
     poly = target.as_poly()
     # Walk updates in reverse textual order: occurrences of a variable seen
     # before its own substitution step denote post-update values, afterwards
-    # pre-update values; the ordering restriction keeps the two apart.
+    # pre-update values; the ordering restriction (validate_program's
+    # dependency-structure check) keeps the two apart.
     for assignment in reversed(vp.update_assignments):
-        var, update = assignment.var, assignment.update
+        var = assignment.var
         if var not in poly.symbols():
             continue
         mixed = Poly()
-        for branch in update.branches:
-            extra = branch.expr.symbols() - _allowed_sources(vp, var)
-            if extra:
-                raise UnsupportedProgramError(
-                    "dependency-structure",
-                    f"update of {var!r} references {', '.join(sorted(extra))} "
-                    "out of order",
-                    assignment.line,
-                )
+        for branch in assignment.branches:
             mixed = mixed + branch.prob * poly.substitute(var, branch.expr)
         poly = mixed
 
@@ -163,7 +157,7 @@ def moment_equation(
         for name, exp in mono:
             if name in vp.rv_dists:
                 factor = factor * table.moment(vp.rv_dists[name], exp)
-            elif name in vp.state_vars():
+            elif name in state_vars:
                 state_part[name] = exp
             else:
                 param_part[name] = exp
@@ -176,15 +170,6 @@ def moment_equation(
 
     linear = {m: c for m, c in linear.items() if not c.is_zero()}
     return MomentEquation(target, linear, constant)
-
-
-def _allowed_sources(vp: ValidatedProgram, var: str) -> set[str]:
-    allowed = set(vp.rv_dists) | set(vp.const_vars) | set(vp.parameters) | {var}
-    for u in vp.update_assignments:
-        if u.var == var:
-            break
-        allowed.add(u.var)
-    return allowed
 
 
 def moment_closure(

@@ -155,13 +155,13 @@ def _divide(numerator: Poly, divisor: Poly) -> Poly:
 def solve_first_order(rec: Recurrence, side_conditions: list[str] | None = None) -> ExpPoly:
     """Exact closed form of a first-order constant-coefficient recurrence.
 
-    Per inhomogeneity base rho with polynomial part P of degree d:
+    Per inhomogeneity base rho with polynomial part P of degree d, the
+    particular solution is Q(n)*rho^n with rho*Q(n+1) - c*Q(n) = P(n):
 
-    * rho != c: ansatz Q of degree d with rho*Q(n+1) - c*Q(n) = P(n),
-      solved top-down (the leading coefficient needs division by rho - c).
+    * rho != c: Q has degree d, and each coefficient is divided by rho - c.
     * rho == c (resonance, including the ubiquitous c == 1 with constant
-      inhomogeneity): ansatz n*Q with degree d+1 and no constant term,
-      satisfying rho*(Q(n+1) - Q(n)) = P(n).
+      inhomogeneity): Q has degree d+1 and no constant term, and the
+      coefficient of n^(m+1) is divided by rho*(m+1).
 
     The homogeneous term alpha*c^n matches the initial value.  A base-0
     term in the result (0^n with 0^0 == 1) carries a one-point correction
@@ -170,7 +170,8 @@ def solve_first_order(rec: Recurrence, side_conditions: list[str] | None = None)
     express, so it is reported as an error.
 
     Each parameterized base assumed distinct from ``c`` is appended to
-    ``side_conditions`` as ``"base != c"``, once.
+    ``side_conditions`` as ``"base != c"``, once, with the bases taken in
+    the closed form's print order.
     """
     sides = side_conditions if side_conditions is not None else []
     c = rec.self_coeff
@@ -178,41 +179,31 @@ def solve_first_order(rec: Recurrence, side_conditions: list[str] | None = None)
 
     for base, parts in rec.inhom.by_base().items():
         degree = max(parts)
-        coeffs = {d: parts.get(d, Poly()) for d in range(degree + 1)}
         delta = base - c
-        if delta.is_zero():
-            if base.is_zero():
-                raise SolverError(
-                    f"E[{rec.target}]: inhomogeneity active only at n = 0 with no "
-                    "self-term; the transient at n = 1 has no closed form here"
-                )
-            # Resonance: Q(n) = sum_{j=1}^{d+1} q_j n^j solves
-            # base*(Q(n+1) - Q(n)) = P(n); match n^m top-down.
-            q: dict[int, Poly] = {}
-            for m in range(degree, -1, -1):
-                acc = Poly()
-                for j in range(m + 2, degree + 2):
-                    if j in q:
-                        acc = acc + q[j] * math.comb(j, m)
-                q[m + 1] = (_divide(coeffs[m], base) - acc) / (m + 1)
-            for j, qj in q.items():
-                particular = particular + ExpPoly.term(qj, base, j)
-        else:
-            if not delta.is_const():
-                note = f"{base} != {c}"
-                if note not in sides:
-                    sides.append(note)
-            # Distinct base: Q of degree d with base*Q(n+1) - c*Q(n) = P(n);
-            # coefficient of n^m gives (base - c)*q_m + base*sum_{j>m} ...
-            q = {}
-            for m in range(degree, -1, -1):
-                acc = Poly()
-                for j in range(m + 1, degree + 1):
-                    if j in q:
-                        acc = acc + q[j] * math.comb(j, m)
-                q[m] = _divide(coeffs[m] - base * acc, delta)
-            for j, qj in q.items():
-                particular = particular + ExpPoly.term(qj, base, j)
+        resonant = delta.is_zero()
+        if resonant and base.is_zero():
+            raise SolverError(
+                f"E[{rec.target}]: inhomogeneity active only at n = 0 with no "
+                "self-term; the transient at n = 1 has no closed form here"
+            )
+        if not delta.is_const():
+            note = f"{base} != {c}"
+            if note not in sides:
+                sides.append(note)
+        # Q(n) = sum_j q_j n^j with base*Q(n+1) - c*Q(n) = P(n); the
+        # coefficient of n^m gives (base - c)*q_m + base*sum_{j>m} C(j,m)*q_j
+        # = P_m, solved top-down.  At resonance the first term vanishes, so
+        # every q is offset by one: base*(m+1)*q_{m+1} is the leading term.
+        shift = 1 if resonant else 0
+        q: dict[int, Poly] = {}
+        for m in range(degree, -1, -1):
+            acc = Poly()
+            for j in range(m + shift + 1, degree + shift + 1):
+                acc = acc + q[j] * math.comb(j, m)
+            divisor = base * (m + 1) if resonant else delta
+            q[m + shift] = _divide(parts.get(m, Poly()) - base * acc, divisor)
+        for j, qj in q.items():
+            particular = particular + ExpPoly.term(qj, base, j)
 
     alpha = rec.init - particular.value_at_zero()
     closed = particular + ExpPoly.term(alpha, c, 0)

@@ -112,11 +112,13 @@ def _mono_degree(a: Mono) -> int:
     return sum(exp for _, exp in a)
 
 
-def _grlex_key(mono: Mono, symbols: tuple[str, ...]) -> tuple:
-    # Graded lexicographic: total degree first, then the exponent vector
-    # over the given (sorted) symbol universe.
-    exps = dict(mono)
-    return (_mono_degree(mono), tuple(exps.get(s, 0) for s in symbols))
+def _grlex_key(mono: Mono) -> tuple:
+    # Sorted ascending, these keys give descending graded-lex order: total
+    # degree first, then the exponent vector over the sorted names.  Two
+    # monomials of equal degree first differ at a name that the larger one
+    # lists with a higher exponent (or the other omits), so the comparison
+    # needs no symbol universe.
+    return (-_mono_degree(mono), tuple((name, -exp) for name, exp in mono))
 
 
 class Poly:
@@ -195,12 +197,7 @@ class Poly:
 
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
         """Terms in descending graded-lex order; the canonical print order."""
-        universe = tuple(sorted(self.symbols()))
-        return sorted(
-            self._terms.items(),
-            key=lambda item: _grlex_key(item[0], universe),
-            reverse=True,
-        )
+        return sorted(self._terms.items(), key=lambda item: _grlex_key(item[0]))
 
     def coefficients_by_power(self, name: str) -> dict[int, "Poly"]:
         """Split into { d : poly } with self == sum poly_d * name**d."""
@@ -263,10 +260,8 @@ class Poly:
             return self._scaled(b[_ONE_MONO])
         if len(a) == 1 and _ONE_MONO in a:
             return o._scaled(a[_ONE_MONO])
-        # Sum every product first and drop cancelled monomials at the end,
-        # so each monomial keeps the position of its first product: term
-        # order is observable, as the order of a moment equation's linear
-        # part and hence of the side conditions.
+        # Inline rather than _add_product: this is the kernel's hottest loop,
+        # and summing first and dropping cancelled monomials once is faster.
         terms: dict[Mono, Fraction] = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
@@ -322,26 +317,12 @@ class Poly:
         """Replace every occurrence of ``name``; the result is expanded."""
         if name not in self.symbols():
             return self
-        powers: dict[int, Poly] = {0: Poly.const(1)}
-
-        def rep_pow(k: int) -> Poly:
-            if k not in powers:
-                powers[k] = rep_pow(k - 1) * replacement
-            return powers[k]
-
+        powers = [Poly.const(1)]
         out: dict[Mono, Fraction] = {}
-        for mono, coeff in self._terms.items():
-            exp = 0
-            rest = []
-            for sym, e in mono:
-                if sym == name:
-                    exp = e
-                else:
-                    rest.append((sym, e))
-            if exp:
-                _add_product(out, {tuple(rest): coeff}, rep_pow(exp)._terms)
-            else:
-                _accumulate(out, ((tuple(rest), coeff),))
+        for exp, coeff in self.coefficients_by_power(name).items():
+            while len(powers) <= exp:
+                powers.append(powers[-1] * replacement)
+            _add_product(out, powers[exp]._terms, coeff._terms)
         return Poly._trusted(out)
 
     def evaluate(self, bindings: Mapping[str, Scalar]) -> Fraction:
@@ -366,10 +347,9 @@ class Poly:
             raise ZeroDivisionError("division of polynomial by zero")
         if divisor.is_const():
             return self / divisor.const_value()
-        universe = tuple(sorted(self.symbols() | divisor.symbols()))
 
         def leading(p: Poly) -> tuple[Mono, Fraction]:
-            mono = max(p._terms, key=lambda m: _grlex_key(m, universe))
+            mono = min(p._terms, key=_grlex_key)
             return mono, p._terms[mono]
 
         quotient = Poly()
@@ -492,11 +472,8 @@ class ExpPoly:
     @staticmethod
     def linear_combination(pairs: Iterable[tuple[Poly, "ExpPoly"]]) -> "ExpPoly":
         """``sum coeff * f`` over ``(coeff, f)`` pairs, accumulated in one dict
-        of coefficient dicts without building the intermediate values.
-
-        Equal to the left fold of ``+`` over ``f.scale(coeff)``, down to the
-        order of the (base, degree) keys.
-        """
+        of coefficient dicts without building the intermediate values; equal
+        to the left fold of ``+`` over ``f.scale(coeff)``."""
         acc: dict[tuple[Poly, int], dict[Mono, Fraction]] = {}
         for coeff, f in pairs:
             for key, c in f._terms.items():
@@ -547,8 +524,11 @@ class ExpPoly:
         return [(b, d, c) for (b, d), c in ordered]
 
     def by_base(self) -> dict[Poly, dict[int, Poly]]:
+        """``{base: {degree: coeff}}`` with the bases in print order, so what
+        is derived base by base (the side conditions) does not depend on the
+        order in which the terms were built."""
         grouped: dict[Poly, dict[int, Poly]] = {}
-        for (base, degree), coeff in self._terms.items():
+        for base, degree, coeff in self.sorted_terms():
             grouped.setdefault(base, {})[degree] = coeff
         return grouped
 

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .frontend import Distribution, ValidatedProgram, initial_value_symbol
+from .frontend import Distribution, ValidatedProgram, resolve_initial_value
 from .pipeline import VerifyEntry, VerifyReport
 from .symbolic import ExpPoly, Moment, Poly, UnboundSymbolError
 
@@ -65,8 +65,9 @@ def required_bindings(vp: ValidatedProgram) -> set[str]:
     symbols of update variables without an explicit initial value."""
     needed = set(vp.parameters)
     for var in vp.update_vars:
-        if var not in vp.init_values and var not in vp.rv_dists:
-            needed.add(initial_value_symbol(var))
+        value = resolve_initial_value(vp, var)
+        if isinstance(value, Poly):
+            needed |= value.symbols()
     return needed
 
 
@@ -144,7 +145,7 @@ def simulate(
     updates = []
     for assignment in vp.update_assignments:
         probs = []
-        for branch in assignment.update.branches:
+        for branch in assignment.branches:
             p = _eval_param(branch.prob, bindings, f"a branch probability of {assignment.var!r}")
             if p < 0 or p > 1:
                 raise VerifierError(
@@ -155,21 +156,20 @@ def simulate(
         thresholds = np.cumsum([float(p) for p in probs])
         exprs = [
             _compile_poly(branch.expr, bindings, state_names)
-            for branch in assignment.update.branches
+            for branch in assignment.branches
         ]
         updates.append((assignment.var, thresholds, exprs))
 
-    init_plan = []
-    for var in vp.all_variables():
-        if var in vp.init_values:
-            init_plan.append((var, vp.init_values[var]))
-        elif var in vp.rv_dists:
-            init_plan.append((var, vp.rv_dists[var]))
-        else:
-            init_plan.append((var, Poly.var(initial_value_symbol(var))))
+    init_plan = [(var, resolve_initial_value(vp, var)) for var in vp.all_variables()]
 
+    # Per target: the sum of the values, and the first two sums of the
+    # values shifted by the first one simulated.  The shift keeps the
+    # variance from cancelling when the spread is tiny beside the mean, and
+    # identical values give exactly 0.
     sums = {t: 0.0 for t in target_list}
-    sumsq = {t: 0.0 for t in target_list}
+    shifts: dict[Moment, float] = {}
+    s1s = {t: 0.0 for t in target_list}
+    s2s = {t: 0.0 for t in target_list}
 
     n_blocks = (cfg.trials + _BLOCK - 1) // _BLOCK
     for block in range(n_blocks):
@@ -202,14 +202,15 @@ def simulate(
             for var, exp in t.powers:
                 values = values * state[var] ** exp
             sums[t] += float(values.sum())
-            sumsq[t] += float((values * values).sum())
+            shifted = values - shifts.setdefault(t, float(values[0]))
+            s1s[t] += float(shifted.sum())
+            s2s[t] += float(np.dot(shifted, shifted))
 
     out = {}
     n = cfg.trials
     for t in target_list:
         mean = sums[t] / n
-        variance = max((sumsq[t] - n * mean * mean) / (n - 1), 0.0)
-        sd = math.sqrt(variance)
+        sd = math.sqrt(max(s2s[t] - s1s[t] * s1s[t] / n, 0.0) / (n - 1))
         out[t] = MomentEstimate(t, mean, sd, sd / math.sqrt(n), n)
     return out
 
@@ -224,7 +225,8 @@ def check(
 
     A moment passes when |exact - mean| <= z*se, with an absolute floor of
     1e-9 reserved for the degenerate sd == 0 case (deterministic programs,
-    where the estimate must agree to rounding).  Failures are entries in
+    where the estimate must agree to rounding).  An exact value beyond
+    float range is expected as +-inf and fails.  Failures are entries in
     the report, not exceptions.
     """
     entries = []
@@ -238,7 +240,10 @@ def check(
             raise VerifierError(
                 f"parameter {exc.name!r} of the closed form for E[{moment}] is unbound"
             ) from None
-        expected = float(exact)
+        try:
+            expected = float(exact)
+        except OverflowError:
+            expected = math.inf if exact > 0 else -math.inf
         atol = 1e-9 if est.sd == 0.0 else 0.0
         diff = abs(expected - est.mean)
         allowance = z * est.se + atol

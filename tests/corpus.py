@@ -106,6 +106,13 @@ CORPUS: dict[str, tuple[str, list, dict[str, Fraction]]] = {
         ["v^1", "w^1"],
         {"p": Fraction(3)},
     ),
+    # three parameterized bases meeting several self-coefficients: pins the
+    # order of many side conditions
+    "three_bases": (
+        "a = p - r\nb = q - r\nz = 0\nwhile true:\na = p*a\nb = q*b\nz = r*z + a + b\n",
+        ["z^1", "z^2", "a^1*z^1"],
+        {"p": Fraction(1, 2), "q": Fraction(1, 3), "r": Fraction(1, 5)},
+    ),
 }
 
 # Programs whose randomness is branch choices only (no continuous draws):
@@ -243,9 +250,9 @@ def enumerate_moments(
                 for value, prob in rv_supports[var]:
                     spread({**vals, var: value}, weight * prob, rest)
             else:
-                var, update = payload
+                var, branches = payload
                 env = {**bindings, **vals}
-                for branch in update.branches:
+                for branch in branches:
                     prob = branch.prob.evaluate(bindings)
                     if prob == 0:
                         continue
@@ -253,7 +260,7 @@ def enumerate_moments(
                     spread({**vals, var: new_val}, weight * prob, rest)
 
         plan = [("rv", rv.var) for rv in vp.program.rv_assignments]
-        plan += [("upd", (u.var, u.update)) for u in vp.update_assignments]
+        plan += [("upd", (u.var, u.branches)) for u in vp.update_assignments]
         for key, prob in states.items():
             spread(dict(key), prob, plan)
         states = nxt

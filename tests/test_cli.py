@@ -122,3 +122,14 @@ def test_verify_without_bindings_exits_1(walk_file, capsys):
 def test_bad_param_syntax_exits_1(walk_file, capsys):
     assert main([walk_file, "--goal", "1", "--verify", "--param", "b"]) == 1
     assert main([walk_file, "--goal", "1", "--verify", "--param", "b=zzz"]) == 1
+
+
+def test_verify_beyond_float_range_fails_without_a_traceback(tmp_path, capsys):
+    # E[x^40] at n = 20 is 2^40 * 10^2400, far beyond float range
+    path = tmp_path / "prog"
+    path.write_text("x = 2\nwhile true:\nx = 1000*x\n", encoding="utf-8")
+    assert main([str(path), "--goal", "40", "--verify", "--trials", "100"]) == 1
+    captured = capsys.readouterr()
+    assert "E[x^40]: expected inf" in captured.out
+    assert "verification result: FAIL" in captured.out
+    assert "Traceback" not in captured.err

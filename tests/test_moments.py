@@ -225,7 +225,7 @@ def test_closure_degree_bound(name):
     max_update_degree = max(
         branch.expr.total_degree()
         for assignment in vp.update_assignments
-        for branch in assignment.update.branches
+        for branch in assignment.branches
     )
     max_update_degree = max(max_update_degree, 1)
     for k in (g for g in goals if isinstance(g, int)):

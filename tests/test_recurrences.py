@@ -206,6 +206,21 @@ def test_parameterized_base_with_exact_division_records_side_condition():
         assert solved[M("w^1")].evaluate(n, {"p": 3}) == Fraction(3) ** (n + 1) - 3
 
 
+def test_side_condition_order_ignores_term_insertion_order():
+    # the same inhomogeneity built in two insertion orders: the side
+    # conditions follow the closed form's print order either way
+    p, q, r = Poly.var("p"), Poly.var("q"), Poly.var("r")
+    pq = ExpPoly.term(p - r, p, 0) + ExpPoly.term(q - r, q, 0)
+    qp = ExpPoly.term(q - r, q, 0) + ExpPoly.term(p - r, p, 0)
+    assert pq == qp
+    sides_pq: list[str] = []
+    sides_qp: list[str] = []
+    f_pq = solve_first_order(rec("z^1", r, pq, 0), sides_pq)
+    f_qp = solve_first_order(rec("z^1", r, qp, 0), sides_qp)
+    assert f_pq == f_qp
+    assert sides_pq == sides_qp == ["q != r", "p != r"]
+
+
 def test_negative_base_stays_symbolic():
     f = solve_first_order(rec("v^1", Fraction(-1, 2), ExpPoly.zero(), 1))
     assert f == ExpPoly.term(1, Fraction(-1, 2), 0)

@@ -1,11 +1,13 @@
 """Simulation, estimation, and the statistical check."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from loopmoments import ExpPoly, Moment, analyze
 from loopmoments.verifier import (
+    MomentEstimate,
     SimConfig,
     VerifierError,
     check,
@@ -100,6 +102,38 @@ def test_check_detects_a_perturbed_closed_form():
     assert not result.passed
     honest = check(report.invariants, estimates, cfg)
     assert honest.passed
+
+
+def test_large_offset_keeps_the_spread():
+    # x(20) = 2e9 + a sum of 20 uniforms: sd sqrt(20/12) = 1.29 beside a mean
+    # whose square is 4e18, where sum-of-squares minus n*mean^2 cancels to 0
+    source = "x = 0\nwhile true:\nu = RV(uniform, 0, 1)\nx = x + 100000000 + u\n"
+    report = analyze(source, ["x^1"])
+    cfg = SimConfig(bindings={}, iterations=20, trials=100_000, seed=0)
+    estimates = simulate(report.validated, cfg, {M("x^1")})
+    assert estimates[M("x^1")].sd == pytest.approx(math.sqrt(20 / 12), rel=0.02)
+    assert check(report.invariants, estimates, cfg).passed
+
+
+def test_deterministic_fractions_keep_a_zero_spread():
+    # every trial gives the same float, but 1/10 does not add up exactly, so
+    # a block's sum divided by its size is not that float again
+    source = "x = 1/10\nwhile true:\nx = x + 1/10\n"
+    report = analyze(source, ["x^1"])
+    cfg = SimConfig(bindings={}, iterations=3, trials=100_000, seed=0)
+    estimates = simulate(report.validated, cfg, {M("x^1")})
+    assert estimates[M("x^1")].sd == 0.0
+    assert check(report.invariants, estimates, cfg).passed
+
+
+def test_check_fails_a_closed_form_beyond_float_range():
+    cfg = SimConfig(bindings={}, iterations=3, trials=10, seed=0)
+    for value, expected in ((10**400, math.inf), (-(10**400), -math.inf)):
+        closed = {M("v^1"): ExpPoly.const(value)}
+        estimates = {M("v^1"): MomentEstimate(M("v^1"), 1.0, 0.5, 0.1, 10)}
+        [entry] = check(closed, estimates, cfg).entries
+        assert entry.expected == expected
+        assert not entry.passed
 
 
 def test_deterministic_case_passes_via_absolute_floor():
