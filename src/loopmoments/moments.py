@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .frontend import Distribution, ValidatedProgram, resolve_initial_value
-from .symbolic import Moment, Poly
+from .symbolic import ONE, Mono, Moment, Poly
 
 
 class ClosureOverflowError(Exception):
@@ -141,34 +141,32 @@ def moment_equation(
         var = assignment.var
         if var not in poly.symbols():
             continue
-        mixed = Poly()
-        for branch in assignment.branches:
-            mixed = mixed + branch.prob * poly.substitute(var, branch.expr)
-        poly = mixed
+        poly = Poly.linear_combination(
+            (branch.prob, poly.substitute(var, branch.expr)) for branch in assignment.branches
+        )
 
-    # Fresh draws are independent of the state at n: replace r^k by the
-    # k-th raw moment, monomial by monomial.
-    linear: dict[Moment, Poly] = {}
-    constant = Poly()
-    for mono, coeff in poly.terms():
-        factor = Poly({(): coeff})
-        state_part: dict[str, int] = {}
-        param_part: dict[str, int] = {}
-        for name, exp in mono:
-            if name in vp.rv_dists:
-                factor = factor * table.moment(vp.rv_dists[name], exp)
-            elif name in state_vars:
-                state_part[name] = exp
-            else:
-                param_part[name] = exp
-        factor = factor * Poly.monomial(param_part)
-        if state_part:
-            key = Moment.of(state_part)
-            linear[key] = linear.get(key, Poly()) + factor
-        else:
-            constant = constant + factor
-
-    linear = {m: c for m, c in linear.items() if not c.is_zero()}
+    # Fresh draws are independent of the state at n: group the terms by their
+    # state part, and replace each draw part r^k*s^j by the product of raw
+    # moments E[r^k]*E[s^j], computed once per draw part.
+    draws = vp.rv_dists
+    draw_moments: dict[Mono, Poly] = {}
+    pairs: dict[Mono, list[tuple[Poly, Poly]]] = {}
+    for part, coeff in poly.split(state_vars | draws.keys()).items():
+        draw_part = tuple(f for f in part if f[0] in draws)
+        factor = draw_moments.get(draw_part)
+        if factor is None:
+            factor = ONE
+            for name, exp in draw_part:
+                factor = factor * table.moment(draws[name], exp)
+            draw_moments[draw_part] = factor
+        state_part = tuple(f for f in part if f[0] not in draws)
+        pairs.setdefault(state_part, []).append((factor, coeff))
+    constant = Poly.linear_combination(pairs.pop((), ()))
+    linear = {}
+    for state_part, products in pairs.items():
+        coeff = Poly.linear_combination(products)
+        if not coeff.is_zero():
+            linear[Moment(state_part)] = coeff
     return MomentEquation(target, linear, constant)
 
 

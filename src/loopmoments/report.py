@@ -18,6 +18,7 @@ syntax.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any
 
@@ -94,10 +95,13 @@ def _verification_txt(v: VerifyReport) -> list[str]:
     ]
     for e in v.entries:
         verdict = "pass" if e.passed else "FAIL"
-        lines.append(
-            f"  E[{e.moment}]: expected {e.expected:.10g}, estimate {e.mean:.10g} "
-            f"(se {e.se:.3g}) -> {verdict} (margin {e.margin:.3g})"
-        )
+        head = f"  E[{e.moment}]: expected {e.expected:.10g}, estimate"
+        if math.isfinite(e.mean) and math.isfinite(e.se):
+            lines.append(
+                f"{head} {e.mean:.10g} (se {e.se:.3g}) -> {verdict} (margin {e.margin:.3g})"
+            )
+        else:
+            lines.append(f"{head} overflowed -> {verdict}")
     lines.append(f"verification result: {'PASS' if v.passed else 'FAIL'}")
     return lines
 
@@ -142,12 +146,8 @@ def _tex_closed_form(form: ExpPoly) -> str:
 
 def _poly_to_json(p: Poly) -> list[dict[str, Any]]:
     return [
-        {
-            "num": coeff.numerator,
-            "den": coeff.denominator,
-            "powers": [[name, exp] for name, exp in mono],
-        }
-        for mono, coeff in p.sorted_terms()
+        {"num": num, "den": den, "powers": [[name, exp] for name, exp in mono]}
+        for mono, num, den in p.sorted_ratios()
     ]
 
 
@@ -221,7 +221,7 @@ def emit_json(report: InvariantReport) -> str:
         "elapsed_seconds": report.elapsed_seconds,
         "verification": _verification_to_json(report.verification),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc) + "\n"
 
 
 def _verification_to_json(v: VerifyReport | None) -> dict[str, Any] | None:

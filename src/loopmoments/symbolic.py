@@ -16,23 +16,31 @@ simplification beyond the expanded normal form.
 
 Normal form, the invariant every value holds:
 
-* a :class:`Poly` maps monomials to nonzero :class:`~fractions.Fraction`
-  coefficients, and each monomial is a tuple of ``(name, exponent)`` pairs
-  sorted by name, with distinct names and positive integer exponents;
+* a :class:`Poly` stores integer numerators over one common denominator:
+  ``_terms`` maps monomials to nonzero ``int`` numerators and ``_den`` is a
+  positive ``int`` with ``gcd(_den, *numerators) == 1``; zero is ``({}, 1)``.
+  Each monomial is a tuple of ``(name, exponent)`` pairs sorted by name,
+  with distinct names and positive integer exponents;
 * an :class:`ExpPoly` maps ``(base, degree)`` keys to nonzero coefficient
   polynomials.
 
 So structural equality is algebraic equality, and equal values hash alike.
+The public views (``terms()``, ``sorted_terms()``, ``const_value()``,
+``evaluate()``) still give :class:`~fractions.Fraction` values in lowest
+terms; the kernel itself does plain ``int`` arithmetic, and sums of exact
+products are folded over a common denominator and reduced by one gcd at the
+end.
+
 Only the public constructors ``Poly(...)`` and ``ExpPoly(...)`` validate
 (canonicalising monomials, summing coefficients and dropping zeros).  Every
 operation builds its result through the private ``_trusted`` constructors,
-which store an already canonical dict as it is; operations drop a zero
-only where a sum cancels, since a product of nonzero rationals or of
-nonzero polynomials is never zero.
+which store an already canonical value as it is, or through ``_reduced``,
+which drops cancelled numerators and divides out their common factor.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -80,54 +88,83 @@ def _canonical_mono(mono: Iterable[tuple[str, int]]) -> Mono:
     return tuple(sorted((name, exp) for name, exp in merged.items() if exp))
 
 
-def _accumulate(acc: dict[Mono, Fraction], items: Iterable[tuple[Mono, Fraction]]) -> None:
-    """``acc += items`` in place; a monomial whose sum cancels is deleted,
-    as a fold of ``+`` would drop it."""
-    for key, value in items:
-        prev = acc.get(key)
-        if prev is None:
-            acc[key] = value
-        else:
-            total = prev + value
-            if total:
-                acc[key] = total
+def _reduced(nums: dict[Mono, int], den: int) -> "Poly":
+    """The polynomial ``nums / den`` for a positive ``den``: cancelled (zero)
+    numerators are dropped and the common factor of ``den`` and the
+    numerators divided out.  ``nums`` may become the result's own dict, so
+    the caller hands over one that nothing else holds."""
+    if 0 in nums.values():
+        nums = {mono: num for mono, num in nums.items() if num}
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {mono: num // g for mono, num in nums.items()}
+    return Poly._trusted(nums, den)
+
+
+class _Acc:
+    """A running sum of exact products ``k*a*b`` of polynomials, kept as
+    integer numerators over one common denominator that grows to the lcm of
+    the products' denominators; :meth:`poly` reduces once at the end."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self):
+        self.nums: dict[Mono, int] = {}
+        self.den = 1
+
+    def add(self, a: "Poly", b: "Poly", k: int = 1) -> None:
+        den = a._den * b._den
+        nums = self.nums
+        if den != self.den:
+            if self.den % den:
+                lcm = math.lcm(self.den, den)
+                grow = lcm // self.den
+                for mono in nums:
+                    nums[mono] *= grow
+                self.den = lcm
+            k *= self.den // den
+        get = nums.get
+        b_items = b._terms.items()
+        for m1, n1 in a._terms.items():
+            n1 *= k
+            if m1:
+                for m2, n2 in b_items:
+                    mono = _mono_mul(m1, m2)
+                    nums[mono] = get(mono, 0) + n1 * n2
             else:
-                del acc[key]
+                for m2, n2 in b_items:
+                    nums[m2] = get(m2, 0) + n1 * n2
 
-
-def _add_product(
-    acc: dict[Mono, Fraction], a: Mapping[Mono, Fraction], b: Mapping[Mono, Fraction]
-) -> None:
-    """``acc += a * b`` in place over normal-form term dicts."""
-    for m1, c1 in a.items():
-        if m1:
-            _accumulate(acc, ((_mono_mul(m1, m2), c1 * c2) for m2, c2 in b.items()))
-        elif c1 == 1:
-            _accumulate(acc, b.items())
-        else:
-            _accumulate(acc, ((m2, c1 * c2) for m2, c2 in b.items()))
+    def poly(self) -> "Poly":
+        return _reduced(self.nums, self.den)
 
 
 def _mono_degree(a: Mono) -> int:
     return sum(exp for _, exp in a)
 
 
+@functools.lru_cache(maxsize=1 << 14)
 def _grlex_key(mono: Mono) -> tuple:
     # Sorted ascending, these keys give descending graded-lex order: total
     # degree first, then the exponent vector over the sorted names.  Two
     # monomials of equal degree first differ at a name that the larger one
     # lists with a higher exponent (or the other omits), so the comparison
-    # needs no symbol universe.
+    # needs no symbol universe.  A program has few distinct monomials and
+    # every report sorts them again, so the keys are cached.
     return (-_mono_degree(mono), tuple((name, -exp) for name, exp in mono))
 
 
 class Poly:
-    """Immutable multivariate polynomial with Fraction coefficients, kept in
-    the module's normal form."""
+    """Immutable multivariate polynomial with exact rational coefficients,
+    kept in the module's normal form (integer numerators over one common
+    denominator)."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_den", "_hash")
 
-    _terms: dict[Mono, Fraction]
+    _terms: dict[Mono, int]
+    _den: int
 
     def __init__(
         self,
@@ -144,14 +181,20 @@ class Poly:
                 key = _canonical_mono(mono)
                 q = Fraction(coeff)
                 clean[key] = clean[key] + q if key in clean else q
-        self._terms = {mono: q for mono, q in clean.items() if q}
+        clean = {mono: q for mono, q in clean.items() if q}
+        # Over the lcm of lowest-terms denominators the numerators already
+        # share no factor with the denominator.
+        den = math.lcm(*(q.denominator for q in clean.values()))
+        self._terms = {mono: q.numerator * (den // q.denominator) for mono, q in clean.items()}
+        self._den = den
         self._hash: int | None = None
 
     @classmethod
-    def _trusted(cls, terms: dict[Mono, Fraction]) -> "Poly":
-        """Wrap ``terms`` as they are; they must already be in normal form."""
+    def _trusted(cls, terms: dict[Mono, int], den: int = 1) -> "Poly":
+        """Wrap ``terms / den`` as they are; they must already be in normal form."""
         poly = object.__new__(cls)
         poly._terms = terms
+        poly._den = den
         poly._hash = None
         return poly
 
@@ -160,15 +203,24 @@ class Poly:
     @classmethod
     def const(cls, value: Scalar) -> "Poly":
         q = Fraction(value)
-        return cls._trusted({_ONE_MONO: q} if q else {})
+        return cls._trusted({_ONE_MONO: q.numerator} if q else {}, q.denominator)
 
     @classmethod
     def var(cls, name: str) -> "Poly":
-        return cls._trusted({((name, 1),): Fraction(1)})
+        return cls._trusted({((name, 1),): 1})
 
     @classmethod
     def monomial(cls, powers: Mapping[str, int], coeff: Scalar = 1) -> "Poly":
         return cls({tuple(powers.items()): coeff})
+
+    @staticmethod
+    def linear_combination(pairs: Iterable[tuple["Poly", "Poly"]]) -> "Poly":
+        """``sum a * b`` over ``(a, b)`` pairs, summed over one common
+        denominator and reduced once."""
+        acc = _Acc()
+        for a, b in pairs:
+            acc.add(a, b)
+        return acc.poly()
 
     # -- predicates and views ----------------------------------------------
 
@@ -184,7 +236,7 @@ class Poly:
             return Fraction(0)
         if not self.is_const():
             raise SymbolicError(f"{self} is not a constant")
-        return self._terms[_ONE_MONO]
+        return Fraction(self._terms[_ONE_MONO], self._den)
 
     def symbols(self) -> set[str]:
         return {name for mono in self._terms for name, _ in mono}
@@ -193,25 +245,42 @@ class Poly:
         return max((_mono_degree(m) for m in self._terms), default=0)
 
     def terms(self) -> Iterator[tuple[Mono, Fraction]]:
-        return iter(self._terms.items())
+        den = self._den
+        return ((mono, Fraction(num, den)) for mono, num in self._terms.items())
+
+    def sorted_ratios(self) -> list[tuple[Mono, int, int]]:
+        """``(monomial, numerator, denominator)`` with each coefficient in
+        lowest terms, in descending graded-lex order: the canonical print
+        order."""
+        den, terms = self._den, self._terms
+        out = []
+        for mono in sorted(terms, key=_grlex_key):
+            num = terms[mono]
+            g = math.gcd(num, den)
+            out.append((mono, num // g, den // g))
+        return out
 
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
-        """Terms in descending graded-lex order; the canonical print order."""
-        return sorted(self._terms.items(), key=lambda item: _grlex_key(item[0]))
+        """Terms in the canonical print order of :meth:`sorted_ratios`."""
+        return [(mono, Fraction(num, den)) for mono, num, den in self.sorted_ratios()]
+
+    def split(self, names: set[str] | frozenset[str]) -> dict[Mono, "Poly"]:
+        """Group by the part of each monomial over ``names``:
+        ``{part: coeff}`` with ``self == sum part * coeff`` and no symbol of
+        ``names`` left in any ``coeff``."""
+        buckets: dict[Mono, dict[Mono, int]] = {}
+        for mono, num in self._terms.items():
+            part, rest = [], []
+            for factor in mono:
+                (part if factor[0] in names else rest).append(factor)
+            buckets.setdefault(tuple(part), {})[tuple(rest)] = num
+        return {part: _reduced(nums, self._den) for part, nums in buckets.items()}
 
     def coefficients_by_power(self, name: str) -> dict[int, "Poly"]:
         """Split into { d : poly } with self == sum poly_d * name**d."""
-        buckets: dict[int, dict[Mono, Fraction]] = {}
-        for mono, coeff in self._terms.items():
-            exp = 0
-            rest = []
-            for sym, e in mono:
-                if sym == name:
-                    exp = e
-                else:
-                    rest.append((sym, e))
-            buckets.setdefault(exp, {})[tuple(rest)] = coeff
-        return {d: Poly._trusted(t) for d, t in buckets.items()}
+        return {
+            part[0][1] if part else 0: coeff for part, coeff in self.split({name}).items()
+        }
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -228,9 +297,16 @@ class Poly:
             return NotImplemented
         if not o._terms:
             return self
-        terms = dict(self._terms)
-        _accumulate(terms, o._terms.items())
-        return Poly._trusted(terms)
+        if not self._terms:
+            return o
+        da, db = self._den, o._den
+        den = da if da == db else math.lcm(da, db)
+        fa, fb = den // da, den // db
+        terms = dict(self._terms) if fa == 1 else {m: n * fa for m, n in self._terms.items()}
+        get = terms.get
+        for mono, num in o._terms.items():
+            terms[mono] = get(mono, 0) + num * fb
+        return _reduced(terms, den)
 
     __radd__ = __add__
 
@@ -238,9 +314,7 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self._terms)
-        _accumulate(terms, ((mono, -coeff) for mono, coeff in o._terms.items()))
-        return Poly._trusted(terms)
+        return self + -o
 
     def __rsub__(self, other) -> "Poly":
         o = self._coerce(other)
@@ -249,7 +323,7 @@ class Poly:
         return o - self
 
     def __neg__(self) -> "Poly":
-        return Poly._trusted({m: -c for m, c in self._terms.items()})
+        return Poly._trusted({m: -n for m, n in self._terms.items()}, self._den)
 
     def __mul__(self, other) -> "Poly":
         o = self._coerce(other)
@@ -257,26 +331,28 @@ class Poly:
             return NotImplemented
         a, b = self._terms, o._terms
         if len(b) == 1 and _ONE_MONO in b:
-            return self._scaled(b[_ONE_MONO])
+            return self._scaled(b[_ONE_MONO], o._den)
         if len(a) == 1 and _ONE_MONO in a:
-            return o._scaled(a[_ONE_MONO])
-        # Inline rather than _add_product: this is the kernel's hottest loop,
-        # and summing first and dropping cancelled monomials once is faster.
-        terms: dict[Mono, Fraction] = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
+            return o._scaled(a[_ONE_MONO], self._den)
+        # Inline rather than through _Acc: this is the kernel's hottest loop,
+        # and both operands are already over their own denominators.
+        terms: dict[Mono, int] = {}
+        get = terms.get
+        for m1, n1 in a.items():
+            for m2, n2 in b.items():
                 mono = _mono_mul(m1, m2)
-                prev = terms.get(mono)
-                terms[mono] = c1 * c2 if prev is None else prev + c1 * c2
-        return Poly._trusted({m: c for m, c in terms.items() if c})
+                terms[mono] = get(mono, 0) + n1 * n2
+        return _reduced(terms, self._den * o._den)
 
     __rmul__ = __mul__
 
-    def _scaled(self, q: Fraction) -> "Poly":
-        """``self * q`` for a nonzero rational ``q``."""
-        if q == 1:
+    def _scaled(self, num: int, den: int = 1) -> "Poly":
+        """``self * num/den`` for nonzero integers ``num`` and ``den``."""
+        if den < 0:
+            num, den = -num, -den
+        if num == den:
             return self
-        return Poly._trusted({m: c * q for m, c in self._terms.items()})
+        return _reduced({m: n * num for m, n in self._terms.items()}, self._den * den)
 
     def __truediv__(self, other) -> "Poly":
         # Exact division by a nonzero rational only; polynomial divisors go
@@ -285,13 +361,13 @@ class Poly:
             q = Fraction(other)
             if not q:
                 raise ZeroDivisionError("division of polynomial by zero")
-            return self._scaled(1 / q)
+            return self._scaled(q.denominator, q.numerator)
         return NotImplemented
 
     def __pow__(self, k: int) -> "Poly":
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = Poly.const(1)
+        result = ONE
         base = self
         while k:
             if k & 1:
@@ -304,11 +380,11 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._terms == o._terms
+        return self._den == o._den and self._terms == o._terms
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((frozenset(self._terms.items()), self._den))
         return self._hash
 
     # -- substitution, evaluation, division ---------------------------------
@@ -317,25 +393,25 @@ class Poly:
         """Replace every occurrence of ``name``; the result is expanded."""
         if name not in self.symbols():
             return self
-        powers = [Poly.const(1)]
-        out: dict[Mono, Fraction] = {}
+        powers = [ONE]
+        acc = _Acc()
         for exp, coeff in self.coefficients_by_power(name).items():
             while len(powers) <= exp:
                 powers.append(powers[-1] * replacement)
-            _add_product(out, powers[exp]._terms, coeff._terms)
-        return Poly._trusted(out)
+            acc.add(powers[exp], coeff)
+        return acc.poly()
 
     def evaluate(self, bindings: Mapping[str, Scalar]) -> Fraction:
         """Exact value under a full binding of the symbols."""
         total = Fraction(0)
-        for mono, coeff in self._terms.items():
-            value = coeff
+        for mono, num in self._terms.items():
+            value = Fraction(num)
             for sym, exp in mono:
                 if sym not in bindings:
                     raise UnboundSymbolError(sym)
                 value *= Fraction(bindings[sym]) ** exp
             total += value
-        return total
+        return total / self._den
 
     def exact_div(self, divisor: "Poly") -> "Poly | None":
         """Exact polynomial quotient, or None when the division has a remainder.
@@ -350,7 +426,7 @@ class Poly:
 
         def leading(p: Poly) -> tuple[Mono, Fraction]:
             mono = min(p._terms, key=_grlex_key)
-            return mono, p._terms[mono]
+            return mono, Fraction(p._terms[mono], p._den)
 
         quotient = Poly()
         rem = self
@@ -362,8 +438,10 @@ class Poly:
             exps = {s: r_exps.get(s, 0) - d_exps.get(s, 0) for s in set(r_exps) | set(d_exps)}
             if any(e < 0 for e in exps.values()):
                 return None
+            q = coeff_r / coeff_d
             factor = Poly._trusted(
-                {tuple(sorted((s, e) for s, e in exps.items() if e)): coeff_r / coeff_d}
+                {tuple(sorted((s, e) for s, e in exps.items() if e)): q.numerator},
+                q.denominator,
             )
             quotient = quotient + factor
             rem = rem - factor * divisor
@@ -471,19 +549,27 @@ class ExpPoly:
 
     @staticmethod
     def linear_combination(pairs: Iterable[tuple[Poly, "ExpPoly"]]) -> "ExpPoly":
-        """``sum coeff * f`` over ``(coeff, f)`` pairs, accumulated in one dict
-        of coefficient dicts without building the intermediate values; equal
-        to the left fold of ``+`` over ``f.scale(coeff)``."""
-        acc: dict[tuple[Poly, int], dict[Mono, Fraction]] = {}
+        """``sum coeff * f`` over ``(coeff, f)`` pairs, summed per
+        ``(base, degree)`` key over one common denominator without building
+        the intermediate values."""
+        accs: dict[tuple[Poly, int], _Acc] = {}
         for coeff, f in pairs:
             for key, c in f._terms.items():
-                inner = acc.get(key)
-                if inner is None:
-                    acc[key] = inner = {}
-                _add_product(inner, coeff._terms, c._terms)
-                if not inner:
-                    del acc[key]
-        return ExpPoly._trusted({key: Poly._trusted(t) for key, t in acc.items()})
+                acc = accs.get(key)
+                if acc is None:
+                    accs[key] = acc = _Acc()
+                acc.add(coeff, c)
+        return ExpPoly._summed(accs)
+
+    @classmethod
+    def _summed(cls, accs: dict[tuple[Poly, int], _Acc]) -> "ExpPoly":
+        """The sums of ``accs``, without the keys whose sum cancelled."""
+        terms = {}
+        for key, acc in accs.items():
+            coeff = acc.poly()
+            if coeff._terms:
+                terms[key] = coeff
+        return cls._trusted(terms)
 
     # -- constructors --------------------------------------------------------
 
@@ -512,15 +598,20 @@ class ExpPoly:
             yield base, degree, coeff
 
     def sorted_terms(self) -> list[tuple[Poly, int, Poly]]:
-        def key(item):
-            (base, degree), _ = item
-            if base.is_const():
-                base_key = (0, base.const_value(), "")
-            else:
-                base_key = (1, Fraction(0), str(base))
-            return (base_key, degree)
+        """Terms in print order: symbolic bases before constant ones, bases
+        descending (constants by value, symbolic ones by their text), then
+        degrees descending."""
 
-        ordered = sorted(self._terms.items(), key=key, reverse=True)
+        def base_key(base: Poly) -> tuple:
+            if base.is_const():
+                return (0, base.const_value(), "")
+            return (1, Fraction(0), str(base))
+
+        # Few distinct bases carry many terms: rank the bases once, so the
+        # terms sort on int keys.
+        bases = sorted({base for base, _ in self._terms}, key=base_key, reverse=True)
+        rank = {base: i for i, base in enumerate(bases)}
+        ordered = sorted(self._terms.items(), key=lambda item: (rank[item[0][0]], -item[0][1]))
         return [(b, d, c) for (b, d), c in ordered]
 
     def by_base(self) -> dict[Poly, dict[int, Poly]]:
@@ -537,21 +628,16 @@ class ExpPoly:
 
     def value_at_zero(self) -> Poly:
         """f(0) as a polynomial; every base contributes via base**0 == 1."""
-        total = Poly()
-        for (base, degree), coeff in self._terms.items():
-            if degree == 0:
-                total = total + coeff
-        return total
+        return Poly.linear_combination(
+            (ONE, coeff) for (_, degree), coeff in self._terms.items() if degree == 0
+        )
 
     def drop_zero_base(self) -> "ExpPoly":
         return ExpPoly._trusted({k: v for k, v in self._terms.items() if not k[0].is_zero()})
 
     def zero_base_part(self) -> Poly:
-        total = Poly()
-        for (base, degree), coeff in self._terms.items():
-            if base.is_zero() and degree == 0:
-                total = total + coeff
-        return total
+        """The coefficient of the ``n == 0`` indicator ``0**n``."""
+        return self._terms.get((Poly(), 0), Poly())
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -582,16 +668,16 @@ class ExpPoly:
         coeff*base**(n+1)*(n+1)**d expands through the binomial theorem;
         base-0 terms vanish because 0**(n+1) == 0 for every n >= 0.
         """
-        terms: dict[tuple[Poly, int], Poly] = {}
+        accs: dict[tuple[Poly, int], _Acc] = {}
         for (base, degree), coeff in self._terms.items():
-            scaled = coeff * base
-            if scaled.is_zero():
+            if base.is_zero():
                 continue
             for j in range(degree + 1):
-                key = (base, j)
-                piece = scaled * math.comb(degree, j)
-                terms[key] = terms[key] + piece if key in terms else piece
-        return ExpPoly._trusted({k: c for k, c in terms.items() if not c.is_zero()})
+                acc = accs.get((base, j))
+                if acc is None:
+                    accs[(base, j)] = acc = _Acc()
+                acc.add(coeff, base, math.comb(degree, j))
+        return ExpPoly._summed(accs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExpPoly):
@@ -632,9 +718,10 @@ class ExpPoly:
 
 # -- rendering ------------------------------------------------------------------
 
-# One summand of a rendered sum: coeff * monomial * n**degree * base**n, with
-# base None for a plain polynomial term.
-Summand = tuple[Fraction, Mono, int, Poly | None]
+# One summand of a rendered sum: num/den * monomial * n**degree * base**n,
+# with the coefficient in lowest terms and base None for a plain polynomial
+# term.
+Summand = tuple[int, int, Mono, int, Poly | None]
 
 
 @dataclass(frozen=True)
@@ -658,7 +745,7 @@ TEX = Style(
 
 def poly_summands(p: Poly) -> list[Summand]:
     """The terms of ``p`` as summands, in canonical print order."""
-    return [(coeff, mono, 0, None) for mono, coeff in p.sorted_terms()]
+    return [(num, den, mono, 0, None) for mono, num, den in p.sorted_ratios()]
 
 
 def exp_poly_summands(f: ExpPoly) -> list[Summand]:
@@ -667,8 +754,8 @@ def exp_poly_summands(f: ExpPoly) -> list[Summand]:
     summands: list[Summand] = []
     for base, degree, coeff in f.sorted_terms():
         base_part = None if base == ONE else base
-        for mono, q in coeff.sorted_terms():
-            summands.append((q, mono, degree, base_part))
+        for mono, num, den in coeff.sorted_ratios():
+            summands.append((num, den, mono, degree, base_part))
     return summands
 
 
@@ -684,7 +771,7 @@ def render_sum(summands: Iterable[Summand], style: Style = TEXT) -> str:
     # Monomials and bases repeat across summands; each is rendered once.
     mono_texts: dict[Mono, str] = {}
     base_texts: dict[Poly, str] = {}
-    for coeff, mono, ndeg, base in summands:
+    for num, den, mono, ndeg, base in summands:
         factors = []
         if mono:
             text = mono_texts.get(mono)
@@ -700,7 +787,6 @@ def render_sum(summands: Iterable[Summand], style: Style = TEXT) -> str:
             if text is None:
                 text = base_texts[base] = power(_render_base(base, style), "n")
             factors.append(text)
-        num, den = coeff.numerator, coeff.denominator
         negative = num < 0
         if negative:
             num = -num
@@ -720,11 +806,11 @@ def _render_base(base: Poly, style: Style) -> str:
     """A base of ``base^n``: bare when it is a nonnegative integer or a single
     symbol, grouped otherwise."""
     terms = base._terms
-    if len(terms) == 1:
-        [(mono, coeff)] = terms.items()
-        if mono == _ONE_MONO and coeff.denominator == 1 and coeff > 0:
-            return str(coeff.numerator)
-        if len(mono) == 1 and mono[0][1] == 1 and coeff == 1:
+    if len(terms) == 1 and base._den == 1:
+        [(mono, num)] = terms.items()
+        if mono == _ONE_MONO and num > 0:
+            return str(num)
+        if len(mono) == 1 and mono[0][1] == 1 and num == 1:
             return mono[0][0]
     elif not terms:
         return "0"

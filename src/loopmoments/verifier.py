@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .frontend import Distribution, ValidatedProgram, resolve_initial_value
 from .pipeline import VerifyEntry, VerifyReport
 from .symbolic import ExpPoly, Moment, Poly, UnboundSymbolError
@@ -78,12 +76,29 @@ def _eval_param(poly: Poly, bindings: Mapping[str, Fraction], what: str) -> Frac
         raise VerifierError(f"parameter {exc.name!r} needed by {what} is unbound") from None
 
 
-def _compile_poly(poly: Poly, bindings: Mapping[str, Fraction], state_names: frozenset[str]):
+def _float(value: Fraction, what: str, params: set[str]) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        named = f" (parameter {', '.join(sorted(params))})" if params else ""
+        raise VerifierError(f"{what} is beyond float range{named}") from None
+
+
+def _eval_float(poly: Poly, bindings: Mapping[str, Fraction], what: str) -> float:
+    return _float(_eval_param(poly, bindings, what), what, poly.symbols())
+
+
+def _compile_poly(
+    poly: Poly, bindings: Mapping[str, Fraction], state_names: frozenset[str], what: str
+):
     """Fold parameters into float coefficients; keep state factors symbolic."""
+    import numpy as np
+
     compiled: list[tuple[float, tuple[tuple[str, int], ...]]] = []
     for mono, coeff in poly.terms():
-        value = Fraction(coeff)
+        value = coeff
         factors: list[tuple[str, int]] = []
+        params: set[str] = set()
         for name, exp in mono:
             if name in state_names:
                 factors.append((name, exp))
@@ -91,7 +106,8 @@ def _compile_poly(poly: Poly, bindings: Mapping[str, Fraction], state_names: fro
                 if name not in bindings:
                     raise VerifierError(f"parameter {name!r} is unbound")
                 value *= bindings[name] ** exp
-        compiled.append((float(value), tuple(factors)))
+                params.add(name)
+        compiled.append((_float(value, f"a coefficient of {what}", params), tuple(factors)))
 
     def evaluate(state: dict[str, np.ndarray], size: int) -> np.ndarray:
         total = np.zeros(size)
@@ -105,17 +121,28 @@ def _compile_poly(poly: Poly, bindings: Mapping[str, Fraction], state_names: fro
     return evaluate
 
 
-def _draw(rng: np.random.Generator, dist: Distribution, bindings, size: int) -> np.ndarray:
-    a = float(_eval_param(dist.arg1, bindings, "a distribution argument"))
-    b = float(_eval_param(dist.arg2, bindings, "a distribution argument"))
-    if dist.kind == "uniform":
+def _sampler(value: Poly | Distribution, bindings: Mapping[str, Fraction], var: str):
+    """``sample(rng, size)`` for a constant or a distribution, with its
+    parameters evaluated once."""
+    import numpy as np
+
+    if isinstance(value, Poly):
+        c = _eval_float(value, bindings, f"the initial value of {var!r}")
+        return lambda rng, size: np.full(size, c)
+    what = f"a distribution argument of {var!r}"
+    a = _eval_float(value.arg1, bindings, what)
+    b = _eval_float(value.arg2, bindings, what)
+    if value.kind == "uniform":
         lo, hi = min(a, b), max(a, b)
-        return rng.uniform(lo, hi, size) if lo != hi else np.full(size, lo)
-    if dist.kind == "gauss":
+        if lo == hi:
+            return lambda rng, size: np.full(size, lo)
+        return lambda rng, size: rng.uniform(lo, hi, size)
+    if value.kind == "gauss":
         if b < 0:
             raise VerifierError(f"gauss variance evaluates to the negative value {b}")
-        return rng.normal(a, math.sqrt(b), size)
-    raise VerifierError(f"cannot sample distribution kind {dist.kind!r}")
+        sd = math.sqrt(b)
+        return lambda rng, size: rng.normal(a, sd, size)
+    raise VerifierError(f"cannot sample distribution kind {value.kind!r}")
 
 
 def simulate(
@@ -127,8 +154,11 @@ def simulate(
     initials, and giving draw variables a fresh initial sample so their
     moments are measurable at n = 0), then runs the body ``iterations``
     times: fresh draws first, then the updates in order, each update
-    choosing a branch independently with its bound probabilities.
+    choosing a branch independently with its bound probabilities.  A value
+    that overflows makes its estimate non-finite, without a warning.
     """
+    import numpy as np
+
     missing = sorted(required_bindings(vp) - set(cfg.bindings))
     if missing:
         raise VerifierError(f"unbound parameter(s): {', '.join(missing)}")
@@ -154,13 +184,18 @@ def simulate(
                 )
             probs.append(p)
         thresholds = np.cumsum([float(p) for p in probs])
+        what = f"the update of {assignment.var!r}"
         exprs = [
-            _compile_poly(branch.expr, bindings, state_names)
+            _compile_poly(branch.expr, bindings, state_names, what)
             for branch in assignment.branches
         ]
         updates.append((assignment.var, thresholds, exprs))
 
-    init_plan = [(var, resolve_initial_value(vp, var)) for var in vp.all_variables()]
+    inits = [
+        (var, _sampler(resolve_initial_value(vp, var), bindings, var))
+        for var in vp.all_variables()
+    ]
+    draws = [(rv.var, _sampler(rv.dist, bindings, rv.var)) for rv in vp.program.rv_assignments]
 
     # Per target: the sum of the values, and the first two sums of the
     # values shifted by the first one simulated.  The shift keeps the
@@ -172,39 +207,36 @@ def simulate(
     s2s = {t: 0.0 for t in target_list}
 
     n_blocks = (cfg.trials + _BLOCK - 1) // _BLOCK
-    for block in range(n_blocks):
-        size = min(_BLOCK, cfg.trials - block * _BLOCK)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(block,))
-        )
-        state: dict[str, np.ndarray] = {}
-        for var, desc in init_plan:
-            if isinstance(desc, Distribution):
-                state[var] = _draw(rng, desc, bindings, size)
-            else:
-                state[var] = np.full(size, float(_eval_param(desc, bindings, f"init of {var!r}")))
+    # An overflow leaves an inf or nan estimate, which check() fails and the
+    # report names; numpy's warnings about it would only be noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in range(n_blocks):
+            size = min(_BLOCK, cfg.trials - block * _BLOCK)
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=cfg.seed, spawn_key=(block,))
+            )
+            state = {var: sample(rng, size) for var, sample in inits}
+            for _ in range(cfg.iterations):
+                for var, sample in draws:
+                    state[var] = sample(rng, size)
+                for var, thresholds, exprs in updates:
+                    if len(exprs) == 1:
+                        state[var] = exprs[0](state, size)
+                        continue
+                    u = rng.random(size)
+                    choice = np.searchsorted(thresholds, u, side="right")
+                    np.clip(choice, 0, len(exprs) - 1, out=choice)
+                    stacked = np.stack([ev(state, size) for ev in exprs])
+                    state[var] = np.take_along_axis(stacked, choice[None, :], axis=0)[0]
 
-        for _ in range(cfg.iterations):
-            for rv in vp.program.rv_assignments:
-                state[rv.var] = _draw(rng, rv.dist, bindings, size)
-            for var, thresholds, exprs in updates:
-                if len(exprs) == 1:
-                    state[var] = exprs[0](state, size)
-                    continue
-                u = rng.random(size)
-                choice = np.searchsorted(thresholds, u, side="right")
-                np.clip(choice, 0, len(exprs) - 1, out=choice)
-                stacked = np.stack([ev(state, size) for ev in exprs])
-                state[var] = np.take_along_axis(stacked, choice[None, :], axis=0)[0]
-
-        for t in target_list:
-            values = np.ones(size)
-            for var, exp in t.powers:
-                values = values * state[var] ** exp
-            sums[t] += float(values.sum())
-            shifted = values - shifts.setdefault(t, float(values[0]))
-            s1s[t] += float(shifted.sum())
-            s2s[t] += float(np.dot(shifted, shifted))
+            for t in target_list:
+                values = np.ones(size)
+                for var, exp in t.powers:
+                    values = values * state[var] ** exp
+                sums[t] += float(values.sum())
+                shifted = values - shifts.setdefault(t, float(values[0]))
+                s1s[t] += float(shifted.sum())
+                s2s[t] += float(np.dot(shifted, shifted))
 
     out = {}
     n = cfg.trials
@@ -226,8 +258,9 @@ def check(
     A moment passes when |exact - mean| <= z*se, with an absolute floor of
     1e-9 reserved for the degenerate sd == 0 case (deterministic programs,
     where the estimate must agree to rounding).  An exact value beyond
-    float range is expected as +-inf and fails.  Failures are entries in
-    the report, not exceptions.
+    float range is expected as +-inf and fails, and so does an estimate
+    whose mean or standard error overflowed.  Failures are entries in the
+    report, not exceptions.
     """
     entries = []
     for moment in sorted(estimates, key=Moment.sort_key):
@@ -255,7 +288,7 @@ def check(
                 sd=est.sd,
                 se=est.se,
                 margin=allowance - diff,
-                passed=diff <= allowance,
+                passed=math.isfinite(est.mean) and math.isfinite(est.se) and diff <= allowance,
             )
         )
     bindings = tuple(

@@ -1,9 +1,14 @@
 """Command-line driver: flags, exit codes, diagnostics."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import loopmoments
 from loopmoments.cli import main
 
 from corpus import WALK
@@ -133,3 +138,37 @@ def test_verify_beyond_float_range_fails_without_a_traceback(tmp_path, capsys):
     assert "E[x^40]: expected inf" in captured.out
     assert "verification result: FAIL" in captured.out
     assert "Traceback" not in captured.err
+
+
+def test_verify_parameter_beyond_float_range_is_an_error_line(tmp_path, capsys):
+    path = tmp_path / "prog"
+    path.write_text("x = 0\nwhile true:\nx = x + c\n", encoding="utf-8")
+    args = [str(path), "--goal", "1", "--verify", "--param", "c=1e400", "--trials", "100"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "error: a coefficient of the update of 'x' is beyond float range (parameter c)\n"
+    )
+
+
+def _python(args, cwd):
+    """Run a fresh interpreter that imports this checkout's loopmoments."""
+    env = {**os.environ, "PYTHONPATH": str(Path(loopmoments.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_overflowed_estimate_is_reported_without_warnings(tmp_path):
+    # x(20)^40 = (2*1000^20)^40 overflows in the simulation as well
+    (tmp_path / "prog").write_text("x = 2\nwhile true:\nx = 1000*x\n", encoding="utf-8")
+    args = ["-m", "loopmoments.cli", "prog", "--goal", "40", "--verify", "--trials", "100"]
+    proc = _python(args, tmp_path)
+    assert proc.returncode == 1
+    assert "E[x^40]: expected inf, estimate overflowed -> FAIL" in proc.stdout
+    assert "verification result: FAIL" in proc.stdout
+    assert proc.stderr == "verification failed; see report\n"
+
+
+def test_cli_import_does_not_load_numpy(tmp_path):
+    proc = _python(["-c", "import sys, loopmoments.cli; print('numpy' in sys.modules)"], tmp_path)
+    assert proc.stdout == "False\n", proc.stderr

@@ -132,6 +132,15 @@ def test_json_round_trip():
     assert report_from_json(emit_json(report)) == report
 
 
+def test_json_is_one_line_and_indented_reports_still_load():
+    report = walk_report()
+    text = emit_json(report)
+    assert text.count("\n") == 1 and text.endswith("\n")
+    # the layout of earlier versions, which wrote the same document indented
+    indented = json.dumps(json.loads(text), indent=2) + "\n"
+    assert report_from_json(indented) == report
+
+
 def test_json_loader_canonicalises_polynomials():
     report = analyze(WALK, [2], name="walk")
     doc = json.loads(emit_json(report))

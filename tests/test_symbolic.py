@@ -1,5 +1,6 @@
 """Polynomial and exponential-polynomial algebra."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -99,8 +100,13 @@ def test_public_constructor_canonicalises_monomials():
 
 
 def _assert_normal_poly(p: Poly) -> None:
+    # nonzero integer numerators over one positive denominator, with no
+    # factor common to all of them and the denominator; zero is ({}, 1)
+    assert type(p._den) is int and p._den > 0, p
+    assert all(type(num) is int and num != 0 for num in p._terms.values()), p
+    assert math.gcd(p._den, *p._terms.values()) == 1, p
     for mono, coeff in p.terms():
-        assert type(coeff) is Fraction and coeff != 0, p
+        assert type(coeff) is Fraction and coeff == Fraction(p._terms[mono], p._den), p
         names = [name for name, _ in mono]
         assert names == sorted(set(names)), p
         assert all(type(e) is int and e > 0 for _, e in mono), p
@@ -144,6 +150,41 @@ def test_kernel_results_stay_in_normal_form():
             _assert_normal_exp_poly(res)
         _assert_same_value(f + h, h + f)
         _assert_same_value(combined, folded)
+
+
+def _fraction_value(p: Poly, point: dict[str, Fraction]) -> Fraction:
+    """``p`` at ``point``, summed from its public Fraction terms."""
+    total = Fraction(0)
+    for mono, coeff in p.terms():
+        for name, exp in mono:
+            coeff *= point[name] ** exp
+        total += coeff
+    return total
+
+
+def test_kernel_agrees_with_fraction_evaluation():
+    rng = random.Random(31337)
+    for _ in range(80):
+        p, q, r = (_random_poly(rng, symbols="xyz") for _ in range(3))
+        point = {s: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for s in "xyz"}
+        pv, qv, rv = (_fraction_value(v, point) for v in (p, q, r))
+        assert _fraction_value(p + q, point) == pv + qv
+        assert _fraction_value(p - q, point) == pv - qv
+        assert _fraction_value(p * q, point) == pv * qv
+        assert _fraction_value(p**3, point) == pv**3
+        assert _fraction_value(p / Fraction(-3, 7), point) == pv * Fraction(-7, 3)
+        # substituting q for x is evaluating p with x at q's value
+        at_q = dict(point, x=qv)
+        assert _fraction_value(p.substitute("x", q), point) == _fraction_value(p, at_q)
+        assert p.evaluate(point) == pv
+        f, h = (_random_exp_poly(rng, lambda: _random_poly(rng, "xy", 2)) for _ in range(2))
+        combined = ExpPoly.linear_combination([(p, f), (q, h), (r, f)])
+        for n in range(4):
+            expected = (pv + rv) * f.evaluate(n, point) + qv * h.evaluate(n, point)
+            assert combined.evaluate(n, point) == expected
+        for res in (p + q, p - q, p * q, p**3, p.substitute("x", q)):
+            _assert_normal_poly(res)
+        _assert_normal_exp_poly(combined)
 
 
 def test_cancellation_gives_the_empty_value():

@@ -209,3 +209,28 @@ def test_gaussian_program_matches_closed_forms():
     cfg = SimConfig(bindings=bindings, iterations=15, trials=30_000, seed=21)
     estimates = simulate(report.validated, cfg, set(report.invariants))
     assert check(report.invariants, estimates, cfg).passed
+
+
+@pytest.mark.parametrize(
+    "source, what",
+    [
+        ("x = 0\nwhile true:\nx = x + c\n", "the update of 'x'"),
+        ("x = 0\nwhile true:\nu = RV(uniform, 0, c)\nx = x + u\n", "argument of 'u'"),
+        ("x = c\nwhile true:\nx = x + 1\n", "the initial value of 'x'"),
+    ],
+)
+def test_parameter_beyond_float_range_is_a_verifier_error(source, what):
+    vp = analyze(source, [1]).validated
+    cfg = SimConfig(bindings={"c": Fraction(10) ** 400}, iterations=2, trials=10, seed=0)
+    with pytest.raises(VerifierError, match=r"beyond float range \(parameter c\)") as info:
+        simulate(vp, cfg, {M("x^1")})
+    assert what in str(info.value)
+
+
+def test_check_fails_a_non_finite_estimate():
+    cfg = SimConfig(bindings={}, iterations=3, trials=10, seed=0)
+    closed = {M("v^1"): ExpPoly.const(1)}
+    for mean, se in ((math.inf, math.nan), (math.nan, math.nan), (1.0, math.inf)):
+        estimates = {M("v^1"): MomentEstimate(M("v^1"), mean, se, se, 10)}
+        [entry] = check(closed, estimates, cfg).entries
+        assert not entry.passed
