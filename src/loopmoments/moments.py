@@ -1,26 +1,42 @@
 """Rewriting probabilistic updates into linear equations over moments.
 
-For a tracked moment ``E[m](n+1)`` the engine substitutes the body's
-updates backwards through the monomial ``m``, mixes update branches by
-their probabilities, replaces powers of fresh random draws by raw moments
-of their distributions, and finally splits the result by linearity of
-expectation.  The outcome is one linear equation per tracked moment:
+For a tracked moment ``E[m](n+1)`` the engine walks the body's updates in
+reverse textual order through the monomial ``m``.  Substituting an update
+``var = e_b @ p_b`` writes the polynomial as ``sum_k c_k * var^k`` and
+replaces each ``var^k`` by the update's image ``sum_b p_b * e_b^k``, which
+mixes the branches by their probabilities in the same step.  Each fresh
+random draw is eliminated as soon as the walk has passed the earliest
+update that mentions it (a draw no update mentions, before the walk): its
+powers are replaced by raw moments of its distribution, since the draw is
+independent of everything else left.  A draw that the polynomial does not
+hold yet when that update is substituted enters only through the update's
+image, so it is averaged out inside the image instead, once per power.
+What remains is a polynomial over state variables and parameters, which
+linearity of expectation splits into one linear equation per tracked
+moment:
 
     E[m](n+1) = sum coeff_e * E[e](n) + constant
 
 with coefficients that are polynomials over parameters.  The demand-driven
 closure in :func:`moment_closure` collects every moment such an equation
-mentions, which is a finite set for validated programs.
+mentions, which is a finite set for validated programs.  The images and
+the raw moments are memoised in the :class:`MomentTable` of one analysis,
+so each power of each update is built once across all targets.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import partial
+from typing import Callable, Iterable, Mapping
 
-from .frontend import Distribution, ValidatedProgram, resolve_initial_value
-from .symbolic import ONE, Mono, Moment, Poly
+from .frontend import Distribution, UpdateAssignment, ValidatedProgram, resolve_initial_value
+from .symbolic import ONE, Moment, Poly
+
+
+# Draws to average out, as (name, distribution) pairs.
+Draws = tuple[tuple[str, Distribution], ...]
 
 
 class ClosureOverflowError(Exception):
@@ -28,8 +44,8 @@ class ClosureOverflowError(Exception):
 
     def __init__(self, cap: int):
         super().__init__(
-            f"more than {cap} moments required; the dependency structure "
-            "is growing without bound"
+            f"the goals need more than {cap} moments, the closure cap; raise it "
+            "with --max-closure (max_closure in analyze)"
         )
         self.cap = cap
 
@@ -65,16 +81,54 @@ class MomentEquation:
 
 
 class MomentTable:
-    """Memoized raw moments of sampling distributions.
+    """Memoised one-step building blocks of the moment equations.
 
     ``moment(d, k)`` returns E[X^k] for X drawn from ``d`` as a polynomial
-    over the distribution's parameters.  Subclasses may override
-    :meth:`moment` to swap in other distributions (the test suite uses
-    finite two-point distributions this way).
+    over the distribution's parameters; :func:`moment_equation` uses it to
+    eliminate each draw once the reverse walk has passed the earliest
+    update that mentions the draw.  Subclasses may override :meth:`_compute`
+    to swap in other distributions (the test suite uses finite two-point
+    distributions this way).
+
+    ``image(a, k, draws)`` returns the branch-mixed power
+    ``sum_b p_b * e_b^k`` of an update ``a`` with the given draws averaged
+    out, built incrementally from one list of powers per branch.  It is
+    keyed on the update's value (variable and branches, not its line) and
+    on the draws with their distributions, so a table shared by programs
+    that update one variable differently, or draw from another distribution,
+    stays correct.  A table lives as long as one analysis, and so does its
+    memo.
     """
 
     def __init__(self):
         self._memo: dict[tuple[Distribution, int], Poly] = {}
+        # (update, draws) -> (powers e_b^j of each branch, images img(a, j))
+        self._images: dict[
+            tuple[UpdateAssignment, Draws], tuple[list[list[Poly]], list[Poly]]
+        ] = {}
+
+    def image(self, update: UpdateAssignment, k: int, draws: Draws = ()) -> Poly:
+        """``sum_b p_b * e_b^k`` over the update's branches ``(e_b, p_b)``:
+        what ``var^k`` becomes when one step of the update is taken and its
+        branch choice averaged out.  Each ``(name, dist)`` of ``draws`` is
+        averaged out too, which is sound only for a draw that nothing else
+        in the polynomial being rewritten mentions."""
+        key = (update, draws)
+        entry = self._images.get(key)
+        if entry is None:
+            entry = self._images[key] = ([[ONE] for _ in update.branches], [ONE])
+        powers, images = entry
+        while len(images) <= k:
+            for branch, branch_powers in zip(update.branches, powers):
+                branch_powers.append(branch_powers[-1] * branch.expr)
+            image = Poly.linear_combination(
+                (branch.prob, branch_powers[-1])
+                for branch, branch_powers in zip(update.branches, powers)
+            )
+            for name, dist in draws:
+                image = _replace_powers(image, name, partial(self.moment, dist))
+            images.append(image)
+        return images[k]
 
     def moment(self, dist: Distribution, k: int) -> Poly:
         if k < 0:
@@ -128,46 +182,56 @@ def moment_equation(
     constant, and a mixed target keeps the exact joint expectation.
     """
     state_vars = vp.state_vars()
+    draws = vp.rv_dists
     for var, _ in target.powers:
-        if var not in vp.rv_dists and var not in state_vars:
+        if var not in draws and var not in state_vars:
             raise ValueError(f"{var!r} is not an assigned variable of the program")
 
-    poly = target.as_poly()
+    # Each draw is eliminated right after the reverse walk has passed the
+    # earliest update that mentions it: no later step can bring it back.
+    updates = vp.update_assignments
+    eliminate_after: list[list[str]] = []
+    unmentioned = set(draws)
+    for assignment in updates:
+        mentioned = {name for b in assignment.branches for name in b.expr.symbols()}
+        eliminate_after.append(sorted(unmentioned & mentioned))
+        unmentioned -= mentioned
+
+    def expect_draws(poly: Poly, names: list[str]) -> Poly:
+        # A fresh draw is independent of everything else left in ``poly``.
+        for name in names:
+            poly = _replace_powers(poly, name, partial(table.moment, draws[name]))
+        return poly
+
+    poly = expect_draws(target.as_poly(), sorted(unmentioned))
     # Walk updates in reverse textual order: occurrences of a variable seen
     # before its own substitution step denote post-update values, afterwards
     # pre-update values; the ordering restriction (validate_program's
     # dependency-structure check) keeps the two apart.
-    for assignment in reversed(vp.update_assignments):
-        var = assignment.var
-        if var not in poly.symbols():
-            continue
-        poly = Poly.linear_combination(
-            (branch.prob, poly.substitute(var, branch.expr)) for branch in assignment.branches
-        )
+    for i in reversed(range(len(updates))):
+        assignment = updates[i]
+        # A draw that enters only through this update is averaged out inside
+        # its memoised image; one the polynomial already holds (from the
+        # target, or from an update after it in the text) is correlated with
+        # the rest, so it is eliminated from the substituted polynomial.
+        symbols = poly.symbols()
+        owned = tuple((name, draws[name]) for name in eliminate_after[i] if name not in symbols)
+        poly = _replace_powers(poly, assignment.var, partial(table.image, assignment, draws=owned))
+        poly = expect_draws(poly, [name for name in eliminate_after[i] if name in symbols])
 
-    # Fresh draws are independent of the state at n: group the terms by their
-    # state part, and replace each draw part r^k*s^j by the product of raw
-    # moments E[r^k]*E[s^j], computed once per draw part.
-    draws = vp.rv_dists
-    draw_moments: dict[Mono, Poly] = {}
-    pairs: dict[Mono, list[tuple[Poly, Poly]]] = {}
-    for part, coeff in poly.split(state_vars | draws.keys()).items():
-        draw_part = tuple(f for f in part if f[0] in draws)
-        factor = draw_moments.get(draw_part)
-        if factor is None:
-            factor = ONE
-            for name, exp in draw_part:
-                factor = factor * table.moment(draws[name], exp)
-            draw_moments[draw_part] = factor
-        state_part = tuple(f for f in part if f[0] not in draws)
-        pairs.setdefault(state_part, []).append((factor, coeff))
-    constant = Poly.linear_combination(pairs.pop((), ()))
-    linear = {}
-    for state_part, products in pairs.items():
-        coeff = Poly.linear_combination(products)
-        if not coeff.is_zero():
-            linear[Moment(state_part)] = coeff
-    return MomentEquation(target, linear, constant)
+    # Only state variables and parameters are left: split by linearity.
+    parts = poly.split(state_vars)
+    constant = parts.pop((), Poly())
+    return MomentEquation(target, {Moment(part): c for part, c in parts.items()}, constant)
+
+
+def _replace_powers(poly: Poly, name: str, power: Callable[[int], Poly]) -> Poly:
+    """``sum_k c_k * power(k)`` for ``poly == sum_k c_k * name^k``."""
+    if name not in poly.symbols():
+        return poly
+    return Poly.linear_combination(
+        (coeff, power(k)) for k, coeff in poly.coefficients_by_power(name).items()
+    )
 
 
 def moment_closure(
@@ -179,9 +243,9 @@ def moment_closure(
     """Equations for the goals and everything they depend on.
 
     Breadth-first from the goal moments; each equation's right-hand side
-    enqueues the moments it mentions, until the set is closed.  The cap
-    guards against dependency structures that grow without bound (which a
-    validated program cannot produce, but defense is cheap).
+    enqueues the moments it mentions, until the set is closed.  The set is
+    finite for validated programs; the cap bounds its size for goals whose
+    closure would take too long to build and solve.
     """
     table = table or MomentTable()
     queue = sorted(set(goals), key=Moment.sort_key)

@@ -112,7 +112,7 @@ def _compile_poly(
     def evaluate(state: dict[str, np.ndarray], size: int) -> np.ndarray:
         total = np.zeros(size)
         for c, factors in compiled:
-            term = np.full(size, c)
+            term = c
             for name, exp in factors:
                 term = term * state[name] ** exp
             total += term

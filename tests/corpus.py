@@ -15,6 +15,7 @@ from typing import Mapping
 
 from loopmoments import (
     Moment,
+    MomentEquation,
     MomentTable,
     Poly,
     ValidatedProgram,
@@ -137,11 +138,9 @@ def load(name: str) -> ValidatedProgram:
     return validate_program(parse_program(source))
 
 
-def closure_for(name: str, table: MomentTable | None = None):
-    """(validated, equations, init moments) for a corpus entry's goals."""
-    source, goals, _ = CORPUS[name]
-    vp = validate_program(parse_program(source))
-    table = table or MomentTable()
+def goal_targets(vp: ValidatedProgram, goals: list) -> set[Moment]:
+    """The moments a goal list asks for: an int ``k`` means ``v^k`` for
+    every variable, a string is one monomial."""
     targets = set()
     for goal in goals:
         if isinstance(goal, int):
@@ -149,9 +148,52 @@ def closure_for(name: str, table: MomentTable | None = None):
                 targets.add(Moment.single(var, goal))
         else:
             targets.add(Moment.parse(goal))
-    equations = moment_closure(targets, vp, table)
+    return targets
+
+
+def closure_for(name: str, table: MomentTable | None = None):
+    """(validated, equations, init moments) for a corpus entry's goals."""
+    source, goals, _ = CORPUS[name]
+    vp = validate_program(parse_program(source))
+    table = table or MomentTable()
+    equations = moment_closure(goal_targets(vp, goals), vp, table)
     inits = {m: initial_moment(vp, m, table) for m in equations}
     return vp, equations, inits
+
+
+def naive_moment_equation(
+    target: Moment, vp: ValidatedProgram, table: MomentTable
+) -> MomentEquation:
+    """Reference for ``moment_equation`` without its memoised images and
+    early draw elimination: every branch of every update is substituted
+    with ``Poly.substitute`` in reverse textual order and mixed by its
+    probability, and draws are replaced by raw moments only at the end."""
+    poly = target.as_poly()
+    for assignment in reversed(vp.update_assignments):
+        mixed = Poly()
+        for branch in assignment.branches:
+            mixed = mixed + branch.prob * poly.substitute(assignment.var, branch.expr)
+        poly = mixed
+    state_vars = vp.state_vars()
+    linear: dict[Moment, Poly] = {}
+    constant = Poly()
+    for mono, coeff in poly.terms():
+        value = Poly.const(coeff)
+        state_part = []
+        for name, exp in mono:
+            if name in vp.rv_dists:
+                value = value * table.moment(vp.rv_dists[name], exp)
+            elif name in state_vars:
+                state_part.append((name, exp))
+            else:
+                value = value * Poly.var(name) ** exp
+        if state_part:
+            moment = Moment(tuple(state_part))
+            linear[moment] = linear.get(moment, Poly()) + value
+        else:
+            constant = constant + value
+    linear = {m: coeff for m, coeff in linear.items() if not coeff.is_zero()}
+    return MomentEquation(target, linear, constant)
 
 
 def iterate_equations(

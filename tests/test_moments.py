@@ -20,7 +20,16 @@ from loopmoments import (
 )
 from loopmoments.frontend import Distribution
 
-from corpus import CORPUS, FiniteSupportTable, enumerate_moments, load
+from corpus import (
+    CORPUS,
+    THREE_VAR,
+    WALK,
+    FiniteSupportTable,
+    enumerate_moments,
+    goal_targets,
+    load,
+    naive_moment_equation,
+)
 
 a, b, mu, var = (Poly.var(s) for s in ("a", "b", "mu", "var"))
 
@@ -214,8 +223,61 @@ def test_closure_of_self_contained_counter():
 
 def test_closure_cap_is_enforced():
     vp = load("walk")
-    with pytest.raises(ClosureOverflowError):
+    with pytest.raises(ClosureOverflowError) as info:
         moment_closure({M("y^2")}, vp, cap=2)
+    assert info.value.cap == 2
+    assert str(info.value) == (
+        "the goals need more than 2 moments, the closure cap; "
+        "raise it with --max-closure (max_closure in analyze)"
+    )
+
+
+# The closure's equations against the reference that substitutes every
+# branch separately and replaces draws only at the end.
+EQUIVALENCE_CASES = {
+    **{name: (source, goals) for name, (source, goals, _) in CORPUS.items()},
+    **{f"three_var_k{k}": (THREE_VAR, [k]) for k in (1, 2, 3)},
+    "walk_draw_targets": (WALK, ["u^1*x^1", "g^2*y^1", "u^1*g^1*x^1*y^1"]),
+    "three_var_draw_targets": (
+        THREE_VAR,
+        ["u^1*x^1", "u^2*x^1*y^1", "g^1*y^1*z^1", "u^1*g^2"],
+    ),
+    # one draw in two updates: it is already in the polynomial when the
+    # walk reaches its earliest update
+    "shared_draw": (
+        "x = 0\ny = 0\nwhile true:\nu = RV(uniform, 0, 1)\nx = x + u\ny = y + u*x\n",
+        [1, 2, 3, "u^1*y^1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_closure_matches_the_naive_reference(case):
+    source, goals = EQUIVALENCE_CASES[case]
+    vp = validate_program(parse_program(source))
+    equations = moment_closure(goal_targets(vp, goals), vp)
+    for target, eq in equations.items():
+        assert eq == naive_moment_equation(target, vp, MomentTable()), target
+
+
+def test_shared_table_matches_fresh_tables():
+    # One table across programs: the same variable with different updates
+    # must not share images, nor an equal update whose draw has another
+    # distribution; an equal update on another line may.
+    sources = [
+        "x = 0\nwhile true:\nu = RV(uniform, 0, 1)\nx = x + u\n",
+        "x = 0\nwhile true:\nu = RV(uniform, 0, 1)\nx = 2*x - u @ 1/2; x @ 1/2\n",
+        "x = 0\nwhile true:\nu = RV(gauss, 1, 2)\nx = x + u\n",
+        "x = 0\ny = 1\nwhile true:\nu = RV(uniform, 0, 1)\ny = 1/2*y + 1\nx = x + u\n",
+    ]
+    programs = [validate_program(parse_program(source)) for source in sources]
+    shared = MomentTable()
+    for vp in programs:
+        targets = goal_targets(vp, [3, "u^1*x^2"])
+        assert moment_closure(targets, vp, shared) == moment_closure(targets, vp, MomentTable())
+    first, _, _, last = (vp.update_assignments[-1] for vp in programs)
+    assert first.line != last.line
+    assert shared.image(first, 3) is shared.image(last, 3)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

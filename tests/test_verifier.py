@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from loopmoments import ExpPoly, Moment, analyze
+from loopmoments import ExpPoly, Moment, Poly, analyze
 from loopmoments.verifier import (
     MomentEstimate,
     SimConfig,
     VerifierError,
+    _compile_poly,
     check,
     required_bindings,
     simulate,
@@ -234,3 +235,35 @@ def test_check_fails_a_non_finite_estimate():
         estimates = {M("v^1"): MomentEstimate(M("v^1"), mean, se, se, 10)}
         [entry] = check(closed, estimates, cfg).entries
         assert not entry.passed
+
+
+def test_compiled_evaluator_matches_the_per_term_formula():
+    # The reference builds each term from np.full(size, c); the evaluator
+    # starts from the scalar c and must give the same floats bit for bit.
+    import numpy as np
+
+    rng = np.random.default_rng(7)
+    x, y, c = Poly.var("x"), Poly.var("y"), Poly.var("c")
+    bindings = {"c": Fraction(-7, 3)}
+    state_names = frozenset({"x", "y"})
+    polys = [
+        Poly.const(Fraction(5, 7)),
+        Fraction(1, 3) * x**3 - c * x * y + y**2 / 7 + c**2,
+        (x + Fraction(2, 5) * y + c) ** 4,
+    ]
+    for poly in polys:
+        evaluate = _compile_poly(poly, bindings, state_names, "a test polynomial")
+        for size in (1, 17, 1000):
+            state = {"x": rng.normal(size=size), "y": rng.uniform(-3, 3, size=size)}
+            expected = np.zeros(size)
+            for mono, coeff in poly.terms():
+                value = coeff
+                for name, exp in mono:
+                    if name not in state_names:
+                        value *= bindings[name] ** exp
+                term = np.full(size, float(value))
+                for name, exp in mono:
+                    if name in state_names:
+                        term = term * state[name] ** exp
+                expected += term
+            assert np.array_equal(evaluate(state, size), expected)
