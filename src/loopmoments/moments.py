@@ -32,7 +32,7 @@ from functools import partial
 from typing import Callable, Iterable, Mapping
 
 from .frontend import Distribution, UpdateAssignment, ValidatedProgram, resolve_initial_value
-from .symbolic import ONE, Moment, Poly
+from .symbolic import ONE, ZERO, Moment, Poly
 
 
 # Draws to average out, as (name, distribution) pairs.
@@ -65,7 +65,7 @@ class MomentEquation:
         return {m for m in self.linear if m != self.target}
 
     def self_coefficient(self) -> Poly:
-        return self.linear.get(self.target, Poly())
+        return self.linear.get(self.target, ZERO)
 
     def __str__(self) -> str:
         parts = []
@@ -221,8 +221,11 @@ def moment_equation(
 
     # Only state variables and parameters are left: split by linearity.
     parts = poly.split(state_vars)
-    constant = parts.pop((), Poly())
-    return MomentEquation(target, {Moment(part): c for part, c in parts.items()}, constant)
+    constant = parts.pop((), ZERO)
+    # split returns each part canonical and nonempty: no re-validation.
+    return MomentEquation(
+        target, {Moment._trusted(part): c for part, c in parts.items()}, constant
+    )
 
 
 def _replace_powers(poly: Poly, name: str, power: Callable[[int], Poly]) -> Poly:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .moments import MomentEquation
-from .symbolic import ONE, ExpPoly, Moment, Poly
+from .symbolic import ONE, ExpPoly, Moment, Poly, _Acc
 
 
 class SolverError(Exception):
@@ -70,13 +70,13 @@ def topo_order(equations: Mapping[Moment, MomentEquation]) -> list[Moment]:
     moments = set(equations)
     deps: dict[Moment, set[Moment]] = {}
     for m, eq in equations.items():
-        missing = eq.dependencies() - moments
+        ds = deps[m] = eq.dependencies()
+        missing = ds - moments
         if missing:
             raise SolverError(
                 f"equation for E[{m}] mentions unsolved moment(s) "
                 + ", ".join(f"E[{d}]" for d in sorted(missing, key=Moment.sort_key))
             )
-        deps[m] = eq.dependencies()
 
     users: dict[Moment, set[Moment]] = {m: set() for m in moments}
     for m, ds in deps.items():
@@ -145,7 +145,7 @@ def _divide(numerator: Poly, divisor: Poly) -> Poly:
     if divisor.is_zero():
         raise SolverError("internal: division by zero while matching coefficients")
     if divisor.is_const():
-        return numerator / divisor.const_value()
+        return numerator._scaled(divisor._den, divisor._terms[()])
     quotient = numerator.exact_div(divisor)
     if quotient is None:
         raise UnresolvedBaseError(numerator, divisor)
@@ -175,7 +175,7 @@ def solve_first_order(rec: Recurrence, side_conditions: list[str] | None = None)
     """
     sides = side_conditions if side_conditions is not None else []
     c = rec.self_coeff
-    particular = ExpPoly.zero()
+    particular: dict[tuple[Poly, int], Poly] = {}
 
     for base, parts in rec.inhom.by_base().items():
         degree = max(parts)
@@ -194,19 +194,27 @@ def solve_first_order(rec: Recurrence, side_conditions: list[str] | None = None)
         # coefficient of n^m gives (base - c)*q_m + base*sum_{j>m} C(j,m)*q_j
         # = P_m, solved top-down.  At resonance the first term vanishes, so
         # every q is offset by one: base*(m+1)*q_{m+1} is the leading term.
+        # Each right-hand side is one exact sum, reduced once.
         shift = 1 if resonant else 0
         q: dict[int, Poly] = {}
         for m in range(degree, -1, -1):
-            acc = Poly()
+            acc = _Acc()
+            if m in parts:
+                acc.add(ONE, parts[m])
             for j in range(m + shift + 1, degree + shift + 1):
-                acc = acc + q[j] * math.comb(j, m)
-            divisor = base * (m + 1) if resonant else delta
-            q[m + shift] = _divide(parts.get(m, Poly()) - base * acc, divisor)
+                acc.add(q[j], base, -math.comb(j, m))
+            divisor = base._scaled(m + 1) if resonant else delta
+            q[m + shift] = _divide(acc.poly(), divisor)
+        # Distinct bases give distinct keys, so nothing here sums.
         for j, qj in q.items():
-            particular = particular + ExpPoly.term(qj, base, j)
+            if not qj.is_zero():
+                particular[(base, j)] = qj
 
-    alpha = rec.init - particular.value_at_zero()
-    closed = particular + ExpPoly.term(alpha, c, 0)
+    alpha = rec.init - ExpPoly._trusted(particular).value_at_zero()
+    # At resonance q starts at n^1, so (c, 0) is no key of the particular part.
+    if not alpha.is_zero():
+        particular[(c, 0)] = alpha
+    closed = ExpPoly._trusted(particular)
 
     residual = ExpPoly.linear_combination(
         [(ONE, closed.shift()), (-c, closed), (-ONE, rec.inhom)]

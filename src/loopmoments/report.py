@@ -30,7 +30,18 @@ from .pipeline import (
     VerifyEntry,
     VerifyReport,
 )
-from .symbolic import TEX, ExpPoly, Moment, Poly, exp_poly_summands, poly_summands, render_sum
+from .symbolic import (
+    ONE,
+    TEX,
+    ExpPoly,
+    Mono,
+    Moment,
+    Poly,
+    Summand,
+    exp_poly_summands,
+    poly_summands,
+    render_sum,
+)
 
 FORMATS = ("txt", "tex", "json")
 
@@ -59,11 +70,16 @@ def invariant_lines(report: InvariantReport) -> list[str]:
 
 
 def render_closed_form(form: ExpPoly) -> str:
-    plain = form.drop_zero_base()
-    correction = form.zero_base_part()
-    if correction.is_zero():
-        return str(form)
-    return f"{plain}  [n >= 1; at n = 0: {form.value_at_zero()}]"
+    return _closed_form_text(form, exp_poly_summands(form.drop_zero_base()))
+
+
+def _closed_form_text(form: ExpPoly, summands: list[Summand]) -> str:
+    """``summands``, the terms of ``form`` with a nonzero base, as text; a
+    one-point correction at n = 0 is noted with the initial value."""
+    text = render_sum(summands)
+    if form.zero_base_part().is_zero():
+        return text
+    return f"{text}  [n >= 1; at n = 0: {form.value_at_zero()}]"
 
 
 def emit_txt(report: InvariantReport) -> str:
@@ -144,11 +160,46 @@ def _tex_closed_form(form: ExpPoly) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _poly_to_json(p: Poly) -> list[dict[str, Any]]:
-    return [
-        {"num": num, "den": den, "powers": [[name, exp] for name, exp in mono]}
-        for mono, num, den in p.sorted_ratios()
-    ]
+class _JsonTerms:
+    """The JSON of polynomials and closed forms for one report.  Bases and
+    monomials repeat across the closed forms, so each base's JSON and each
+    monomial's ``powers`` list is built once and shared."""
+
+    def __init__(self):
+        self._powers: dict[Mono, list[list[Any]]] = {}
+        self._bases: dict[Poly, list[dict[str, Any]]] = {}
+
+    def ratios(self, ratios: list[tuple[Mono, int, int]]) -> list[dict[str, Any]]:
+        out = []
+        for mono, num, den in ratios:
+            powers = self._powers.get(mono)
+            if powers is None:
+                powers = self._powers[mono] = [[name, exp] for name, exp in mono]
+            out.append({"num": num, "den": den, "powers": powers})
+        return out
+
+    def poly(self, p: Poly) -> list[dict[str, Any]]:
+        return self.ratios(p.sorted_ratios())
+
+    def invariant(self, moment: Moment, form: ExpPoly) -> dict[str, Any]:
+        """The ``closed_form`` terms and the ``text`` of :func:`render_closed_form`,
+        from one pass over the terms in print order."""
+        closed_form = []
+        summands: list[Summand] = []
+        for base, degree, coeff in form.sorted_terms():
+            ratios = coeff.sorted_ratios()
+            base_json = self._bases.get(base)
+            if base_json is None:
+                base_json = self._bases[base] = self.poly(base)
+            closed_form.append({"coeff": self.ratios(ratios), "base": base_json, "degree": degree})
+            if not base.is_zero():
+                base_part = None if base == ONE else base
+                summands.extend((num, den, mono, degree, base_part) for mono, num, den in ratios)
+        return {
+            "moment": str(moment),
+            "closed_form": closed_form,
+            "text": _closed_form_text(form, summands),
+        }
 
 
 def _poly_from_json(data: list[dict[str, Any]]) -> Poly:
@@ -162,17 +213,6 @@ def _poly_from_json(data: list[dict[str, Any]]) -> Poly:
         mono = tuple((str(n), int(e)) for n, e in entry["powers"])
         terms.append((mono, Fraction(int(entry["num"]), den)))
     return Poly(terms)
-
-
-def _exp_poly_to_json(f: ExpPoly) -> list[dict[str, Any]]:
-    return [
-        {
-            "coeff": _poly_to_json(coeff),
-            "base": _poly_to_json(base),
-            "degree": degree,
-        }
-        for base, degree, coeff in f.sorted_terms()
-    ]
 
 
 def _exp_poly_from_json(data: list[dict[str, Any]]) -> ExpPoly:
@@ -199,21 +239,18 @@ def _goal_from_json(data: dict[str, Any]) -> Goal:
 
 
 def emit_json(report: InvariantReport) -> str:
+    terms = _JsonTerms()
     doc: dict[str, Any] = {
         "program": report.program_name,
         "variables": list(report.variables),
         "parameters": list(report.parameters),
         "goals": [_goal_to_json(g) for g in report.goals],
         "invariants": [
-            {
-                "moment": str(moment),
-                "closed_form": _exp_poly_to_json(report.invariants[moment]),
-                "text": render_closed_form(report.invariants[moment]),
-            }
+            terms.invariant(moment, report.invariants[moment])
             for moment in sorted(report.invariants, key=Moment.sort_key)
         ],
         "initial_moments": [
-            {"moment": str(moment), "value": _poly_to_json(value)}
+            {"moment": str(moment), "value": terms.poly(value)}
             for moment, value in report.initial_moments.items()
         ],
         "symbolic_initials": list(report.symbolic_initials),

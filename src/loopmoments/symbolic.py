@@ -25,11 +25,13 @@ Normal form, the invariant every value holds:
   polynomials.
 
 So structural equality is algebraic equality, and equal values hash alike.
-The public views (``terms()``, ``sorted_terms()``, ``const_value()``,
-``evaluate()``) still give :class:`~fractions.Fraction` values in lowest
-terms; the kernel itself does plain ``int`` arithmetic, and sums of exact
-products are folded over a common denominator and reduced by one gcd at the
-end.
+:class:`~fractions.Fraction` values appear only at the public surface: the
+constructors and scalar operands that accept them, and the views
+(``Poly.terms()``, ``Poly.sorted_terms()``, ``const_value()``,
+``evaluate()``) that give them in lowest terms.  The kernel itself does
+plain ``int`` arithmetic: sums of exact products are folded over a common
+denominator and reduced by one gcd at the end, and constant bases are put in
+print order by their numerators over the bases' common denominator.
 
 Only the public constructors ``Poly(...)`` and ``ExpPoly(...)`` validate
 (canonicalising monomials, summing coefficients and dropping zeros).  Every
@@ -456,6 +458,7 @@ class Poly:
         return f"Poly({self})"
 
 
+ZERO = Poly._trusted({})
 ONE = Poly.const(1)
 
 
@@ -477,6 +480,14 @@ class Moment:
             raise ValueError("moment exponents must be positive")
         ordered = tuple(sorted(self.powers))
         object.__setattr__(self, "powers", ordered)
+
+    @classmethod
+    def _trusted(cls, powers: Mono) -> "Moment":
+        """Wrap ``powers`` as they are; they must be a nonempty monomial in
+        the canonical form that :meth:`Poly.split` returns."""
+        moment = object.__new__(cls)
+        object.__setattr__(moment, "powers", powers)
+        return moment
 
     @classmethod
     def of(cls, powers: Mapping[str, int]) -> "Moment":
@@ -601,16 +612,20 @@ class ExpPoly:
         """Terms in print order: symbolic bases before constant ones, bases
         descending (constants by value, symbolic ones by their text), then
         degrees descending."""
-
-        def base_key(base: Poly) -> tuple:
-            if base.is_const():
-                return (0, base.const_value(), "")
-            return (1, Fraction(0), str(base))
-
+        symbolic: list[Poly] = []
+        consts: list[Poly] = []
+        for base in {base for base, _ in self._terms}:
+            (consts if base.is_const() else symbolic).append(base)
+        symbolic.sort(key=str, reverse=True)
+        # Over the common denominator of the constant bases their numerators
+        # compare exactly as the values do.
+        den = math.lcm(*(base._den for base in consts))
+        consts.sort(
+            key=lambda base: base._terms.get(_ONE_MONO, 0) * (den // base._den), reverse=True
+        )
         # Few distinct bases carry many terms: rank the bases once, so the
         # terms sort on int keys.
-        bases = sorted({base for base, _ in self._terms}, key=base_key, reverse=True)
-        rank = {base: i for i, base in enumerate(bases)}
+        rank = {base: i for i, base in enumerate(symbolic + consts)}
         ordered = sorted(self._terms.items(), key=lambda item: (rank[item[0][0]], -item[0][1]))
         return [(b, d, c) for (b, d), c in ordered]
 
@@ -637,7 +652,7 @@ class ExpPoly:
 
     def zero_base_part(self) -> Poly:
         """The coefficient of the ``n == 0`` indicator ``0**n``."""
-        return self._terms.get((Poly(), 0), Poly())
+        return self._terms.get((ZERO, 0), ZERO)
 
     # -- arithmetic -----------------------------------------------------------
 

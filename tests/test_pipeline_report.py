@@ -1,5 +1,6 @@
 """Goal handling, the analysis pipeline, and report rendering."""
 
+import contextlib
 import hashlib
 import importlib
 import importlib.util
@@ -22,6 +23,8 @@ from loopmoments import (
     emit_txt,
     parse_goals,
     report_from_json,
+    solve_all,
+    topo_order,
 )
 from loopmoments.report import invariant_lines, render_closed_form
 
@@ -280,6 +283,59 @@ def test_golden_digests_cover_every_case():
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_reports_match_golden_digests(name):
     assert golden_digests(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_json_text_is_the_txt_right_hand_side(name):
+    # the JSON renders its "text" in the same pass as its "closed_form", not
+    # through render_closed_form, so the two must be compared
+    source, goals = GOLDEN_CASES[name]
+    report = analyze(source, goals)
+    txt = {}
+    for line in emit_txt(report).splitlines():
+        if line.startswith("E["):
+            lhs, rhs = line.split(" = ", 1)
+            txt[lhs[2:-1]] = rhs
+    doc = json.loads(emit_json(report))
+    assert {entry["moment"]: entry["text"] for entry in doc["invariants"]} == txt
+    if name == "fresh_draw":
+        # a closed form with a base-0 term, i.e. a one-point correction at n = 0
+        assert "[n >= 1; at n = 0: v(0)]" in txt["v^1"]
+
+
+@contextlib.contextmanager
+def counting_fractions():
+    """Count the Fraction constructions made inside the block."""
+    original = Fraction.__dict__["__new__"]
+    count = [0]
+
+    def counted(cls, *args, **kwargs):
+        count[0] += 1
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counted)
+    try:
+        yield count
+    finally:
+        Fraction.__new__ = original
+
+
+def test_solve_and_report_build_no_fractions():
+    # the solver and the emitters work on the kernel's integer numerators
+    report = analyze(THREE_VAR, [3])
+    equations = report.equations
+    order = topo_order(equations)
+    with counting_fractions() as count:
+        Fraction(1, 3)  # the counter sees a construction
+    assert count == [1]
+    with counting_fractions() as count:
+        solved, _ = solve_all(order, equations, report.initial_moments)
+    assert count == [0]
+    assert solved == report.invariants
+    for fmt in ("txt", "json"):
+        with counting_fractions() as count:
+            emit(report, fmt)
+        assert count == [0], fmt
 
 
 # -- public surface -----------------------------------------------------------------

@@ -266,6 +266,31 @@ def test_self_check_rejects_a_wrong_closed_form(monkeypatch):
         solve_first_order(rec("x^1", Fraction(1, 2), ExpPoly.const(1), 0))
 
 
+def test_divide_by_a_constant_matches_fraction_division():
+    p, q = Poly.var("p"), Poly.var("q")
+    numerators = [Poly(), Poly.const(5), p * q / 4 - Fraction(3, 7) * p + 2, (p - 3) ** 3 / 9]
+    for numerator in numerators:
+        for value in (Fraction(-3), Fraction(-7, 4), Fraction(2, 9), Fraction(5), Fraction(1)):
+            got = recurrences._divide(numerator, Poly.const(value))
+            assert dict(got.terms()) == {mono: c / value for mono, c in numerator.terms()}
+            assert got == numerator / value
+
+
+def test_divide_by_a_parameterized_divisor():
+    p = Poly.var("p")
+    assert recurrences._divide(p * p - 1, p - 1) == p + 1
+    assert recurrences._divide((p - 1) / 3, 2 * p - 2) == Poly.const(Fraction(1, 6))
+    with pytest.raises(UnresolvedBaseError) as err:
+        recurrences._divide(p + 2, p - 1)
+    assert str(err.value) == (
+        "cannot divide p + 2 exactly by the parameterized quantity p - 1; "
+        "closed-form coefficients would leave the polynomial ring"
+    )
+    assert (err.value.numerator, err.value.divisor) == (p + 2, p - 1)
+    with pytest.raises(SolverError, match="division by zero"):
+        recurrences._divide(p, Poly())
+
+
 def test_solver_failures_name_the_moment():
     p = Poly.var("p")
     equations = {

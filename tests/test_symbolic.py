@@ -283,6 +283,47 @@ def test_exp_poly_addition_cancels():
     assert (f - f).is_zero()
 
 
+def _fraction_sorted_terms(f: ExpPoly) -> list[tuple[Poly, int, Poly]]:
+    """The print order by its defining rule, on Fraction keys: symbolic bases
+    before constant ones, bases descending (constants by value, symbolic ones
+    by their text), then degrees descending."""
+
+    def key(term):
+        base, degree, _ = term
+        if base.is_const():
+            return (0, base.const_value(), "", degree)
+        return (1, Fraction(0), str(base), degree)
+
+    return sorted(f.terms(), key=key, reverse=True)
+
+
+def test_base_order_is_exact_and_matches_the_fraction_rule():
+    third = Fraction(1, 3)
+    close = third + Fraction(1, 10**40)
+    assert float(third) == float(close)  # a float key could not order these
+    f = ExpPoly.term(1, third, 0) + ExpPoly.term(2, close, 1) + ExpPoly.term(3, close, 0)
+    assert [(base.const_value(), d) for base, d, _ in f.sorted_terms()] == [
+        (close, 1), (close, 0), (third, 0)
+    ]
+
+    p, q = Poly.var("p"), Poly.var("q")
+    constants = [0, 1, 2, -1, Fraction(-1, 2), Fraction(1, 2), Fraction(-7, 3), third, close,
+                 -close, Fraction(10**30 + 1, 10**30)]
+    symbolic = [p, q, p - 1, -p, p * q + Fraction(1, 2), q**2]
+    rng = random.Random(2024)
+    cases = [
+        constants,  # positive, negative and zero constant bases only
+        symbolic,
+        constants + symbolic,
+    ] + [rng.sample(constants + symbolic, rng.randint(1, 9)) for _ in range(200)]
+    for bases in cases:
+        f = ExpPoly.zero()
+        for i, base in enumerate(bases):
+            for degree in range(rng.randint(1, 3)):
+                f = f + ExpPoly.term(i + 1, base, degree)
+        assert f.sorted_terms() == _fraction_sorted_terms(f), bases
+
+
 # -- tracked moments ----------------------------------------------------------
 
 
