@@ -32,7 +32,7 @@ from functools import partial
 from typing import Callable, Iterable, Mapping
 
 from .frontend import Distribution, UpdateAssignment, ValidatedProgram, resolve_initial_value
-from .symbolic import ONE, ZERO, Moment, Poly
+from .symbolic import ONE, ZERO, Mono, Moment, Poly
 
 
 # Draws to average out, as (name, distribution) pairs.
@@ -62,7 +62,9 @@ class MomentEquation:
         object.__setattr__(self, "linear", dict(self.linear))
 
     def dependencies(self) -> set[Moment]:
-        return {m for m in self.linear if m != self.target}
+        deps = set(self.linear)
+        deps.discard(self.target)
+        return deps
 
     def self_coefficient(self) -> Poly:
         return self.linear.get(self.target, ZERO)
@@ -171,7 +173,10 @@ def rv_raw_moment(dist: Distribution, k: int, table: MomentTable | None = None) 
 
 
 def moment_equation(
-    target: Moment, vp: ValidatedProgram, table: MomentTable
+    target: Moment,
+    vp: ValidatedProgram,
+    table: MomentTable,
+    instances: dict[Mono, Moment] | None = None,
 ) -> MomentEquation:
     """The one-step equation for a tracked moment.
 
@@ -180,6 +185,9 @@ def moment_equation(
     introduced by substituting an update -- refers to one and the same
     fresh value.  A target over draw variables only therefore reduces to a
     constant, and a mixed target keeps the exact joint expectation.
+
+    ``instances`` maps powers to the one :class:`Moment` that stands for
+    them; the equation's moments are taken from it, and new ones are added.
     """
     state_vars = vp.state_vars()
     draws = vp.rv_dists
@@ -223,9 +231,14 @@ def moment_equation(
     parts = poly.split(state_vars)
     constant = parts.pop((), ZERO)
     # split returns each part canonical and nonempty: no re-validation.
-    return MomentEquation(
-        target, {Moment._trusted(part): c for part, c in parts.items()}, constant
-    )
+    instances = {} if instances is None else instances
+    linear = {}
+    for part, c in parts.items():
+        moment = instances.get(part)
+        if moment is None:
+            moment = instances[part] = Moment._trusted(part)
+        linear[moment] = c
+    return MomentEquation(target, linear, constant)
 
 
 def _replace_powers(poly: Poly, name: str, power: Callable[[int], Poly]) -> Poly:
@@ -249,15 +262,19 @@ def moment_closure(
     enqueues the moments it mentions, until the set is closed.  The set is
     finite for validated programs; the cap bounds its size for goals whose
     closure would take too long to build and solve.
+
+    Each moment is one instance throughout the equations (the one enqueued),
+    so the later lookups by moment match by identity.
     """
     table = table or MomentTable()
     queue = sorted(set(goals), key=Moment.sort_key)
     equations: dict[Moment, MomentEquation] = {}
     pending = deque(queue)
     enqueued = set(queue)
+    instances = {m.powers: m for m in queue}
     while pending:
         current = pending.popleft()
-        eq = moment_equation(current, vp, table)
+        eq = moment_equation(current, vp, table, instances)
         equations[current] = eq
         for dep in sorted(eq.dependencies(), key=Moment.sort_key):
             if dep not in enqueued:

@@ -117,9 +117,9 @@ def build_recurrence(
 ) -> Recurrence:
     """Fold already-solved dependencies into a single-variable recurrence."""
     pairs = [(ONE, ExpPoly.const(eq.constant))]
-    for moment, coeff in eq.linear.items():
-        if moment == eq.target:
-            continue
+    linear = dict(eq.linear)
+    linear.pop(eq.target, None)
+    for moment, coeff in linear.items():
         if moment not in solved:
             raise SolverError(
                 f"missing closed form for E[{moment}] while building E[{eq.target}]"

@@ -202,28 +202,45 @@ class _JsonTerms:
         }
 
 
-def _poly_from_json(data: list[dict[str, Any]]) -> Poly:
-    # File input: the public constructor canonicalises the monomials and
-    # sums repeated ones.
-    terms = []
+# Each term of a polynomial's JSON as (monomial, numerator, denominator).
+_Ratios = tuple[tuple[Mono, int, int], ...]
+
+
+def _ratios_from_json(data: list[dict[str, Any]]) -> _Ratios:
+    out = []
     for entry in data:
         den = int(entry["den"])
         if den == 0:
             raise ValueError(f"coefficient with denominator 0 in {entry!r}")
         mono = tuple((str(n), int(e)) for n, e in entry["powers"])
-        terms.append((mono, Fraction(int(entry["num"]), den)))
-    return Poly(terms)
+        out.append((mono, int(entry["num"]), den))
+    return tuple(out)
 
 
-def _exp_poly_from_json(data: list[dict[str, Any]]) -> ExpPoly:
-    total = ExpPoly.zero()
+def _poly_from_ratios(ratios: _Ratios) -> Poly:
+    # File input: the public constructor canonicalises the monomials and
+    # sums repeated ones.
+    return Poly([(mono, Fraction(num, den)) for mono, num, den in ratios])
+
+
+def _poly_from_json(data: list[dict[str, Any]]) -> Poly:
+    return _poly_from_ratios(_ratios_from_json(data))
+
+
+def _exp_poly_from_json(data: list[dict[str, Any]], bases: dict[_Ratios, Poly]) -> ExpPoly:
+    """A closed form from its terms, summing repeated ``(base, degree)``
+    keys.  ``bases`` memoises the bases by their content: a report has few
+    distinct ones, shared by many terms."""
+    terms: dict[tuple[Poly, int], Poly] = {}
     for entry in data:
-        total = total + ExpPoly.term(
-            _poly_from_json(entry["coeff"]),
-            _poly_from_json(entry["base"]),
-            int(entry["degree"]),
-        )
-    return total
+        ratios = _ratios_from_json(entry["base"])
+        base = bases.get(ratios)
+        if base is None:
+            base = bases[ratios] = _poly_from_ratios(ratios)
+        key = (base, int(entry["degree"]))
+        coeff = _poly_from_json(entry["coeff"])
+        terms[key] = terms[key] + coeff if key in terms else coeff
+    return ExpPoly._trusted({key: c for key, c in terms.items() if not c.is_zero()})
 
 
 def _goal_to_json(goal: Goal) -> dict[str, Any]:
@@ -313,13 +330,14 @@ def _verification_from_json(data: dict[str, Any] | None) -> VerifyReport | None:
 def report_from_json(text: str) -> InvariantReport:
     """Rebuild a report emitted by :func:`emit_json`."""
     doc = json.loads(text)
+    bases: dict[_Ratios, Poly] = {}
     return InvariantReport(
         program_name=doc["program"],
         variables=tuple(doc["variables"]),
         parameters=tuple(doc["parameters"]),
         goals=tuple(_goal_from_json(g) for g in doc["goals"]),
         invariants={
-            Moment.parse(entry["moment"]): _exp_poly_from_json(entry["closed_form"])
+            Moment.parse(entry["moment"]): _exp_poly_from_json(entry["closed_form"], bases)
             for entry in doc["invariants"]
         },
         initial_moments={

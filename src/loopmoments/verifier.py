@@ -9,7 +9,12 @@ inconsistency rather than numeric noise.
 
 Trials are grouped into fixed-size blocks; block ``b`` uses the RNG
 substream spawned from ``(seed, b)``, so results are bit-for-bit
-reproducible and independent of how blocks would be scheduled.
+reproducible and independent of how blocks would be scheduled.  An update
+with several branches draws one uniform per trial and compares it with the
+cumulative branch probabilities; the last branch takes any rounding
+remainder.  Each arithmetic step is one numpy call over a block, with the
+draws and float operations of ``reference_simulate`` in ``tests/corpus.py``,
+so the estimates per seed are those of that earlier loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -109,14 +114,22 @@ def _compile_poly(
                 params.add(name)
         compiled.append((_float(value, f"a coefficient of {what}", params), tuple(factors)))
 
+    # ``c * p1 * p2 ...`` left to right, terms summed in order, one numpy
+    # call per step.  Starting from the first term rather than from zeros can
+    # only leave -0.0 for 0.0, which no estimate sees: its sums start at 0.0
+    # and nothing divides.  The result may be a state array: never write to it.
     def evaluate(state: dict[str, np.ndarray], size: int) -> np.ndarray:
-        total = np.zeros(size)
+        total = None
         for c, factors in compiled:
-            term = c
+            term = None if c == 1.0 and factors else c
             for name, exp in factors:
-                term = term * state[name] ** exp
-            total += term
-        return total
+                power = state[name] if exp == 1 else state[name] ** exp
+                term = power if term is None else term * power
+            if total is not None:
+                total = total + term
+            else:
+                total = term if factors else np.full(size, term)
+        return np.zeros(size) if total is None else total
 
     return evaluate
 
@@ -136,12 +149,14 @@ def _sampler(value: Poly | Distribution, bindings: Mapping[str, Fraction], var: 
         lo, hi = min(a, b), max(a, b)
         if lo == hi:
             return lambda rng, size: np.full(size, lo)
-        return lambda rng, size: rng.uniform(lo, hi, size)
+        return lambda rng, size: lo + (hi - lo) * rng.random(size)
     if value.kind == "gauss":
         if b < 0:
             raise VerifierError(f"gauss variance evaluates to the negative value {b}")
         sd = math.sqrt(b)
-        return lambda rng, size: rng.normal(a, sd, size)
+        if a == 0 and sd == 1:
+            return lambda rng, size: rng.standard_normal(size)
+        return lambda rng, size: a + sd * rng.standard_normal(size)
     raise VerifierError(f"cannot sample distribution kind {value.kind!r}")
 
 
@@ -183,13 +198,14 @@ def simulate(
                     "outside [0, 1]"
                 )
             probs.append(p)
-        thresholds = np.cumsum([float(p) for p in probs])
+        # Branch i > 0 is taken where the uniform reaches the sum before it.
+        thresholds = np.cumsum([float(p) for p in probs])[:-1].tolist()
         what = f"the update of {assignment.var!r}"
-        exprs = [
+        first, *others = (
             _compile_poly(branch.expr, bindings, state_names, what)
             for branch in assignment.branches
-        ]
-        updates.append((assignment.var, thresholds, exprs))
+        )
+        updates.append((assignment.var, first, list(zip(thresholds, others))))
 
     inits = [
         (var, _sampler(resolve_initial_value(vp, var), bindings, var))
@@ -219,20 +235,23 @@ def simulate(
             for _ in range(cfg.iterations):
                 for var, sample in draws:
                     state[var] = sample(rng, size)
-                for var, thresholds, exprs in updates:
-                    if len(exprs) == 1:
-                        state[var] = exprs[0](state, size)
-                        continue
-                    u = rng.random(size)
-                    choice = np.searchsorted(thresholds, u, side="right")
-                    np.clip(choice, 0, len(exprs) - 1, out=choice)
-                    stacked = np.stack([ev(state, size) for ev in exprs])
-                    state[var] = np.take_along_axis(stacked, choice[None, :], axis=0)[0]
+                for var, first, others in updates:
+                    values = first(state, size)
+                    if others:
+                        u = rng.random(size)
+                        for threshold, evaluate in others:
+                            values = np.where(u >= threshold, evaluate(state, size), values)
+                    state[var] = values
 
+            powers: dict[tuple[str, int], np.ndarray] = {}
             for t in target_list:
-                values = np.ones(size)
-                for var, exp in t.powers:
-                    values = values * state[var] ** exp
+                values = None
+                for key in t.powers:
+                    power = powers.get(key)
+                    if power is None:
+                        var, exp = key
+                        power = powers[key] = state[var] if exp == 1 else state[var] ** exp
+                    values = power if values is None else values * power
                 sums[t] += float(values.sum())
                 shifted = values - shifts.setdefault(t, float(values[0]))
                 s1s[t] += float(shifted.sum())

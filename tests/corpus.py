@@ -10,6 +10,7 @@ discrete programs are enumerated over every branch combination.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping
 
@@ -22,6 +23,7 @@ from loopmoments import (
     initial_moment,
     moment_closure,
     parse_program,
+    resolve_initial_value,
     validate_program,
 )
 from loopmoments.frontend import Distribution
@@ -325,3 +327,106 @@ class FiniteSupportTable(MomentTable):
                 total += prob * value**k
             return Poly.const(total)
         return super()._compute(dist, k)
+
+
+def reference_simulate(
+    vp: ValidatedProgram,
+    bindings: Mapping[str, Fraction],
+    iterations: int,
+    trials: int,
+    seed: int,
+    targets,
+    block: int = 4096,
+) -> dict[Moment, tuple[float, float]]:
+    """``{target: (mean, sd)}`` by the simulation loop ``simulate`` had
+    before its hot loop was made lean: numpy's ``uniform``/``normal``
+    samplers, every polynomial summed from ``np.zeros`` term by term
+    (``term = c; term = term * x**e``), each multi-branch update choosing
+    by ``searchsorted`` on the cumulative probabilities over the stacked
+    branch values, and each target's product started from ``np.ones``.
+    The RNG substreams and call order are the verifier's own, so the
+    estimates must agree bit for bit."""
+    import numpy as np
+
+    names = frozenset(vp.all_variables())
+
+    def compiled(poly):
+        terms = []
+        for mono, coeff in poly.terms():
+            c = coeff
+            for name, exp in mono:
+                if name not in names:
+                    c *= Fraction(bindings[name]) ** exp
+            terms.append((float(c), [(n, e) for n, e in mono if n in names]))
+
+        def evaluate(state, size):
+            total = np.zeros(size)
+            for c, factors in terms:
+                term = c
+                for name, exp in factors:
+                    term = term * state[name] ** exp
+                total += term
+            return total
+
+        return evaluate
+
+    def sampler(value):
+        if isinstance(value, Poly):
+            c = float(value.evaluate(bindings))
+            return lambda rng, size: np.full(size, c)
+        a = float(value.arg1.evaluate(bindings))
+        b = float(value.arg2.evaluate(bindings))
+        if value.kind == "uniform":
+            lo, hi = min(a, b), max(a, b)
+            if lo == hi:
+                return lambda rng, size: np.full(size, lo)
+            return lambda rng, size: rng.uniform(lo, hi, size)
+        return lambda rng, size: rng.normal(a, math.sqrt(b), size)
+
+    updates = [
+        (
+            u.var,
+            np.cumsum([float(b.prob.evaluate(bindings)) for b in u.branches]),
+            [compiled(b.expr) for b in u.branches],
+        )
+        for u in vp.update_assignments
+    ]
+    inits = [(v, sampler(resolve_initial_value(vp, v))) for v in vp.all_variables()]
+    draws = [(rv.var, sampler(rv.dist)) for rv in vp.program.rv_assignments]
+    targets = sorted(set(targets), key=Moment.sort_key)
+    sums = dict.fromkeys(targets, 0.0)
+    s1s = dict.fromkeys(targets, 0.0)
+    s2s = dict.fromkeys(targets, 0.0)
+    shifts: dict[Moment, float] = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in range((trials + block - 1) // block):
+            size = min(block, trials - b * block)
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
+            state = {var: sample(rng, size) for var, sample in inits}
+            for _ in range(iterations):
+                for var, sample in draws:
+                    state[var] = sample(rng, size)
+                for var, thresholds, exprs in updates:
+                    if len(exprs) == 1:
+                        state[var] = exprs[0](state, size)
+                        continue
+                    u = rng.random(size)
+                    choice = np.searchsorted(thresholds, u, side="right")
+                    np.clip(choice, 0, len(exprs) - 1, out=choice)
+                    stacked = np.stack([ev(state, size) for ev in exprs])
+                    state[var] = np.take_along_axis(stacked, choice[None, :], axis=0)[0]
+            for t in targets:
+                values = np.ones(size)
+                for var, exp in t.powers:
+                    values = values * state[var] ** exp
+                sums[t] += float(values.sum())
+                shifted = values - shifts.setdefault(t, float(values[0]))
+                s1s[t] += float(shifted.sum())
+                s2s[t] += float(np.dot(shifted, shifted))
+    return {
+        t: (
+            sums[t] / trials,
+            math.sqrt(max(s2s[t] - s1s[t] * s1s[t] / trials, 0.0) / (trials - 1)),
+        )
+        for t in targets
+    }

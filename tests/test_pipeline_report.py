@@ -161,6 +161,35 @@ def test_json_loader_canonicalises_polynomials():
     assert report_from_json(json.dumps(doc)) == report
 
 
+def test_json_loader_sums_repeated_closed_form_keys():
+    # A hand-written closed form may list one (base, degree) key more than
+    # once, with the base written in other terms; the load sums them, and a
+    # key whose entries cancel is dropped.
+    report = analyze(WALK, [2], name="walk")
+    doc = json.loads(emit_json(report))
+    entry = next(e for e in doc["invariants"] if e["moment"] == "x^2")
+    term = entry["closed_form"][0]
+    [summand] = term["coeff"]
+    one = [{"num": 1, "den": 1, "powers": []}]
+    assert (summand["num"], summand["den"], term["base"]) == (1, 3, one)
+    term["coeff"] = [dict(summand, den=6)]
+    entry["closed_form"].append(
+        {"coeff": [dict(summand, den=12)], "base": one, "degree": term["degree"]}
+    )
+    entry["closed_form"].append(
+        {
+            "coeff": [dict(summand, den=12)],
+            "base": [{"num": 2, "den": 2, "powers": []}],
+            "degree": term["degree"],
+        }
+    )
+    for num in (5, -5):
+        entry["closed_form"].append(
+            {"coeff": [{"num": num, "den": 1, "powers": [["b", 1]]}], "base": one, "degree": 9}
+        )
+    assert report_from_json(json.dumps(doc)) == report
+
+
 def test_json_loader_rejects_a_zero_denominator():
     doc = json.loads(emit_json(walk_report()))
     doc["initial_moments"][0]["value"] = [{"num": 1, "den": 0, "powers": []}]
