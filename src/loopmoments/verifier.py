@@ -12,9 +12,7 @@ substream spawned from ``(seed, b)``, so results are bit-for-bit
 reproducible and independent of how blocks would be scheduled.  An update
 with several branches draws one uniform per trial and compares it with the
 cumulative branch probabilities; the last branch takes any rounding
-remainder.  Each arithmetic step is one numpy call over a block, with the
-draws and float operations of ``reference_simulate`` in ``tests/corpus.py``,
-so the estimates per seed are those of that earlier loop, bit for bit.
+remainder.  Each arithmetic step is one numpy call over a block.
 """
 
 from __future__ import annotations
@@ -81,12 +79,16 @@ def _eval_param(poly: Poly, bindings: Mapping[str, Fraction], what: str) -> Frac
         raise VerifierError(f"parameter {exc.name!r} needed by {what} is unbound") from None
 
 
+def _beyond_range(what: str, params: set[str]) -> VerifierError:
+    named = f" (parameter {', '.join(sorted(params))})" if params else ""
+    return VerifierError(f"{what} is beyond float range{named}")
+
+
 def _float(value: Fraction, what: str, params: set[str]) -> float:
     try:
         return float(value)
     except OverflowError:
-        named = f" (parameter {', '.join(sorted(params))})" if params else ""
-        raise VerifierError(f"{what} is beyond float range{named}") from None
+        raise _beyond_range(what, params) from None
 
 
 def _eval_float(poly: Poly, bindings: Mapping[str, Fraction], what: str) -> float:
@@ -149,6 +151,9 @@ def _sampler(value: Poly | Distribution, bindings: Mapping[str, Fraction], var: 
         lo, hi = min(a, b), max(a, b)
         if lo == hi:
             return lambda rng, size: np.full(size, lo)
+        if not math.isfinite(hi - lo):
+            params = value.arg1.symbols() | value.arg2.symbols()
+            raise _beyond_range(f"the width of the uniform draw of {var!r}", params)
         return lambda rng, size: lo + (hi - lo) * rng.random(size)
     if value.kind == "gauss":
         if b < 0:
@@ -243,14 +248,10 @@ def simulate(
                             values = np.where(u >= threshold, evaluate(state, size), values)
                     state[var] = values
 
-            powers: dict[tuple[str, int], np.ndarray] = {}
             for t in target_list:
                 values = None
-                for key in t.powers:
-                    power = powers.get(key)
-                    if power is None:
-                        var, exp = key
-                        power = powers[key] = state[var] if exp == 1 else state[var] ** exp
+                for var, exp in t.powers:
+                    power = state[var] if exp == 1 else state[var] ** exp
                     values = power if values is None else values * power
                 sums[t] += float(values.sum())
                 shifted = values - shifts.setdefault(t, float(values[0]))

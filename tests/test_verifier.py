@@ -236,6 +236,17 @@ def test_parameter_beyond_float_range_is_a_verifier_error(source, what):
     assert what in str(info.value)
 
 
+def test_uniform_width_beyond_float_range_is_a_verifier_error():
+    source = "x = 0\nwhile true:\nu = RV(uniform, -c, c)\nx = x + u\n"
+    vp = analyze(source, [1]).validated
+    cfg = SimConfig(bindings={"c": Fraction(10) ** 308}, iterations=2, trials=10, seed=0)
+    with pytest.raises(
+        VerifierError,
+        match=r"width of the uniform draw of 'u' is beyond float range \(parameter c\)",
+    ):
+        simulate(vp, cfg, {M("x^1")})
+
+
 def test_check_fails_a_non_finite_estimate():
     cfg = SimConfig(bindings={}, iterations=3, trials=10, seed=0)
     closed = {M("v^1"): ExpPoly.const(1)}
