@@ -12,7 +12,6 @@ from .frontend import (
     UnsupportedProgramError,
     UpdateBranch,
     ValidatedProgram,
-    format_program,
     parse_program,
     resolve_initial_value,
     validate_program,

@@ -83,9 +83,6 @@ class Distribution:
     arg1: Poly
     arg2: Poly
 
-    def __str__(self) -> str:
-        return f"RV({self.kind}, {poly_to_source(self.arg1)}, {poly_to_source(self.arg2)})"
-
 
 @dataclass(frozen=True)
 class UpdateBranch:
@@ -180,7 +177,7 @@ class _Token:
     col: int
 
 
-def _tokenize(text: str, line: int, col_offset: int = 0) -> list[_Token]:
+def _tokenize(text: str, line: int) -> list[_Token]:
     tokens: list[_Token] = []
     i = 0
     while i < len(text):
@@ -188,7 +185,7 @@ def _tokenize(text: str, line: int, col_offset: int = 0) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        col = col_offset + i + 1
+        col = i + 1
         if ch.isdigit():
             m = _NUM_RE.match(text, i)
             assert m is not None
@@ -273,10 +270,11 @@ class _ExprParser:
         raise ParseError(f"unexpected {tok.text!r}", self.line, tok.col)
 
 
-def parse_expression(text: str, line: int = 0, col_offset: int = 0) -> Poly:
-    tokens = _tokenize(text, line, col_offset)
+def parse_expression(text: str, line: int = 0) -> Poly:
+    """Parse one expression; error columns are 1-based positions in ``text``."""
+    tokens = _tokenize(text, line)
     if not tokens:
-        raise ParseError("empty expression", line, col_offset + 1)
+        raise ParseError("empty expression", line)
     return _ExprParser(tokens, line).parse()
 
 
@@ -285,15 +283,25 @@ def parse_expression(text: str, line: int = 0, col_offset: int = 0) -> Poly:
 # ---------------------------------------------------------------------------
 
 _HEADER = "while true:"
-_RV_PREFIX = re.compile(r"^RV\s*\(")
+_RV_PREFIX = re.compile(r"^\s*RV\s*\(")
+
+
+def _split(text: str, sep: str, maxsplit: int = -1) -> list[str]:
+    """``text.split(sep, maxsplit)``, each piece indented by blanks to where
+    it starts in ``text``: positions in a piece stay columns of the line."""
+    pieces, col = [], 0
+    for piece in text.split(sep, maxsplit):
+        pieces.append(" " * col + piece)
+        col += len(piece) + len(sep)
+    return pieces
 
 
 def _parse_distribution(text: str, line: int) -> Distribution:
-    body = text.strip()
+    body = text.rstrip()
     if not body.endswith(")"):
         raise ParseError("random-variable expression must end with ')'", line)
-    inner = _RV_PREFIX.sub("", body, count=1)[:-1]
-    parts = inner.split(",")
+    inner = _RV_PREFIX.sub(lambda m: " " * len(m[0]), body, count=1)[:-1]
+    parts = _split(inner, ",")
     if len(parts) != 3:
         raise ParseError("RV(...) takes a distribution name and two arguments", line)
     kind = parts[0].strip()
@@ -309,7 +317,7 @@ def _parse_distribution(text: str, line: int) -> Distribution:
 def _split_assignment(text: str, line: int) -> tuple[str, str]:
     if "=" not in text:
         raise ParseError("expected an assignment 'var = expression'", line)
-    lhs, rhs = text.split("=", 1)
+    lhs, rhs = _split(text, "=", 1)
     var = lhs.strip()
     if not _NAME_RE.fullmatch(var):
         raise ParseError(f"bad variable name {var!r}", line)
@@ -319,11 +327,11 @@ def _split_assignment(text: str, line: int) -> tuple[str, str]:
 
 
 def _parse_update(rhs: str, line: int) -> tuple[UpdateBranch, ...]:
-    chunks = rhs.split(";")
+    chunks = _split(rhs, ";")
     branches: list[UpdateBranch] = []
     for chunk in chunks:
         if "@" in chunk:
-            expr_text, prob_text = chunk.split("@", 1)
+            expr_text, prob_text = _split(chunk, "@", 1)
             if "@" in prob_text:
                 raise ParseError("multiple '@' in one branch", line)
             expr = parse_expression(expr_text, line)
@@ -342,20 +350,21 @@ def _parse_update(rhs: str, line: int) -> tuple[UpdateBranch, ...]:
 def parse_program(source_text: str) -> Program:
     """Parse loop source text into a :class:`Program`.
 
-    Raises :class:`ParseError` on malformed input; structural restrictions
-    are checked separately by :func:`validate_program`.
+    Raises :class:`ParseError` on malformed input, with the line and, where
+    known, the 1-based column in the line as written; structural
+    restrictions are checked separately by :func:`validate_program`.
     """
+    # Lines are kept as written, so that columns count the indentation.
     lines: list[tuple[int, str]] = []
     for no, raw in enumerate(source_text.splitlines(), start=1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        lines.append((no, stripped))
+        if stripped and not stripped.startswith("#"):
+            lines.append((no, raw))
 
-    header_at = [i for i, (_, text) in enumerate(lines) if text == _HEADER]
+    header_at = [i for i, (_, text) in enumerate(lines) if text.strip() == _HEADER]
     if not header_at:
         for no, text in lines:
-            if text.startswith("while"):
+            if text.lstrip().startswith("while"):
                 raise ParseError(
                     f"only the literal loop header {_HEADER!r} is supported", no
                 )
@@ -367,7 +376,7 @@ def parse_program(source_text: str) -> Program:
     inits: list[InitAssignment] = []
     for no, text in lines[:split]:
         var, rhs = _split_assignment(text, no)
-        if _RV_PREFIX.match(rhs.strip()):
+        if _RV_PREFIX.match(rhs):
             value: InitValue = _parse_distribution(rhs, no)
         else:
             value = parse_expression(rhs, no)
@@ -377,7 +386,7 @@ def parse_program(source_text: str) -> Program:
     updates: list[UpdateAssignment] = []
     for no, text in lines[split + 1 :]:
         var, rhs = _split_assignment(text, no)
-        if _RV_PREFIX.match(rhs.strip()):
+        if _RV_PREFIX.match(rhs):
             if updates:
                 raise ParseError(
                     "random-variable assignments must precede update assignments", no
@@ -442,18 +451,12 @@ def validate_program(p: Program) -> ValidatedProgram:
             )
         seen[a.var] = a.line
     loop_seen: dict[str, int] = {}
-    for r in p.rv_assignments:
-        if r.var in loop_seen:
+    for a in (*p.rv_assignments, *p.update_assignments):
+        if a.var in loop_seen:
             raise UnsupportedProgramError(
-                "distinctness", f"variable {r.var!r} assigned twice in the body", r.line
+                "distinctness", f"variable {a.var!r} assigned twice in the body", a.line
             )
-        loop_seen[r.var] = r.line
-    for u in p.update_assignments:
-        if u.var in loop_seen:
-            raise UnsupportedProgramError(
-                "distinctness", f"variable {u.var!r} assigned twice in the body", u.line
-            )
-        loop_seen[u.var] = u.line
+        loop_seen[a.var] = a.line
 
     rv_dists = {r.var: r.dist for r in p.rv_assignments}
     update_vars = tuple(u.var for u in p.update_assignments)
@@ -553,54 +556,3 @@ def resolve_initial_value(vp: ValidatedProgram, var: str) -> InitValue:
     if var in vp.update_vars:
         return Poly.var(initial_value_symbol(var))
     raise ValueError(f"{var!r} is not an assigned variable of the program")
-
-
-# ---------------------------------------------------------------------------
-# Pretty printing (round-trips through parse_program)
-# ---------------------------------------------------------------------------
-
-
-def poly_to_source(p: Poly) -> str:
-    """Render a polynomial in input-language syntax (no powers, fractions as
-    numeric literals), so the output parses back to an equal polynomial."""
-    if p.is_zero():
-        return "0"
-    parts: list[str] = []
-    for mono, coeff in p.sorted_terms():
-        factors: list[str] = []
-        num = abs(coeff.numerator)
-        if num != 1 or coeff.denominator != 1 or not mono:
-            lit = str(num)
-            if coeff.denominator != 1:
-                lit += f"/{coeff.denominator}"
-            factors.append(lit)
-        for name, exp in mono:
-            factors.extend([name] * exp)
-        body = "*".join(factors)
-        if not parts:
-            parts.append(body if coeff >= 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if coeff >= 0 else f"- {body}")
-    return " ".join(parts)
-
-
-def format_program(p: Program) -> str:
-    """Source text for a parsed program; parsing it back yields an equal
-    :class:`Program`."""
-    out: list[str] = []
-    for a in p.init_assignments:
-        value = a.value if isinstance(a.value, Distribution) else poly_to_source(a.value)
-        out.append(f"{a.var} = {value}")
-    out.append(_HEADER)
-    for r in p.rv_assignments:
-        out.append(f"{r.var} = {r.dist}")
-    for u in p.update_assignments:
-        branches = []
-        for br in u.branches:
-            if len(u.branches) == 1 and br.prob == Poly.const(1):
-                branches.append(poly_to_source(br.expr))
-            else:
-                branches.append(f"{poly_to_source(br.expr)} @ {poly_to_source(br.prob)}")
-        out.append(f"{u.var} = {'; '.join(branches)}")
-    return "\n".join(out) + "\n"
-

@@ -126,6 +126,8 @@ class VerifyReport:
 class InvariantReport:
     """Everything the analysis produced, ready for rendering.
 
+    ``invariants`` and ``initial_moments`` are copied in canonical moment
+    order (:meth:`Moment.sort_key`), the order every renderer prints.
     ``validated`` and ``equations`` are working state for follow-up stages
     (the simulation verifier); they are excluded from equality so reports
     survive serialization round-trips.
@@ -147,8 +149,10 @@ class InvariantReport:
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "invariants", dict(self.invariants))
-        object.__setattr__(self, "initial_moments", dict(self.initial_moments))
+        for name in ("invariants", "initial_moments"):
+            moments = getattr(self, name)
+            ordered = {m: moments[m] for m in sorted(moments, key=Moment.sort_key)}
+            object.__setattr__(self, name, ordered)
 
     def with_verification(self, verification: VerifyReport) -> "InvariantReport":
         return replace(self, verification=verification)
@@ -189,10 +193,8 @@ def analyze(
         variables=tuple(vp.all_variables()),
         parameters=tuple(sorted(vp.parameters)),
         goals=tuple(parsed_goals),
-        invariants={m: solved[m] for m in sorted(solved, key=Moment.sort_key)},
-        initial_moments={
-            m: init_moments[m] for m in sorted(init_moments, key=Moment.sort_key)
-        },
+        invariants=solved,
+        initial_moments=init_moments,
         symbolic_initials=tuple(symbolic_initials),
         side_conditions=tuple(side_conditions),
         elapsed_seconds=elapsed,

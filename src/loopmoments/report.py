@@ -7,12 +7,12 @@ Three output surfaces share one canonical content model:
 * ``json`` -- a machine-readable document and the one report format that
   is read back: :func:`report_from_json` reproduces an equal report.
 
-``txt`` and ``tex`` render the closed forms through the one
-:func:`~loopmoments.symbolic.render_sum`, in its ``TEXT`` and ``TEX``
-styles.  A closed form containing a base-0 term (an indicator of
-``n == 0``) is printed as its ``n >= 1`` form with the initial value
-annotated, since the one-point correction has no conventional surface
-syntax.
+``txt``, ``tex`` and the JSON ``text`` of a closed form come from the one
+:func:`_closed_form_text`, over :func:`~loopmoments.symbolic.render_sum` in
+its ``TEXT`` and ``TEX`` styles.  A closed form containing a base-0 term
+(an indicator of ``n == 0``) is printed as its ``n >= 1`` form with the
+initial value annotated, since the one-point correction has no
+conventional surface syntax.  Moments come in the report's own order.
 """
 
 from __future__ import annotations
@@ -33,10 +33,12 @@ from .pipeline import (
 from .symbolic import (
     ONE,
     TEX,
+    TEXT,
     ExpPoly,
     Mono,
     Moment,
     Poly,
+    Style,
     Summand,
     exp_poly_summands,
     poly_summands,
@@ -63,23 +65,31 @@ def emit(report: InvariantReport, fmt: str) -> str:
 
 def invariant_lines(report: InvariantReport) -> list[str]:
     """The deterministic ``E[...] = ...`` lines, without surrounding info."""
-    lines = []
-    for moment in sorted(report.invariants, key=Moment.sort_key):
-        lines.append(f"E[{moment}] = {render_closed_form(report.invariants[moment])}")
-    return lines
+    return [
+        f"E[{moment}] = {render_closed_form(form)}"
+        for moment, form in report.invariants.items()
+    ]
 
 
-def render_closed_form(form: ExpPoly) -> str:
-    return _closed_form_text(form, exp_poly_summands(form.drop_zero_base()))
+def render_closed_form(form: ExpPoly, style: Style = TEXT) -> str:
+    return _closed_form_text(form, exp_poly_summands(form.drop_zero_base()), style)
 
 
-def _closed_form_text(form: ExpPoly, summands: list[Summand]) -> str:
-    """``summands``, the terms of ``form`` with a nonzero base, as text; a
-    one-point correction at n = 0 is noted with the initial value."""
-    text = render_sum(summands)
+# The note on a one-point correction at n = 0, around the initial value.
+_AT_ZERO = {
+    TEXT: "  [n >= 1; at n = 0: {}]",
+    TEX: r" \quad (n \geq 1;\ {}\text{{ at }}n=0)",
+}
+
+
+def _closed_form_text(form: ExpPoly, summands: list[Summand], style: Style) -> str:
+    """``summands``, the terms of ``form`` with a nonzero base, in ``style``;
+    a one-point correction at n = 0 is noted with the initial value."""
+    text = render_sum(summands, style)
     if form.zero_base_part().is_zero():
         return text
-    return f"{text}  [n >= 1; at n = 0: {form.value_at_zero()}]"
+    initial = render_sum(poly_summands(form.value_at_zero()), style)
+    return text + _AT_ZERO[style].format(initial)
 
 
 def emit_txt(report: InvariantReport) -> str:
@@ -132,11 +142,9 @@ def emit_tex(report: InvariantReport) -> str:
     out.append(f"% goals: {', '.join(str(g) for g in report.goals)}")
     out.append(r"\begin{align*}")
     body = []
-    for moment in sorted(report.invariants, key=Moment.sort_key):
-        lhs = "E[" + "".join(
-            f"{var}^{{{exp}}}" for var, exp in moment.powers
-        ) + "]"
-        body.append(f"{lhs} &= {_tex_closed_form(report.invariants[moment])}")
+    for moment, form in report.invariants.items():
+        powers = "".join(f"{var}^{{{exp}}}" for var, exp in moment.powers)
+        body.append(f"E[{powers}] &= {render_closed_form(form, TEX)}")
     out.append("\\\\\n".join(body))
     out.append(r"\end{align*}")
     for note in report.side_conditions:
@@ -145,14 +153,6 @@ def emit_tex(report: InvariantReport) -> str:
         out.extend("% " + line for line in _verification_txt(report.verification))
     out.append(f"% elapsed: {report.elapsed_seconds:.3f} s")
     return "\n".join(out) + "\n"
-
-
-def _tex_closed_form(form: ExpPoly) -> str:
-    text = render_sum(exp_poly_summands(form.drop_zero_base()), TEX)
-    if not form.zero_base_part().is_zero():
-        init = render_sum(poly_summands(form.value_at_zero()), TEX)
-        text += rf" \quad (n \geq 1;\ {init}\text{{ at }}n=0)"
-    return text
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +198,7 @@ class _JsonTerms:
         return {
             "moment": str(moment),
             "closed_form": closed_form,
-            "text": _closed_form_text(form, summands),
+            "text": _closed_form_text(form, summands, TEXT),
         }
 
 
@@ -263,8 +263,7 @@ def emit_json(report: InvariantReport) -> str:
         "parameters": list(report.parameters),
         "goals": [_goal_to_json(g) for g in report.goals],
         "invariants": [
-            terms.invariant(moment, report.invariants[moment])
-            for moment in sorted(report.invariants, key=Moment.sort_key)
+            terms.invariant(moment, form) for moment, form in report.invariants.items()
         ],
         "initial_moments": [
             {"moment": str(moment), "value": terms.poly(value)}

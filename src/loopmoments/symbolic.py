@@ -27,11 +27,11 @@ Normal form, the invariant every value holds:
 So structural equality is algebraic equality, and equal values hash alike.
 :class:`~fractions.Fraction` values appear only at the public surface: the
 constructors and scalar operands that accept them, and the views
-(``Poly.terms()``, ``Poly.sorted_terms()``, ``const_value()``,
-``evaluate()``) that give them in lowest terms.  The kernel itself does
-plain ``int`` arithmetic: sums of exact products are folded over a common
-denominator and reduced by one gcd at the end, and constant bases are put in
-print order by their numerators over the bases' common denominator.
+(``Poly.terms()``, ``const_value()``, ``evaluate()``) that give them in
+lowest terms.  The kernel itself does plain ``int`` arithmetic: sums of
+exact products are folded over a common denominator and reduced by one gcd
+at the end, and constant bases are put in print order by their numerators
+over the bases' common denominator.
 
 Only the public constructors ``Poly(...)`` and ``ExpPoly(...)`` validate
 (canonicalising monomials, summing coefficients and dropping zeros).  Every
@@ -181,7 +181,7 @@ class Poly:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for mono, coeff in items:
                 key = _canonical_mono(mono)
-                q = Fraction(coeff)
+                q = coeff if type(coeff) is Fraction else Fraction(coeff)
                 clean[key] = clean[key] + q if key in clean else q
         clean = {mono: q for mono, q in clean.items() if q}
         # Over the lcm of lowest-terms denominators the numerators already
@@ -261,10 +261,6 @@ class Poly:
             g = math.gcd(num, den)
             out.append((mono, num // g, den // g))
         return out
-
-    def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
-        """Terms in the canonical print order of :meth:`sorted_ratios`."""
-        return [(mono, Fraction(num, den)) for mono, num, den in self.sorted_ratios()]
 
     def split(self, names: set[str] | frozenset[str]) -> dict[Mono, "Poly"]:
         """Group by the part of each monomial over ``names``:

@@ -27,6 +27,8 @@ from .pipeline import VerifyEntry, VerifyReport
 from .symbolic import ExpPoly, Moment, Poly, UnboundSymbolError
 
 _BLOCK = 4096
+# The z of check's z-score rule.
+_Z = 5.0
 
 
 class VerifierError(Exception):
@@ -271,13 +273,12 @@ def check(
     closed: Mapping[Moment, ExpPoly],
     estimates: Mapping[Moment, MomentEstimate],
     cfg: SimConfig,
-    z: float = 5.0,
 ) -> VerifyReport:
     """Compare closed forms against simulation estimates.
 
-    A moment passes when |exact - mean| <= z*se, with an absolute floor of
-    1e-9 reserved for the degenerate sd == 0 case (deterministic programs,
-    where the estimate must agree to rounding).  An exact value beyond
+    A moment passes when |exact - mean| <= z*se, with z = 5 and an absolute
+    floor of 1e-9 reserved for the degenerate sd == 0 case (deterministic
+    programs, where the estimate must agree to rounding).  An exact value beyond
     float range is expected as +-inf and fails, and so does an estimate
     whose mean or standard error overflowed.  Failures are entries in the
     report, not exceptions.
@@ -299,7 +300,7 @@ def check(
             expected = math.inf if exact > 0 else -math.inf
         atol = 1e-9 if est.sd == 0.0 else 0.0
         diff = abs(expected - est.mean)
-        allowance = z * est.se + atol
+        allowance = _Z * est.se + atol
         entries.append(
             VerifyEntry(
                 moment=moment,
@@ -318,7 +319,7 @@ def check(
         iterations=cfg.iterations,
         trials=cfg.trials,
         seed=cfg.seed,
-        z=z,
+        z=_Z,
         bindings=bindings,
         entries=tuple(entries),
     )

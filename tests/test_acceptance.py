@@ -244,7 +244,8 @@ def test_criterion_6_monte_carlo_agreement():
     )
     targets = {M("x^1"), M("x^2"), M("y^1"), M("x^1*y^1"), M("y^2")}
     estimates = simulate(report.validated, cfg, targets)
-    result = check(report.invariants, estimates, cfg, z=5.0)
+    result = check(report.invariants, estimates, cfg)
+    assert result.z == 5.0
     by_moment = {str(e.moment): e for e in result.entries}
     assert by_moment["x^2"].expected == pytest.approx(80.0 / 3.0)
     for name, entry in by_moment.items():

@@ -14,6 +14,7 @@ import pytest
 from loopmoments import (
     AllVarsGoal,
     GoalError,
+    InvariantReport,
     Moment,
     MomentGoal,
     analyze,
@@ -133,6 +134,10 @@ def test_tex_bases_follow_the_txt_rules():
 def test_json_round_trip():
     report = walk_report()
     assert report_from_json(emit_json(report)) == report
+    # a monomial goal is written as its moment and read back as a goal
+    report = analyze(WALK, [1, "x^2*y"], name="walk")
+    assert report.goals[1] == MomentGoal(M("x^2*y"))
+    assert report_from_json(emit_json(report)) == report
 
 
 def test_json_is_one_line_and_indented_reports_still_load():
@@ -197,7 +202,7 @@ def test_json_loader_rejects_a_zero_denominator():
         report_from_json(json.dumps(doc))
 
 
-def test_json_round_trip_with_verification():
+def verified_walk_report() -> InvariantReport:
     from loopmoments.verifier import SimConfig, check, simulate
 
     report = analyze(WALK, [1], name="walk")
@@ -208,11 +213,24 @@ def test_json_round_trip_with_verification():
         seed=11,
     )
     estimates = simulate(report.validated, cfg, set(report.invariants))
-    report = report.with_verification(check(report.invariants, estimates, cfg))
+    return report.with_verification(check(report.invariants, estimates, cfg))
+
+
+def test_json_round_trip_with_verification():
+    report = verified_walk_report()
     assert report.verification is not None
     restored = report_from_json(emit_json(report))
     assert restored == report
     assert restored.verification == report.verification
+
+
+def test_tex_carries_the_verification_as_comments():
+    report = verified_walk_report()
+    txt = emit_txt(report).splitlines()
+    start = next(i for i, line in enumerate(txt) if line.startswith("verification:"))
+    section = ["% " + line for line in txt[start:-1]]
+    assert section[-1] == "% verification result: PASS"
+    assert emit_tex(report).splitlines()[-len(section) - 1 : -1] == section
 
 
 def test_one_point_corrections_render_with_validity_range():
@@ -234,6 +252,19 @@ def test_side_conditions_appear_in_txt():
 def test_emitters_reject_unknown_format():
     with pytest.raises(ValueError):
         emit(walk_report(), "yaml")
+
+
+def test_emitters_follow_the_canonical_order_not_the_dict_order():
+    report = walk_report()
+    backwards = replace(
+        report,
+        invariants=dict(reversed(report.invariants.items())),
+        initial_moments=dict(reversed(report.initial_moments.items())),
+    )
+    for fmt in ("txt", "tex", "json"):
+        assert emit(backwards, fmt) == emit(report, fmt), fmt
+    assert list(backwards.invariants) == list(report.invariants)
+    assert list(backwards.initial_moments) == list(report.initial_moments)
 
 
 def test_invariant_lines_are_deterministic():

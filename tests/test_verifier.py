@@ -236,6 +236,13 @@ def test_parameter_beyond_float_range_is_a_verifier_error(source, what):
     assert what in str(info.value)
 
 
+def test_negative_gauss_variance_is_a_verifier_error():
+    vp = analyze("x = 0\nwhile true:\ng = RV(gauss, 0, v)\nx = x + g\n", [1]).validated
+    cfg = SimConfig(bindings={"v": Fraction(-1, 2)}, iterations=2, trials=10, seed=0)
+    with pytest.raises(VerifierError, match="gauss variance evaluates to the negative value -0.5"):
+        simulate(vp, cfg, {M("x^1")})
+
+
 def test_uniform_width_beyond_float_range_is_a_verifier_error():
     source = "x = 0\nwhile true:\nu = RV(uniform, -c, c)\nx = x + u\n"
     vp = analyze(source, [1]).validated
@@ -290,7 +297,8 @@ def test_compiled_evaluator_matches_the_per_term_formula():
 
 # (source, bindings) beyond the corpus for the bit-identity test: a
 # multi-factor term with a coefficient other than 1 and a uniform with its
-# arguments reversed, three branches, and a branch of probability 0.
+# arguments reversed, three branches, a branch of probability 0, and a
+# uniform draw of width 0.
 _LEAN_LOOP_CASES = {
     "three_var": (THREE_VAR, {"y(0)": Fraction(1, 2), "z(0)": Fraction(-1, 3)}),
     "scaled_product": (
@@ -299,6 +307,10 @@ _LEAN_LOOP_CASES = {
     ),
     "three_branches": ("v = 0\nwhile true:\nv = v + 1 @ 1/6; v - 1 @ 1/3; 2*v @ 1/2\n", {}),
     "dead_branch": ("v = 1\nwhile true:\nv = v + 1 @ 1/2; 3*v @ 0; -v @ 1/2\n", {}),
+    "point_mass": (
+        "x = 0\nwhile true:\nu = RV(uniform, c, c)\ng = RV(gauss, 0, 1)\nx = x + u*g\n",
+        {"c": Fraction(3, 2)},
+    ),
     # -x of 0.0 is -0.0 where the reference's sum from zeros gives 0.0
     "negated_zero": ("x = 0\nwhile true:\nx = -x\n", {}),
     **{name: (source, bindings) for name, (source, _, bindings) in CORPUS.items()},
