@@ -216,9 +216,10 @@ class _ExprParser:
     """Recursive descent over +, -, * with unary minus; no parentheses,
     no powers -- exactly the input expression language."""
 
-    def __init__(self, tokens: list[_Token], line: int):
+    def __init__(self, tokens: list[_Token], line: int, end: int):
         self.tokens = tokens
         self.line = line
+        self.end = end
         self.pos = 0
 
     def _peek(self) -> _Token | None:
@@ -227,7 +228,7 @@ class _ExprParser:
     def _next(self) -> _Token:
         tok = self._peek()
         if tok is None:
-            raise ParseError("unexpected end of expression", self.line)
+            raise ParseError("unexpected end of expression", self.line, self.end)
         self.pos += 1
         return tok
 
@@ -271,11 +272,14 @@ class _ExprParser:
 
 
 def parse_expression(text: str, line: int = 0) -> Poly:
-    """Parse one expression; error columns are 1-based positions in ``text``."""
+    """Parse one expression; error columns are 1-based positions in ``text``,
+    and an expression cut short is reported one past its end (at the
+    separator that ended the piece, or past the end of the line)."""
     tokens = _tokenize(text, line)
+    end = len(text) + 1
     if not tokens:
-        raise ParseError("empty expression", line)
-    return _ExprParser(tokens, line).parse()
+        raise ParseError("empty expression", line, end)
+    return _ExprParser(tokens, line, end).parse()
 
 
 # ---------------------------------------------------------------------------

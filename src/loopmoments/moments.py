@@ -100,10 +100,16 @@ class MomentTable:
     that update one variable differently, or draw from another distribution,
     stays correct.  A table lives as long as one analysis, and so does its
     memo.
+
+    ``tracked(part)`` returns the one :class:`Moment` of the analysis that
+    stands for a canonical monomial, so equal moments across the equations
+    are one object.
     """
 
     def __init__(self):
         self._memo: dict[tuple[Distribution, int], Poly] = {}
+        # Keyed by the moment itself, which equals its monomial.
+        self._moments: dict[Moment, Moment] = {}
         # (update, draws) -> (powers e_b^j of each branch, images img(a, j))
         self._images: dict[
             tuple[UpdateAssignment, Draws], tuple[list[list[Poly]], list[Poly]]
@@ -131,6 +137,13 @@ class MomentTable:
                 image = _replace_powers(image, name, partial(self.moment, dist))
             images.append(image)
         return images[k]
+
+    def tracked(self, part: Mono) -> Moment:
+        moment = self._moments.get(part)
+        if moment is None:
+            moment = Moment(part)
+            self._moments[moment] = moment
+        return moment
 
     def moment(self, dist: Distribution, k: int) -> Poly:
         if k < 0:
@@ -172,12 +185,7 @@ def rv_raw_moment(dist: Distribution, k: int, table: MomentTable | None = None) 
     return (table or MomentTable()).moment(dist, k)
 
 
-def moment_equation(
-    target: Moment,
-    vp: ValidatedProgram,
-    table: MomentTable,
-    instances: dict[Mono, Moment] | None = None,
-) -> MomentEquation:
+def moment_equation(target: Moment, vp: ValidatedProgram, table: MomentTable) -> MomentEquation:
     """The one-step equation for a tracked moment.
 
     A draw variable in the target denotes the sample of the iteration being
@@ -185,13 +193,10 @@ def moment_equation(
     introduced by substituting an update -- refers to one and the same
     fresh value.  A target over draw variables only therefore reduces to a
     constant, and a mixed target keeps the exact joint expectation.
-
-    ``instances`` maps powers to the one :class:`Moment` that stands for
-    them; the equation's moments are taken from it, and new ones are added.
     """
     state_vars = vp.state_vars()
     draws = vp.rv_dists
-    for var, _ in target.powers:
+    for var, _ in target:
         if var not in draws and var not in state_vars:
             raise ValueError(f"{var!r} is not an assigned variable of the program")
 
@@ -230,14 +235,7 @@ def moment_equation(
     # Only state variables and parameters are left: split by linearity.
     parts = poly.split(state_vars)
     constant = parts.pop((), ZERO)
-    # split returns each part canonical and nonempty: no re-validation.
-    instances = {} if instances is None else instances
-    linear = {}
-    for part, c in parts.items():
-        moment = instances.get(part)
-        if moment is None:
-            moment = instances[part] = Moment._trusted(part)
-        linear[moment] = c
+    linear = {table.tracked(part): c for part, c in parts.items()}
     return MomentEquation(target, linear, constant)
 
 
@@ -261,20 +259,18 @@ def moment_closure(
     Breadth-first from the goal moments; each equation's right-hand side
     enqueues the moments it mentions, until the set is closed.  The set is
     finite for validated programs; the cap bounds its size for goals whose
-    closure would take too long to build and solve.
-
-    Each moment is one instance throughout the equations (the one enqueued),
-    so the later lookups by moment match by identity.
+    closure would take too long to build and solve.  The equations come in
+    discovery order, which the sorted goals and dependencies make
+    deterministic.
     """
     table = table or MomentTable()
     queue = sorted(set(goals), key=Moment.sort_key)
     equations: dict[Moment, MomentEquation] = {}
     pending = deque(queue)
     enqueued = set(queue)
-    instances = {m.powers: m for m in queue}
     while pending:
         current = pending.popleft()
-        eq = moment_equation(current, vp, table, instances)
+        eq = moment_equation(current, vp, table)
         equations[current] = eq
         for dep in sorted(eq.dependencies(), key=Moment.sort_key):
             if dep not in enqueued:
@@ -282,7 +278,7 @@ def moment_closure(
                     raise ClosureOverflowError(cap)
                 enqueued.add(dep)
                 pending.append(dep)
-    return {m: equations[m] for m in sorted(equations, key=Moment.sort_key)}
+    return equations
 
 
 def initial_moment(vp: ValidatedProgram, target: Moment, table: MomentTable) -> Poly:
@@ -293,7 +289,7 @@ def initial_moment(vp: ValidatedProgram, target: Moment, table: MomentTable) -> 
     product of per-variable initial moments.
     """
     total = Poly.const(1)
-    for var, exp in target.powers:
+    for var, exp in target:
         desc = resolve_initial_value(vp, var)
         if isinstance(desc, Distribution):
             total = total * table.moment(desc, exp)

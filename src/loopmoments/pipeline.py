@@ -83,8 +83,8 @@ def parse_goals(
     return goals
 
 
-def goal_moments(goals: Sequence[Goal], vp: ValidatedProgram) -> list[Moment]:
-    """The concrete moments a goal list asks for, in canonical order."""
+def goal_moments(goals: Sequence[Goal], vp: ValidatedProgram) -> set[Moment]:
+    """The concrete moments a goal list asks for."""
     wanted: set[Moment] = set()
     for goal in goals:
         if isinstance(goal, AllVarsGoal):
@@ -92,7 +92,7 @@ def goal_moments(goals: Sequence[Goal], vp: ValidatedProgram) -> list[Moment]:
                 wanted.add(Moment.single(var, goal.k))
         else:
             wanted.add(goal.moment)
-    return sorted(wanted, key=Moment.sort_key)
+    return wanted
 
 
 @dataclass(frozen=True)

@@ -211,10 +211,6 @@ class Poly:
     def var(cls, name: str) -> "Poly":
         return cls._trusted({((name, 1),): 1})
 
-    @classmethod
-    def monomial(cls, powers: Mapping[str, int], coeff: Scalar = 1) -> "Poly":
-        return cls({tuple(powers.items()): coeff})
-
     @staticmethod
     def linear_combination(pairs: Iterable[tuple["Poly", "Poly"]]) -> "Poly":
         """``sum a * b`` over ``(a, b)`` pairs, summed over one common
@@ -437,10 +433,7 @@ class Poly:
             if any(e < 0 for e in exps.values()):
                 return None
             q = coeff_r / coeff_d
-            factor = Poly._trusted(
-                {tuple(sorted((s, e) for s, e in exps.items() if e)): q.numerator},
-                q.denominator,
-            )
+            factor = Poly._trusted({_canonical_mono(exps.items()): q.numerator}, q.denominator)
             quotient = quotient + factor
             rem = rem - factor * divisor
         return quotient
@@ -458,36 +451,26 @@ ZERO = Poly._trusted({})
 ONE = Poly.const(1)
 
 
-@dataclass(frozen=True)
-class Moment:
+class Moment(tuple):
     """A monomial over program variables whose expected value is tracked.
 
     ``Moment((("x", 2), ("y", 1)))`` stands for the sequence
-    ``E[x(n)^2 * y(n)]``.  Variables are kept sorted so the rendering
+    ``E[x(n)^2 * y(n)]``.  A moment is its canonical monomial: the tuple of
+    ``(variable, exponent)`` pairs sorted by name with repeated names merged,
+    so it compares, orders and hashes as that tuple, and the rendering
     ``x^2*y^1`` is canonical.
     """
 
-    powers: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.powers:
-            raise ValueError("a tracked moment needs at least one variable")
-        if any(e < 1 for _, e in self.powers):
+    def __new__(cls, powers: Iterable[tuple[str, int]]) -> "Moment":
+        pairs = tuple(powers)
+        if any(e < 1 for _, e in pairs):
             raise ValueError("moment exponents must be positive")
-        ordered = tuple(sorted(self.powers))
-        object.__setattr__(self, "powers", ordered)
-
-    @classmethod
-    def _trusted(cls, powers: Mono) -> "Moment":
-        """Wrap ``powers`` as they are; they must be a nonempty monomial in
-        the canonical form that :meth:`Poly.split` returns."""
-        moment = object.__new__(cls)
-        object.__setattr__(moment, "powers", powers)
-        return moment
-
-    @classmethod
-    def of(cls, powers: Mapping[str, int]) -> "Moment":
-        return cls(tuple(sorted((v, e) for v, e in powers.items() if e)))
+        mono = _canonical_mono(pairs)
+        if not mono:
+            raise ValueError("a tracked moment needs at least one variable")
+        return super().__new__(cls, mono)
 
     @classmethod
     def single(cls, var: str, exp: int = 1) -> "Moment":
@@ -498,7 +481,7 @@ class Moment:
     @classmethod
     def parse(cls, text: str) -> "Moment":
         """Parse goal syntax like ``x^2*y`` (an omitted exponent means 1)."""
-        powers: dict[str, int] = {}
+        pairs = []
         for chunk in text.split("*"):
             m = cls._TOKEN.match(chunk.strip())
             if m is None:
@@ -506,24 +489,30 @@ class Moment:
             exp = int(m.group(2)) if m.group(2) else 1
             if exp < 1:
                 raise ValueError(f"exponents must be >= 1 in {text!r}")
-            name = m.group(1)
-            powers[name] = powers.get(name, 0) + exp
-        return cls.of(powers)
+            pairs.append((m.group(1), exp))
+        return cls(pairs)
+
+    @property
+    def powers(self) -> Mono:
+        return tuple(self)
 
     def degree(self) -> int:
-        return sum(e for _, e in self.powers)
+        return sum(e for _, e in self)
 
     def variables(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.powers)
+        return tuple(v for v, _ in self)
 
     def as_poly(self) -> Poly:
-        return Poly.monomial(dict(self.powers))
+        return Poly._trusted({self.powers: 1})
 
     def sort_key(self) -> tuple:
-        return (self.degree(), self.powers)
+        return (self.degree(), self)
 
     def __str__(self) -> str:
-        return "*".join(f"{v}^{e}" for v, e in self.powers)
+        return "*".join(f"{v}^{e}" for v, e in self)
+
+    def __repr__(self) -> str:
+        return f"Moment({self.powers!r})"
 
 
 class ExpPoly:

@@ -108,13 +108,18 @@ def test_parse_errors(source, fragment):
 
 def test_parse_error_carries_line_and_column():
     # The column is 1-based and counts in the source line as written,
-    # indentation included, whichever branch or argument the error is in.
+    # indentation included, whichever branch or argument the error is in;
+    # an expression cut short names the column just past its end.
     cases = [
         ("x = x + $", 9),
         ("x = x ^ 2", 7),
         ("  x = x + 1 @ 1/2; x $ 2 @ 1/2", 22),
         ("u = RV(uniform, 0, #)\nx = x + u", 20),
         ("x = x + y z", 11),
+        ("  x = x + @ 1/2; x @ 1/2", 11),
+        ("  x = ", 7),
+        ("  x = x +", 10),
+        ("u = RV(uniform, 0, )\nx = x + u", 20),
     ]
     for body, col in cases:
         with pytest.raises(ParseError) as err:

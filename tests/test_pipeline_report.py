@@ -5,6 +5,9 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -64,6 +67,12 @@ def test_goal_errors():
         parse_goals(["x^"])
     with pytest.raises(GoalError):
         parse_goals(["z^2"], variables=["x", "y"])
+
+
+def test_repeated_names_in_a_goal_merge():
+    goal = MomentGoal(Moment((("x", 1), ("x", 1))))
+    report = analyze("x = 0\nwhile true:\n  x = x + 1\n", [goal])
+    assert invariant_lines(report) == ["E[x^1] = n", "E[x^2] = n^2"]
 
 
 def test_analyze_rejects_unknown_goal_variable():
@@ -273,6 +282,32 @@ def test_invariant_lines_are_deterministic():
     assert first == second
     third = invariant_lines(report_from_json(emit_json(analyze(WALK, [1, 2]))))
     assert third == first
+
+
+_HASH_SEED_RUN = """
+import json, sys
+from dataclasses import replace
+from loopmoments import analyze, emit_json
+report = analyze(sys.stdin.read(), [3])
+text = emit_json(replace(report, elapsed_seconds=0.0))
+json.dump([text, [str(m) for m in report.equations]], sys.stdout)
+"""
+
+
+def test_analysis_does_not_depend_on_the_hash_seed():
+    # Set and dict orders of moments follow the string hashes, which change
+    # with the seed; the report and the closure's equation order must not.
+    src = str(Path(__file__).parents[1] / "src")
+    runs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_RUN],
+            input=THREE_VAR, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    assert runs[0] == runs[1]
 
 
 def test_symbolic_initials_are_reported():

@@ -329,11 +329,35 @@ def test_base_order_is_exact_and_matches_the_fraction_rule():
 
 def test_moment_parsing_and_rendering():
     m = Moment.parse("x^2*y")
-    assert m == Moment.of({"x": 2, "y": 1})
+    assert m == Moment((("x", 2), ("y", 1)))
     assert str(m) == "x^2*y^1"
     assert m.degree() == 3
     assert Moment.parse("y^1*x^2") == m
     assert Moment.parse("y(0)^2") == Moment.single("y(0)", 2)
+
+
+def test_moment_is_its_canonical_monomial():
+    m = Moment.parse("x^2*y")
+    assert Moment((("x", 1), ("x", 1))) == Moment.parse("x^2")
+    assert Moment((("y", 1), ("x", 1), ("x", 1))) == m
+    assert Moment(pair for pair in [("y", 1), ("x", 2)]) == m
+    assert m == (("x", 2), ("y", 1)) == m.powers
+    assert repr(Moment.parse("x^2")) == "Moment((('x', 2),))"
+
+
+def test_equal_moments_hash_alike():
+    first, second = Moment([("x", 2), ("y", 1)]), Moment([("y", 1), ("x", 2)])
+    assert first is not second
+    assert hash(first) == hash(second)
+    assert {first: "found"}[second] == "found"
+
+
+def test_moment_rejects_empty_and_nonpositive_exponents():
+    with pytest.raises(ValueError, match="at least one variable"):
+        Moment(())
+    for exp in (0, -1):
+        with pytest.raises(ValueError, match="must be positive"):
+            Moment((("x", 2), ("y", exp)))
 
 
 def test_moment_rejects_bad_syntax():

@@ -327,7 +327,7 @@ def test_simulate_matches_the_reference_loop_bit_for_bit(name, iterations, trial
     vp = analyze(source, [1]).validated
     names = vp.all_variables()
     targets = {Moment.single(v, k) for v in names for k in (1, 2, 3)}
-    targets |= {Moment.of({v: 1, w: 1}) for v in names for w in names if v < w}
+    targets |= {Moment(((v, 1), (w, 1))) for v in names for w in names if v < w}
     cfg = SimConfig(bindings=bindings, iterations=iterations, trials=trials, seed=11)
     got = simulate(vp, cfg, targets)
     expected = reference_simulate(vp, bindings, iterations, trials, 11, targets)
