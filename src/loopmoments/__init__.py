@@ -23,7 +23,6 @@ from .moments import (
     initial_moment,
     moment_closure,
     moment_equation,
-    rv_raw_moment,
 )
 from .pipeline import (
     AllVarsGoal,

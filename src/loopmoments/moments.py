@@ -4,7 +4,8 @@ For a tracked moment ``E[m](n+1)`` the engine walks the body's updates in
 reverse textual order through the monomial ``m``.  Substituting an update
 ``var = e_b @ p_b`` writes the polynomial as ``sum_k c_k * var^k`` and
 replaces each ``var^k`` by the update's image ``sum_b p_b * e_b^k``, which
-mixes the branches by their probabilities in the same step.  Each fresh
+mixes the branches by their probabilities in the same step; this one step,
+:meth:`Poly.substitute`, also replaces the powers of a draw.  Each fresh
 random draw is eliminated as soon as the walk has passed the earliest
 update that mentions it (a draw no update mentions, before the walk): its
 powers are replaced by raw moments of its distribution, since the draw is
@@ -29,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .frontend import Distribution, UpdateAssignment, ValidatedProgram, resolve_initial_value
 from .symbolic import ONE, ZERO, Mono, Moment, Poly
@@ -134,7 +135,7 @@ class MomentTable:
                 for branch, branch_powers in zip(update.branches, powers)
             )
             for name, dist in draws:
-                image = _replace_powers(image, name, partial(self.moment, dist))
+                image = image.substitute(name, partial(self.moment, dist))
             images.append(image)
         return images[k]
 
@@ -180,11 +181,6 @@ def _gauss_raw_moment(mean: Poly, variance: Poly, k: int) -> Poly:
     return m_cur
 
 
-def rv_raw_moment(dist: Distribution, k: int, table: MomentTable | None = None) -> Poly:
-    """E[X^k] for a draw X from ``dist``, as a polynomial over parameters."""
-    return (table or MomentTable()).moment(dist, k)
-
-
 def moment_equation(target: Moment, vp: ValidatedProgram, table: MomentTable) -> MomentEquation:
     """The one-step equation for a tracked moment.
 
@@ -213,7 +209,7 @@ def moment_equation(target: Moment, vp: ValidatedProgram, table: MomentTable) ->
     def expect_draws(poly: Poly, names: list[str]) -> Poly:
         # A fresh draw is independent of everything else left in ``poly``.
         for name in names:
-            poly = _replace_powers(poly, name, partial(table.moment, draws[name]))
+            poly = poly.substitute(name, partial(table.moment, draws[name]))
         return poly
 
     poly = expect_draws(target.as_poly(), sorted(unmentioned))
@@ -229,7 +225,7 @@ def moment_equation(target: Moment, vp: ValidatedProgram, table: MomentTable) ->
         # the rest, so it is eliminated from the substituted polynomial.
         symbols = poly.symbols()
         owned = tuple((name, draws[name]) for name in eliminate_after[i] if name not in symbols)
-        poly = _replace_powers(poly, assignment.var, partial(table.image, assignment, draws=owned))
+        poly = poly.substitute(assignment.var, partial(table.image, assignment, draws=owned))
         poly = expect_draws(poly, [name for name in eliminate_after[i] if name in symbols])
 
     # Only state variables and parameters are left: split by linearity.
@@ -237,15 +233,6 @@ def moment_equation(target: Moment, vp: ValidatedProgram, table: MomentTable) ->
     constant = parts.pop((), ZERO)
     linear = {table.tracked(part): c for part, c in parts.items()}
     return MomentEquation(target, linear, constant)
-
-
-def _replace_powers(poly: Poly, name: str, power: Callable[[int], Poly]) -> Poly:
-    """``sum_k c_k * power(k)`` for ``poly == sum_k c_k * name^k``."""
-    if name not in poly.symbols():
-        return poly
-    return Poly.linear_combination(
-        (coeff, power(k)) for k, coeff in poly.coefficients_by_power(name).items()
-    )
 
 
 def moment_closure(

@@ -47,7 +47,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 # A monomial maps symbol names to positive integer exponents, stored as a
 # tuple sorted by name so it can key dicts.
@@ -239,9 +239,6 @@ class Poly:
     def symbols(self) -> set[str]:
         return {name for mono in self._terms for name, _ in mono}
 
-    def total_degree(self) -> int:
-        return max((_mono_degree(m) for m in self._terms), default=0)
-
     def terms(self) -> Iterator[tuple[Mono, Fraction]]:
         den = self._den
         return ((mono, Fraction(num, den)) for mono, num in self._terms.items())
@@ -383,17 +380,15 @@ class Poly:
 
     # -- substitution, evaluation, division ---------------------------------
 
-    def substitute(self, name: str, replacement: "Poly") -> "Poly":
-        """Replace every occurrence of ``name``; the result is expanded."""
+    def substitute(self, name: str, power: Callable[[int], "Poly"]) -> "Poly":
+        """``sum_k c_k * power(k)`` for ``self == sum_k c_k * name^k``: each
+        power of ``name`` is replaced by a known polynomial and the result
+        expanded (``p.substitute("x", q.__pow__)`` replaces ``x`` by ``q``)."""
         if name not in self.symbols():
             return self
-        powers = [ONE]
-        acc = _Acc()
-        for exp, coeff in self.coefficients_by_power(name).items():
-            while len(powers) <= exp:
-                powers.append(powers[-1] * replacement)
-            acc.add(powers[exp], coeff)
-        return acc.poly()
+        return Poly.linear_combination(
+            (coeff, power(k)) for k, coeff in self.coefficients_by_power(name).items()
+        )
 
     def evaluate(self, bindings: Mapping[str, Scalar]) -> Fraction:
         """Exact value under a full binding of the symbols."""
@@ -486,10 +481,7 @@ class Moment(tuple):
             m = cls._TOKEN.match(chunk.strip())
             if m is None:
                 raise ValueError(f"bad monomial syntax: {text!r}")
-            exp = int(m.group(2)) if m.group(2) else 1
-            if exp < 1:
-                raise ValueError(f"exponents must be >= 1 in {text!r}")
-            pairs.append((m.group(1), exp))
+            pairs.append((m.group(1), int(m.group(2)) if m.group(2) else 1))
         return cls(pairs)
 
     @property
@@ -570,19 +562,9 @@ class ExpPoly:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "ExpPoly":
-        return cls()
-
-    @classmethod
     def const(cls, value: Poly | Scalar) -> "ExpPoly":
         poly = value if isinstance(value, Poly) else Poly.const(value)
         return cls({(ONE, 0): poly})
-
-    @classmethod
-    def term(cls, coeff: Poly | Scalar, base: Poly | Scalar, degree: int = 0) -> "ExpPoly":
-        coeff_p = coeff if isinstance(coeff, Poly) else Poly.const(coeff)
-        base_p = base if isinstance(base, Poly) else Poly.const(base)
-        return cls({(base_p, degree): coeff_p})
 
     # -- views ----------------------------------------------------------------
 
@@ -623,9 +605,6 @@ class ExpPoly:
             grouped.setdefault(base, {})[degree] = coeff
         return grouped
 
-    def bases(self) -> set[Poly]:
-        return {base for base, _ in self._terms}
-
     def value_at_zero(self) -> Poly:
         """f(0) as a polynomial; every base contributes via base**0 == 1."""
         return Poly.linear_combination(
@@ -640,27 +619,6 @@ class ExpPoly:
         return self._terms.get((ZERO, 0), ZERO)
 
     # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other: "ExpPoly") -> "ExpPoly":
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        terms = dict(self._terms)
-        for key, coeff in other._terms.items():
-            total = terms[key] + coeff if key in terms else coeff
-            if total.is_zero():
-                del terms[key]
-            else:
-                terms[key] = total
-        return ExpPoly._trusted(terms)
-
-    def __sub__(self, other: "ExpPoly") -> "ExpPoly":
-        return self + other.scale(-1)
-
-    def scale(self, factor: Poly | Scalar) -> "ExpPoly":
-        f = factor if isinstance(factor, Poly) else Poly.const(factor)
-        if f.is_zero():
-            return ExpPoly._trusted({})
-        return ExpPoly._trusted({k: c * f for k, c in self._terms.items()})
 
     def shift(self) -> "ExpPoly":
         """The sequence n -> f(n+1), again as an exponential polynomial.

@@ -276,12 +276,13 @@ def check(
 ) -> VerifyReport:
     """Compare closed forms against simulation estimates.
 
-    A moment passes when |exact - mean| <= z*se, with z = 5 and an absolute
-    floor of 1e-9 reserved for the degenerate sd == 0 case (deterministic
-    programs, where the estimate must agree to rounding).  An exact value beyond
-    float range is expected as +-inf and fails, and so does an estimate
-    whose mean or standard error overflowed.  Failures are entries in the
-    report, not exceptions.
+    A moment passes when |exact - mean| <= z*se, with z = 5 and a floor of
+    1e-9 * max(1, |exact|) reserved for the degenerate sd == 0 case
+    (deterministic programs, where the estimate must agree to rounding, and
+    rounding grows with the value).  An exact value beyond float range is
+    expected as +-inf and fails, with no floor, and so does an estimate whose
+    mean or standard error overflowed.  Failures are entries in the report,
+    not exceptions.
     """
     entries = []
     for moment in sorted(estimates, key=Moment.sort_key):
@@ -298,7 +299,8 @@ def check(
             expected = float(exact)
         except OverflowError:
             expected = math.inf if exact > 0 else -math.inf
-        atol = 1e-9 if est.sd == 0.0 else 0.0
+        zero_spread = est.sd == 0.0 and math.isfinite(expected)
+        atol = 1e-9 * max(1.0, abs(expected)) if zero_spread else 0.0
         diff = abs(expected - est.mean)
         allowance = _Z * est.se + atol
         entries.append(

@@ -174,7 +174,7 @@ def naive_moment_equation(
     for assignment in reversed(vp.update_assignments):
         mixed = Poly()
         for branch in assignment.branches:
-            mixed = mixed + branch.prob * poly.substitute(assignment.var, branch.expr)
+            mixed = mixed + branch.prob * poly.substitute(assignment.var, branch.expr.__pow__)
         poly = mixed
     state_vars = vp.state_vars()
     linear: dict[Moment, Poly] = {}

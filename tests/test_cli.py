@@ -71,6 +71,11 @@ def test_bad_goal_exits_2(walk_file, capsys):
     assert main([walk_file, "--goal", "q^2"]) == 2
 
 
+def test_zero_exponent_goal_names_the_constructor_rule(walk_file, capsys):
+    assert main([walk_file, "--goal", "x^0"]) == 2
+    assert capsys.readouterr().err == "error: moment exponents must be positive\n"
+
+
 @pytest.mark.parametrize(
     "source,needle",
     [
@@ -138,6 +143,17 @@ def test_verify_beyond_float_range_fails_without_a_traceback(tmp_path, capsys):
     assert "E[x^40]: expected inf" in captured.out
     assert "verification result: FAIL" in captured.out
     assert "Traceback" not in captured.err
+
+
+def test_verify_deterministic_large_value_passes(tmp_path, capsys):
+    # E[x^2] at n = 60 is about 1.7e6; float rounding alone puts the
+    # zero-spread estimate about 1e-8 away from it
+    path = tmp_path / "prog"
+    path.write_text("x = 1\nwhile true:\n  x = 11/10*x + 1/3\n", encoding="utf-8")
+    args = [str(path), "--goal", "2", "--verify", "--iters", "60", "--trials", "100"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "E[x^2]: expected 1732085.267, estimate 1732085.267 (se 0) -> pass" in out
 
 
 def test_verify_parameter_beyond_float_range_is_an_error_line(tmp_path, capsys):

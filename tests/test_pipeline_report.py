@@ -453,3 +453,7 @@ def test_benchmark_trace_hooks_resolve():
     for module_name, attr, _ in tracing.HOOKS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+    # kernel_profile reads the kernel functions' code objects by name: each
+    # must exist and be one the pipeline calls, or its count reads 0
+    counts = tracing.kernel_profile(lambda: analyze(WALK, [2]))
+    assert counts and all(value > 0 for value in counts.values()), counts

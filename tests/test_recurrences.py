@@ -19,6 +19,7 @@ from loopmoments import (
     topo_order,
 )
 from loopmoments import recurrences
+from loopmoments.symbolic import ONE, ZERO
 
 from corpus import closure_for
 
@@ -91,10 +92,10 @@ def test_build_recurrence_for_x_squared():
 
 def test_build_recurrence_folds_solved_dependencies():
     _, equations, inits = closure_for("walk")
-    solved = {M("x^2"): ExpPoly.term(b**2 / 3, 1, 1)}  # (b^2/3) n
+    solved = {M("x^2"): ExpPoly({(ONE, 1): b**2 / 3})}  # (b^2/3) n
     rec = build_recurrence(equations[M("x^1*y^1")], solved, inits)
     assert rec.self_coeff == Poly.const(1)
-    assert rec.inhom == ExpPoly.term(b**2 / 3, 1, 1) + ExpPoly.const(b**2 / 3)
+    assert rec.inhom == ExpPoly({(ONE, 1): b**2 / 3, (ONE, 0): b**2 / 3})
     assert rec.init == Poly.const(0)  # x(0) = 0 times the symbolic y(0)
 
 
@@ -115,48 +116,44 @@ def rec(target: str, c, inhom: ExpPoly, init) -> Recurrence:
 
 def test_constant_drift():
     f = solve_first_order(rec("x^2", 1, ExpPoly.const(b**2 / 3), 0))
-    assert f == ExpPoly.term(b**2 / 3, 1, 1)
+    assert f == ExpPoly({(ONE, 1): b**2 / 3})
 
 
 def test_linear_drift_resonance():
-    inhom = ExpPoly.term(b**2 / 3, 1, 1) + ExpPoly.const(b**2 / 3)
+    inhom = ExpPoly({(ONE, 1): b**2 / 3, (ONE, 0): b**2 / 3})
     f = solve_first_order(rec("x^1*y^1", 1, inhom, 0))
     # b^2 n (n+1) / 6
-    assert f == ExpPoly.term(b**2 / 6, 1, 2) + ExpPoly.term(b**2 / 6, 1, 1)
+    assert f == ExpPoly({(ONE, 2): b**2 / 6, (ONE, 1): b**2 / 6})
 
 
 def test_quadratic_drift_resonance():
     # inhom = 2*(b^2 n(n+1)/6) + b^2 n/3 + b^2/3 + 1, init = y(0)^2
-    inhom = (
-        ExpPoly.term(b**2 / 3, 1, 2)
-        + ExpPoly.term(b**2 / 3 + b**2 / 3, 1, 1)
-        + ExpPoly.const(b**2 / 3 + 1)
+    inhom = ExpPoly(
+        {(ONE, 2): b**2 / 3, (ONE, 1): b**2 / 3 + b**2 / 3, (ONE, 0): b**2 / 3 + 1}
     )
     y0 = Poly.var("y(0)")
     f = solve_first_order(rec("y^2", 1, inhom, y0**2))
-    expected = (
-        ExpPoly.term(b**2 / 9, 1, 3)
-        + ExpPoly.term(b**2 / 6, 1, 2)
-        + ExpPoly.term(b**2 / 18 + 1, 1, 1)
-        + ExpPoly.const(y0**2)
+    expected = ExpPoly(
+        {(ONE, 3): b**2 / 9, (ONE, 2): b**2 / 6, (ONE, 1): b**2 / 18 + 1, (ONE, 0): y0**2}
     )
     assert f == expected
 
 
 def test_geometric_decay():
-    f = solve_first_order(rec("v^1", Fraction(1, 2), ExpPoly.zero(), 1))
-    assert f == ExpPoly.term(1, Fraction(1, 2), 0)
+    f = solve_first_order(rec("v^1", Fraction(1, 2), ExpPoly(), 1))
+    assert f == ExpPoly({(Poly.const(Fraction(1, 2)), 0): ONE})
 
 
 def test_counter():
     f = solve_first_order(rec("v^1", 1, ExpPoly.const(1), 0))
-    assert f == ExpPoly.term(1, 1, 1)
+    assert f == ExpPoly({(ONE, 1): ONE})
 
 
 def test_resonant_doubling():
-    f = solve_first_order(rec("w^1", 2, ExpPoly.term(1, 2, 0), 0))
+    two = Poly.const(2)
+    f = solve_first_order(rec("w^1", 2, ExpPoly({(two, 0): ONE}), 0))
     # n * 2^(n-1) == (1/2) n 2^n
-    assert f == ExpPoly.term(Fraction(1, 2), 2, 1)
+    assert f == ExpPoly({(two, 1): Poly.const(Fraction(1, 2))})
     # oracle: iterate the recurrence directly
     value = Fraction(0)
     for n in range(15):
@@ -175,7 +172,7 @@ def test_zero_self_coefficient_gets_a_one_point_correction():
 
 
 def test_zero_base_resonance_is_an_honest_error():
-    inhom = ExpPoly.term(1, 0, 0) + ExpPoly.const(1)
+    inhom = ExpPoly({(ZERO, 0): ONE, (ONE, 0): ONE})
     with pytest.raises(SolverError) as err:
         solve_first_order(rec("v^1", 0, inhom, 0))
     assert "n = 1" in str(err.value)
@@ -191,8 +188,8 @@ def test_parameterized_base_with_exact_division_records_side_condition():
     # f(n+1) = f(n) + (p-1) p^n with f(0) = 0 solves to p^n - 1, valid for
     # p != 1, and that assumption must end up in the side conditions.
     p = Poly.var("p")
-    f = solve_first_order(rec("w^1", 1, ExpPoly.term(p - 1, p, 0), 0))
-    assert f == ExpPoly.term(1, p, 0) + ExpPoly.const(-1)
+    f = solve_first_order(rec("w^1", 1, ExpPoly({(p, 0): p - 1}), 0))
+    assert f == ExpPoly({(p, 0): ONE, (ONE, 0): -ONE})
     for n in range(8):
         assert f.evaluate(n, {"p": Fraction(3)}) == Fraction(3) ** n - 1
 
@@ -201,7 +198,7 @@ def test_parameterized_base_with_exact_division_records_side_condition():
     order = topo_order(equations)
     solved, notes = solve_all(order, equations, inits)
     assert notes == ["p != 1"]
-    assert solved[M("w^1")] == ExpPoly.term(p, p, 0) + ExpPoly.const(-p)
+    assert solved[M("w^1")] == ExpPoly({(p, 0): p, (ONE, 0): -p})
     for n in range(6):
         assert solved[M("w^1")].evaluate(n, {"p": 3}) == Fraction(3) ** (n + 1) - 3
 
@@ -210,8 +207,8 @@ def test_side_condition_order_ignores_term_insertion_order():
     # the same inhomogeneity built in two insertion orders: the side
     # conditions follow the closed form's print order either way
     p, q, r = Poly.var("p"), Poly.var("q"), Poly.var("r")
-    pq = ExpPoly.term(p - r, p, 0) + ExpPoly.term(q - r, q, 0)
-    qp = ExpPoly.term(q - r, q, 0) + ExpPoly.term(p - r, p, 0)
+    pq = ExpPoly({(p, 0): p - r, (q, 0): q - r})
+    qp = ExpPoly({(q, 0): q - r, (p, 0): p - r})
     assert pq == qp
     sides_pq: list[str] = []
     sides_qp: list[str] = []
@@ -222,8 +219,8 @@ def test_side_condition_order_ignores_term_insertion_order():
 
 
 def test_negative_base_stays_symbolic():
-    f = solve_first_order(rec("v^1", Fraction(-1, 2), ExpPoly.zero(), 1))
-    assert f == ExpPoly.term(1, Fraction(-1, 2), 0)
+    f = solve_first_order(rec("v^1", Fraction(-1, 2), ExpPoly(), 1))
+    assert f == ExpPoly({(Poly.const(Fraction(-1, 2)), 0): ONE})
     assert f.evaluate(3) == Fraction(-1, 8)
 
 
@@ -231,7 +228,7 @@ def test_resonance_raises_degree_by_exactly_one():
     rng = random.Random(5150)
     for c_val in (1, 2, Fraction(1, 2), Fraction(-1, 2)):
         for degree in range(0, 3):
-            inhom = ExpPoly.term(Fraction(rng.randint(1, 5)), c_val, degree)
+            inhom = ExpPoly({(Poly.const(c_val), degree): Poly.const(rng.randint(1, 5))})
             f = solve_first_order(rec("v^1", c_val, inhom, 0))
             got = max(d for _, d, _ in f.terms())
             assert got == degree + 1
@@ -242,13 +239,14 @@ def test_random_recurrences_match_exact_iteration():
     base_pool = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1, 2), Fraction(0)]
     for _ in range(120):
         c_val = rng.choice(base_pool)
-        inhom = ExpPoly.zero()
+        pairs = []
         for _ in range(rng.randint(0, 3)):
             base = rng.choice(base_pool)
             if c_val == 0 and base == 0:
                 continue  # representable only when the forcing term is absent
-            coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            inhom = inhom + ExpPoly.term(coeff, base, rng.randint(0, 2))
+            coeff = Poly.const(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            pairs.append((coeff, ExpPoly({(Poly.const(base), rng.randint(0, 2)): ONE})))
+        inhom = ExpPoly.linear_combination(pairs)
         init = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
         f = solve_first_order(rec("v^1", c_val, inhom, init))
         value = init
@@ -307,7 +305,7 @@ def test_solve_all_walks_the_whole_corpus_entry():
     order = topo_order(equations)
     solved, notes = solve_all(order, equations, inits)
     assert notes == []
-    assert solved[M("x^2")] == ExpPoly.term(b**2 / 3, 1, 1)
+    assert solved[M("x^2")] == ExpPoly({(ONE, 1): b**2 / 3})
     assert solved[M("y^1")] == ExpPoly.const(Poly.var("y(0)"))
     assert solved[M("u^2")] == ExpPoly.const(b**2 / 3)
 

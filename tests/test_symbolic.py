@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from loopmoments import ExpPoly, Moment, Poly
-from loopmoments.symbolic import ONE, UnboundSymbolError
+from loopmoments.symbolic import ONE, ZERO, UnboundSymbolError
 
 x, y, g, u, b = (Poly.var(s) for s in "xygub")
 
@@ -41,17 +41,25 @@ def test_pow_rejects_negative_exponents():
 
 def test_substitute_identity():
     p = y + x + g
-    assert p.substitute("y", y) == p
+    assert p.substitute("y", y.__pow__) == p
+    assert p.substitute("b", b.__pow__) is p
 
 
 def test_substitute_power_expands():
     # oracle: direct expansion via the power operator
-    assert (x**2).substitute("x", x - u) == (x - u) ** 2
+    assert (x**2).substitute("x", (x - u).__pow__) == (x - u) ** 2
 
 
 def test_substitute_product_expands():
     # oracle: direct expansion via polynomial multiplication
-    assert (x * y).substitute("y", y + x + g) == x * (y + x + g)
+    assert (x * y).substitute("y", (y + x + g).__pow__) == x * (y + x + g)
+
+
+def test_substitute_replaces_each_power_by_its_own_value():
+    # the powers of x become the raw moments of a uniform draw on [0, b]
+    raw = [ONE, b / 2, b**2 / 3]
+    p = 6 * x**2 * y + 4 * x + 1
+    assert p.substitute("x", raw.__getitem__) == 2 * b**2 * y + 2 * b + 1
 
 
 def _random_poly(rng: random.Random, symbols="abc", max_terms=4) -> Poly:
@@ -129,7 +137,7 @@ def test_kernel_results_stay_in_normal_form():
     for _ in range(60):
         p, q, r = (_random_poly(rng, symbols="xyz") for _ in range(3))
         results = [p + q, p - q, -p, p * q, p / Fraction(-3, 7), p**3]
-        results += [p.substitute("x", q), p.substitute("y", q * r)]
+        results += [p.substitute("x", q.__pow__), p.substitute("y", (q * r).__pow__)]
         results += p.coefficients_by_power("y").values()
         results.append(p.exact_div(Poly.var("y") + 1))
         if not q.is_zero():
@@ -141,15 +149,19 @@ def test_kernel_results_stay_in_normal_form():
         _assert_same_value(p + q, q + p)
         _assert_same_value(p * q, q * p)
         _assert_same_value(p * (q + r), p * q + p * r)
-        _assert_same_value(p.substitute("x", q), p.substitute("x", q + r - r))
+        _assert_same_value(p.substitute("x", q.__pow__), p.substitute("x", (q + r - r).__pow__))
 
         f, h = (_random_exp_poly(rng, lambda: _random_poly(rng, "xy", 2)) for _ in range(2))
-        folded = ExpPoly.const(r) + f.scale(p) + h.scale(q) + f.scale(-p)
         combined = ExpPoly.linear_combination([(ONE, ExpPoly.const(r)), (p, f), (q, h), (-p, f)])
-        for res in (f + h, f - h, f.scale(p), f.shift(), folded, combined):
+        for res in (ExpPoly.linear_combination([(p, f)]), f.shift(), combined):
             _assert_normal_exp_poly(res)
-        _assert_same_value(f + h, h + f)
-        _assert_same_value(combined, folded)
+        # (p, f) and (-p, f) cancel, in whatever order the pairs come
+        reordered = ExpPoly.linear_combination([(q, h), (ONE, ExpPoly.const(r))])
+        _assert_same_value(combined, reordered)
+        point = {s: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for s in "xyz"}
+        rv, qv = r.evaluate(point), q.evaluate(point)
+        for n in range(11):
+            assert combined.evaluate(n, point) == rv + qv * h.evaluate(n, point)
 
 
 def _fraction_value(p: Poly, point: dict[str, Fraction]) -> Fraction:
@@ -175,14 +187,14 @@ def test_kernel_agrees_with_fraction_evaluation():
         assert _fraction_value(p / Fraction(-3, 7), point) == pv * Fraction(-7, 3)
         # substituting q for x is evaluating p with x at q's value
         at_q = dict(point, x=qv)
-        assert _fraction_value(p.substitute("x", q), point) == _fraction_value(p, at_q)
+        assert _fraction_value(p.substitute("x", q.__pow__), point) == _fraction_value(p, at_q)
         assert p.evaluate(point) == pv
         f, h = (_random_exp_poly(rng, lambda: _random_poly(rng, "xy", 2)) for _ in range(2))
         combined = ExpPoly.linear_combination([(p, f), (q, h), (r, f)])
         for n in range(4):
             expected = (pv + rv) * f.evaluate(n, point) + qv * h.evaluate(n, point)
             assert combined.evaluate(n, point) == expected
-        for res in (p + q, p - q, p * q, p**3, p.substitute("x", q)):
+        for res in (p + q, p - q, p * q, p**3, p.substitute("x", q.__pow__)):
             _assert_normal_poly(res)
         _assert_normal_exp_poly(combined)
 
@@ -191,17 +203,19 @@ def test_cancellation_gives_the_empty_value():
     for zero in ((x + y) - (x + y), x * (y - y)):
         assert zero.is_zero()
         _assert_same_value(zero, Poly())
-    f = ExpPoly.term(x, 2, 1) + ExpPoly.const(y)
+    two = Poly.const(2)
+    f = ExpPoly({(two, 1): x, (ONE, 0): y})
+    minus_x = ExpPoly({(two, 1): -x})
     cancelled = [
-        f + ExpPoly.term(-x, 2, 1) - ExpPoly.const(y),
-        ExpPoly.term(x, 2, 1) + ExpPoly.term(-x, 2, 1),
+        ExpPoly.linear_combination([(ONE, f), (ONE, minus_x), (-ONE, ExpPoly.const(y))]),
+        ExpPoly({(two, 1): x - x}),
         ExpPoly.linear_combination([(y, f), (-y, f)]),
-        f.scale(x - x),
+        ExpPoly.linear_combination([(x - x, f)]),
     ]
     for zero in cancelled:
         assert zero.is_zero()
         _assert_same_value(zero, ExpPoly())
-    partial = f + ExpPoly.term(-x, 2, 1)
+    partial = ExpPoly.linear_combination([(ONE, f), (ONE, minus_x)])
     assert [(base, degree) for base, degree, _ in partial.terms()] == [(ONE, 0)]
 
 
@@ -238,15 +252,15 @@ def test_coefficients_by_power():
 
 
 def test_exp_poly_evaluation_examples():
-    f = ExpPoly.term(b**2 / 3, 1, 1)  # (b^2/3) * n
+    f = ExpPoly({(ONE, 1): b**2 / 3})  # (b^2/3) * n
     assert f.evaluate(20, {"b": 2}) == Fraction(80, 3)
-    assert ExpPoly.zero().evaluate(13, {}) == 0
-    geometric = ExpPoly.term(1, Fraction(1, 2), 0)
+    assert ExpPoly().evaluate(13, {}) == 0
+    geometric = ExpPoly({(Poly.const(Fraction(1, 2)), 0): ONE})
     assert geometric.evaluate(3, {}) == Fraction(1, 8)
 
 
 def test_exp_poly_zero_base_is_an_indicator():
-    f = ExpPoly.const(4) + ExpPoly.term(3, 0, 0)
+    f = ExpPoly({(ONE, 0): Poly.const(4), (ZERO, 0): Poly.const(3)})
     assert f.evaluate(0, {}) == 7  # 0^0 == 1
     assert f.evaluate(1, {}) == 4
     assert f.value_at_zero() == Poly.const(7)
@@ -257,14 +271,14 @@ def test_exp_poly_zero_base_is_an_indicator():
 def _random_exp_poly(rng: random.Random, random_coeff=None) -> ExpPoly:
     bases = [Poly.const(1), Poly.const(2), Poly.const(Fraction(1, 2)),
              Poly.const(Fraction(-1, 2)), Poly.const(0)]
-    total = ExpPoly.zero()
+    pairs = []
     for _ in range(rng.randint(1, 4)):
         if random_coeff is None:
             coeff = Poly.const(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
         else:
             coeff = random_coeff()
-        total = total + ExpPoly.term(coeff, rng.choice(bases), rng.randint(0, 3))
-    return total
+        pairs.append((coeff, ExpPoly({(rng.choice(bases), rng.randint(0, 3)): ONE})))
+    return ExpPoly.linear_combination(pairs)
 
 
 def test_shift_agrees_with_pointwise_evaluation():
@@ -272,15 +286,10 @@ def test_shift_agrees_with_pointwise_evaluation():
     for _ in range(100):
         f = _random_exp_poly(rng)
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        residual = f.shift() - f.scale(c)
+        residual = ExpPoly.linear_combination([(ONE, f.shift()), (Poly.const(-c), f)])
         for n in range(0, 11):
             expected = f.evaluate(n + 1) - c * f.evaluate(n)
             assert residual.evaluate(n) == expected
-
-
-def test_exp_poly_addition_cancels():
-    f = ExpPoly.term(b, 2, 1) + ExpPoly.const(5)
-    assert (f - f).is_zero()
 
 
 def _fraction_sorted_terms(f: ExpPoly) -> list[tuple[Poly, int, Poly]]:
@@ -301,14 +310,19 @@ def test_base_order_is_exact_and_matches_the_fraction_rule():
     third = Fraction(1, 3)
     close = third + Fraction(1, 10**40)
     assert float(third) == float(close)  # a float key could not order these
-    f = ExpPoly.term(1, third, 0) + ExpPoly.term(2, close, 1) + ExpPoly.term(3, close, 0)
+    f = ExpPoly({
+        (Poly.const(third), 0): Poly.const(1),
+        (Poly.const(close), 1): Poly.const(2),
+        (Poly.const(close), 0): Poly.const(3),
+    })
     assert [(base.const_value(), d) for base, d, _ in f.sorted_terms()] == [
         (close, 1), (close, 0), (third, 0)
     ]
 
     p, q = Poly.var("p"), Poly.var("q")
-    constants = [0, 1, 2, -1, Fraction(-1, 2), Fraction(1, 2), Fraction(-7, 3), third, close,
-                 -close, Fraction(10**30 + 1, 10**30)]
+    constants = [Poly.const(c) for c in (0, 1, 2, -1, Fraction(-1, 2), Fraction(1, 2),
+                                         Fraction(-7, 3), third, close, -close,
+                                         Fraction(10**30 + 1, 10**30))]
     symbolic = [p, q, p - 1, -p, p * q + Fraction(1, 2), q**2]
     rng = random.Random(2024)
     cases = [
@@ -317,10 +331,11 @@ def test_base_order_is_exact_and_matches_the_fraction_rule():
         constants + symbolic,
     ] + [rng.sample(constants + symbolic, rng.randint(1, 9)) for _ in range(200)]
     for bases in cases:
-        f = ExpPoly.zero()
-        for i, base in enumerate(bases):
-            for degree in range(rng.randint(1, 3)):
-                f = f + ExpPoly.term(i + 1, base, degree)
+        f = ExpPoly({
+            (base, degree): Poly.const(i + 1)
+            for i, base in enumerate(bases)
+            for degree in range(rng.randint(1, 3))
+        })
         assert f.sorted_terms() == _fraction_sorted_terms(f), bases
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from loopmoments import ExpPoly, Moment, Poly, analyze
+from loopmoments.symbolic import ONE
 from loopmoments.verifier import (
     MomentEstimate,
     SimConfig,
@@ -106,7 +107,11 @@ def test_check_detects_a_perturbed_closed_form():
     estimates = simulate(report.validated, cfg, {M("x^2")})
     # se of E[x^2] at this budget is about 0.1, so a +1 shift must fail at z=5
     assert estimates[M("x^2")].se < 0.2
-    perturbed = {M("x^2"): report.invariants[M("x^2")] + ExpPoly.const(1)}
+    perturbed = {
+        M("x^2"): ExpPoly.linear_combination(
+            [(ONE, report.invariants[M("x^2")]), (ONE, ExpPoly.const(1))]
+        )
+    }
     result = check(perturbed, estimates, cfg)
     assert not result.passed
     honest = check(report.invariants, estimates, cfg)
@@ -139,21 +144,35 @@ def test_check_fails_a_closed_form_beyond_float_range():
     cfg = SimConfig(bindings={}, iterations=3, trials=10, seed=0)
     for value, expected in ((10**400, math.inf), (-(10**400), -math.inf)):
         closed = {M("v^1"): ExpPoly.const(value)}
-        estimates = {M("v^1"): MomentEstimate(M("v^1"), 1.0, 0.5, 0.1, 10)}
-        [entry] = check(closed, estimates, cfg).entries
-        assert entry.expected == expected
-        assert not entry.passed
+        # a zero spread gets no floor here, so neither estimate can pass
+        for mean, sd, se in ((1.0, 0.5, 0.1), (math.copysign(1e308, expected), 0.0, 0.0)):
+            estimates = {M("v^1"): MomentEstimate(M("v^1"), mean, sd, se, 10)}
+            [entry] = check(closed, estimates, cfg).entries
+            assert entry.expected == expected
+            assert not entry.passed
 
 
 def test_deterministic_case_passes_via_absolute_floor():
     vp = load("counter")
     cfg = SimConfig(bindings={}, iterations=7, trials=50, seed=1)
     estimates = simulate(vp, cfg, {M("v^1")})
-    closed = {M("v^1"): ExpPoly.term(1, 1, 1)}  # n
+    closed = {M("v^1"): ExpPoly({(ONE, 1): ONE})}  # n
     result = check(closed, estimates, cfg)
     assert result.passed
     entry = result.entries[0]
-    assert entry.sd == 0.0 and entry.margin <= 1e-9
+    # the estimate is exact, so the margin is the floor 1e-9 * max(1, |7|)
+    assert entry.sd == 0.0 and entry.expected == 7.0
+    assert entry.margin == pytest.approx(7e-9)
+
+
+def test_zero_spread_floor_scales_with_the_expected_value():
+    cfg = SimConfig(bindings={}, iterations=3, trials=10, seed=0)
+    value = Fraction(1732085267, 1000)
+    closed = {M("v^1"): ExpPoly.const(value)}
+    for off, passed in ((1.3e-8, True), (1e-2, False)):
+        estimates = {M("v^1"): MomentEstimate(M("v^1"), float(value) + off, 0.0, 0.0, 10)}
+        [entry] = check(closed, estimates, cfg).entries
+        assert entry.passed is passed
 
 
 @pytest.mark.parametrize("name", sorted(DISCRETE))
