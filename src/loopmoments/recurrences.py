@@ -12,15 +12,16 @@ initial value.  The resulting triangular systems are solved top-down over
 exact polynomial coefficients.
 
 Every closed form is verified symbolically before it is returned:
-``f(n+1) - c*f(n) - inhom(n)`` must normalize to zero and ``f(0)`` must
-equal the initial moment.  A failure of that check is a bug, never an
-approximation.
+``f(n+1) - c*f(n) - inhom(n)``, summed in one exact pass over the terms,
+must vanish and ``f(0)`` must equal the initial moment.  A failure of that
+check is a bug, never an approximation.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -215,16 +216,29 @@ def solve_first_order(rec: Recurrence, side_conditions: list[str] | None = None)
     if not alpha.is_zero():
         particular[(c, 0)] = alpha
     closed = ExpPoly._trusted(particular)
+    _check_closed_form(rec, closed)
+    return closed
 
-    residual = ExpPoly.linear_combination(
-        [(ONE, closed.shift()), (-c, closed), (-ONE, rec.inhom)]
-    )
-    if not residual.is_zero() or closed.value_at_zero() != rec.init:
+
+def _check_closed_form(rec: Recurrence, closed: ExpPoly) -> None:
+    """Raise unless ``closed`` meets the recurrence and the initial value.
+    ``coeff*base**(n+1)*(n+1)**d`` expands binomially into the residual's
+    sums; the residual is zero exactly when all their numerators are."""
+    c = rec.self_coeff
+    accs: defaultdict[tuple[Poly, int], _Acc] = defaultdict(_Acc)
+    for (base, degree), coeff in closed._terms.items():
+        if not base.is_zero():
+            for j in range(degree + 1):
+                accs[(base, j)].add(base, coeff, math.comb(degree, j))
+        accs[(base, degree)].add(c, coeff, -1)
+    for key, coeff in rec.inhom._terms.items():
+        accs[key].add(ONE, coeff, -1)
+    nonzero = any(any(acc.nums.values()) for acc in accs.values())
+    if nonzero or closed.value_at_zero() != rec.init:
         raise SolverError(
             f"internal: closed form for E[{rec.target}] failed its defining "
-            f"identity (residual {residual})"
+            f"identity (residual {ExpPoly._summed(accs)})"
         )
-    return closed
 
 
 def solve_all(

@@ -5,7 +5,10 @@ Three output surfaces share one canonical content model:
 * ``txt`` -- one plain-text line per moment, ``E[x^2] = b^2*n/3`` style.
 * ``tex`` -- the same invariants as LaTeX math lines.
 * ``json`` -- a machine-readable document and the one report format that
-  is read back: :func:`report_from_json` reproduces an equal report.
+  is read back: :func:`report_from_json` reproduces an equal report.  Its
+  bytes are those of ``json.dumps`` on the whole tree, but each entry of
+  the long lists is built and encoded alone; non-finite floats are the
+  strings ``"Infinity"``, ``"-Infinity"`` and ``"NaN"``.
 
 ``txt``, ``tex`` and the JSON ``text`` of a closed form come from the one
 :func:`_closed_form_text`, over :func:`~loopmoments.symbolic.render_sum` in
@@ -20,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterator
 
 from .pipeline import (
     AllVarsGoal,
@@ -255,26 +258,50 @@ def _goal_from_json(data: dict[str, Any]) -> Goal:
     return MomentGoal(Moment.parse(data["moment"]))
 
 
+# Standard JSON has no Infinity or NaN: a value that needs one is a bug.
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
+def _json_float(x: float) -> float | str:
+    """``x``, or a non-finite ``x`` as the string that ``float()`` reads back."""
+    if math.isfinite(x):
+        return x
+    return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
+
+
 def emit_json(report: InvariantReport) -> str:
     terms = _JsonTerms()
-    doc: dict[str, Any] = {
+    doc = {
         "program": report.program_name,
         "variables": list(report.variables),
         "parameters": list(report.parameters),
         "goals": [_goal_to_json(g) for g in report.goals],
-        "invariants": [
+        "invariants": (
             terms.invariant(moment, form) for moment, form in report.invariants.items()
-        ],
-        "initial_moments": [
+        ),
+        "initial_moments": (
             {"moment": str(moment), "value": terms.poly(value)}
             for moment, value in report.initial_moments.items()
-        ],
+        ),
         "symbolic_initials": list(report.symbolic_initials),
         "side_conditions": list(report.side_conditions),
-        "elapsed_seconds": report.elapsed_seconds,
+        "elapsed_seconds": _json_float(report.elapsed_seconds),
         "verification": _verification_to_json(report.verification),
     }
-    return json.dumps(doc) + "\n"
+    out = []
+    sep = "{"
+    for key, value in doc.items():
+        out += (sep, _encode(key), ": ")
+        sep = ", "
+        if isinstance(value, Iterator):
+            out.append("[")
+            for i, item in enumerate(value):
+                out += (", " if i else "", _encode(item))
+            out.append("]")
+        else:
+            out.append(_encode(value))
+    out.append("}\n")
+    return "".join(out)
 
 
 def _verification_to_json(v: VerifyReport | None) -> dict[str, Any] | None:
@@ -284,17 +311,17 @@ def _verification_to_json(v: VerifyReport | None) -> dict[str, Any] | None:
         "iterations": v.iterations,
         "trials": v.trials,
         "seed": v.seed,
-        "z": v.z,
+        "z": _json_float(v.z),
         "bindings": [[name, value] for name, value in v.bindings],
         "passed": v.passed,
         "entries": [
             {
                 "moment": str(e.moment),
-                "expected": e.expected,
-                "mean": e.mean,
-                "sd": e.sd,
-                "se": e.se,
-                "margin": e.margin,
+                "expected": _json_float(e.expected),
+                "mean": _json_float(e.mean),
+                "sd": _json_float(e.sd),
+                "se": _json_float(e.se),
+                "margin": _json_float(e.margin),
                 "passed": e.passed,
             }
             for e in v.entries

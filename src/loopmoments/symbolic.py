@@ -618,24 +618,7 @@ class ExpPoly:
         """The coefficient of the ``n == 0`` indicator ``0**n``."""
         return self._terms.get((ZERO, 0), ZERO)
 
-    # -- arithmetic -----------------------------------------------------------
-
-    def shift(self) -> "ExpPoly":
-        """The sequence n -> f(n+1), again as an exponential polynomial.
-
-        coeff*base**(n+1)*(n+1)**d expands through the binomial theorem;
-        base-0 terms vanish because 0**(n+1) == 0 for every n >= 0.
-        """
-        accs: dict[tuple[Poly, int], _Acc] = {}
-        for (base, degree), coeff in self._terms.items():
-            if base.is_zero():
-                continue
-            for j in range(degree + 1):
-                acc = accs.get((base, j))
-                if acc is None:
-                    accs[(base, j)] = acc = _Acc()
-                acc.add(coeff, base, math.comb(degree, j))
-        return ExpPoly._summed(accs)
+    # -- equality -------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExpPoly):

@@ -5,16 +5,23 @@ self-coefficients 0, 1, 1/2, -1/2 and 2, with and without resonance,
 deterministic and probabilistic, with and without random draws and
 parameters.  The oracles here deliberately avoid the code paths they
 check: recurrences are iterated step by step with exact rationals, and
-discrete programs are enumerated over every branch combination.
+discrete programs are enumerated over every branch combination.  The
+references build a result the plain way (a shifted sequence term by term,
+the JSON report as one document tree), so the library's leaner versions
+can be compared with them exactly.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
-from typing import Mapping
+from typing import Any, Mapping
 
 from loopmoments import (
+    AllVarsGoal,
+    ExpPoly,
+    InvariantReport,
     Moment,
     MomentEquation,
     MomentTable,
@@ -27,6 +34,7 @@ from loopmoments import (
     validate_program,
 )
 from loopmoments.frontend import Distribution
+from loopmoments.report import render_closed_form
 
 WALK = """\
 x=0
@@ -196,6 +204,89 @@ def naive_moment_equation(
             constant = constant + value
     linear = {m: coeff for m, coeff in linear.items() if not coeff.is_zero()}
     return MomentEquation(target, linear, constant)
+
+
+def shifted(f: ExpPoly) -> ExpPoly:
+    """The sequence n -> f(n+1): each term ``coeff*base**(n+1)*(n+1)**d``
+    expanded by the binomial theorem with public ``Poly`` arithmetic, one
+    product at a time; base-0 terms vanish since 0**(n+1) == 0."""
+    terms: dict[tuple[Poly, int], Poly] = {}
+    for base, degree, coeff in f.terms():
+        if base.is_zero():
+            continue
+        for j in range(degree + 1):
+            term = math.comb(degree, j) * coeff * base
+            terms[(base, j)] = terms.get((base, j), Poly()) + term
+    return ExpPoly(terms)
+
+
+def _json_float(x: float) -> Any:
+    if math.isfinite(x):
+        return x
+    return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
+
+
+def _poly_json(p: Poly) -> list[dict[str, Any]]:
+    return [
+        {"num": num, "den": den, "powers": [[name, exp] for name, exp in mono]}
+        for mono, num, den in p.sorted_ratios()
+    ]
+
+
+def reference_json(report: InvariantReport) -> str:
+    """The JSON report as one document tree handed to ``json.dumps``, with
+    non-finite floats written as the strings ``float()`` reads back."""
+    v = report.verification
+    doc = {
+        "program": report.program_name,
+        "variables": list(report.variables),
+        "parameters": list(report.parameters),
+        "goals": [
+            {"kind": "all", "k": g.k}
+            if isinstance(g, AllVarsGoal)
+            else {"kind": "moment", "moment": str(g.moment)}
+            for g in report.goals
+        ],
+        "invariants": [
+            {
+                "moment": str(moment),
+                "closed_form": [
+                    {"coeff": _poly_json(coeff), "base": _poly_json(base), "degree": degree}
+                    for base, degree, coeff in form.sorted_terms()
+                ],
+                "text": render_closed_form(form),
+            }
+            for moment, form in report.invariants.items()
+        ],
+        "initial_moments": [
+            {"moment": str(moment), "value": _poly_json(value)}
+            for moment, value in report.initial_moments.items()
+        ],
+        "symbolic_initials": list(report.symbolic_initials),
+        "side_conditions": list(report.side_conditions),
+        "elapsed_seconds": _json_float(report.elapsed_seconds),
+        "verification": None if v is None else {
+            "iterations": v.iterations,
+            "trials": v.trials,
+            "seed": v.seed,
+            "z": _json_float(v.z),
+            "bindings": [[name, value] for name, value in v.bindings],
+            "passed": v.passed,
+            "entries": [
+                {
+                    "moment": str(e.moment),
+                    "expected": _json_float(e.expected),
+                    "mean": _json_float(e.mean),
+                    "sd": _json_float(e.sd),
+                    "se": _json_float(e.se),
+                    "margin": _json_float(e.margin),
+                    "passed": e.passed,
+                }
+                for e in v.entries
+            ],
+        },
+    }
+    return json.dumps(doc) + "\n"
 
 
 def iterate_equations(

@@ -30,7 +30,7 @@ from loopmoments.frontend import Distribution
 from loopmoments.symbolic import ONE
 from loopmoments.verifier import SimConfig, check, simulate
 
-from corpus import CORPUS, WALK, closure_for, iterate_equations
+from corpus import CORPUS, WALK, closure_for, iterate_equations, shifted
 
 b = Poly.var("b")
 y0 = Poly.var("y(0)")
@@ -118,7 +118,7 @@ def test_criterion_3_symbolic_self_check_across_corpus():
             solved[moment] = form
             # the defining identity, recomputed here from scratch
             residual = ExpPoly.linear_combination(
-                [(ONE, form.shift()), (-recurrence.self_coeff, form), (-ONE, recurrence.inhom)]
+                [(ONE, shifted(form)), (-recurrence.self_coeff, form), (-ONE, recurrence.inhom)]
             )
             assert residual.is_zero(), (name, str(moment))
             assert form.value_at_zero() == recurrence.init, (name, str(moment))

@@ -5,9 +5,11 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -32,7 +34,7 @@ from loopmoments import (
 )
 from loopmoments.report import invariant_lines, render_closed_form
 
-from corpus import CORPUS, THREE_VAR, WALK
+from corpus import CORPUS, THREE_VAR, WALK, reference_json
 
 
 def M(text: str) -> Moment:
@@ -233,6 +235,71 @@ def test_json_round_trip_with_verification():
     assert restored.verification == report.verification
 
 
+def overflowed_report() -> InvariantReport:
+    """A verified report whose E[x^39] and E[x^40] overflowed (expected and
+    estimate -inf and inf, spread nan), with E[x^1] made to FAIL."""
+    from loopmoments.verifier import SimConfig, check, simulate
+
+    report = analyze("x = -2\nwhile true:\nx = 1000*x\n", [1, 39, 40], name="overflow")
+    cfg = SimConfig(bindings={}, iterations=5, trials=100, seed=0)
+    estimates = simulate(report.validated, cfg, set(report.invariants))
+    verification = check(report.invariants, estimates, cfg)
+    first, *rest = verification.entries
+    failed = replace(first, expected=first.expected + 1, passed=False)
+    return report.with_verification(replace(verification, entries=(failed, *rest)))
+
+
+def strict_json(text: str):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_overflowed_verification_is_standard_json():
+    report = overflowed_report()
+    text = emit_json(report)
+    entries = strict_json(text)["verification"]["entries"]
+    assert [(e["moment"], e["expected"], e["mean"], e["sd"]) for e in entries[1:]] == [
+        ("x^39", "-Infinity", "-Infinity", "NaN"),
+        ("x^40", "Infinity", "Infinity", "NaN"),
+    ]
+    assert [e["passed"] for e in entries] == [False, False, False]
+    # NaN equals nothing, so the round trip is compared field by field
+    restored = report_from_json(text).verification
+    for got, want in zip(restored.entries, report.verification.entries):
+        for name in ("moment", "expected", "mean", "sd", "se", "margin", "passed"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a == b or (math.isnan(a) and math.isnan(b)), (want.moment, name)
+    assert replace(restored, entries=()) == replace(report.verification, entries=())
+
+
+def test_emit_json_matches_the_document_tree_on_edge_reports():
+    counter = analyze(CORPUS["counter"][0], [1, 2])
+    assert not counter.parameters and not counter.side_conditions
+    reports = [
+        overflowed_report(),
+        replace(verified_walk_report(), program_name='a "quoted" \\ näme \u2713'),
+        counter,
+        replace(counter, invariants={}, initial_moments={}, goals=()),
+    ]
+    for report in reports:
+        assert emit_json(report) == reference_json(report), report.program_name
+
+
+def test_emit_json_holds_little_beyond_its_output():
+    # the document is written entry by entry: no tree of the whole report
+    # exists beside the text
+    report = analyze(THREE_VAR, [3])
+    tracemalloc.start()
+    try:
+        text = emit_json(report)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text)
+
+
 def test_tex_carries_the_verification_as_comments():
     report = verified_walk_report()
     txt = emit_txt(report).splitlines()
@@ -396,6 +463,13 @@ def test_json_text_is_the_txt_right_hand_side(name):
     if name == "fresh_draw":
         # a closed form with a base-0 term, i.e. a one-point correction at n = 0
         assert "[n >= 1; at n = 0: v(0)]" in txt["v^1"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_emit_json_matches_the_document_tree(name):
+    source, goals = GOLDEN_CASES[name]
+    report = analyze(source, goals, name=name)
+    assert emit_json(report) == reference_json(report)
 
 
 @contextlib.contextmanager

@@ -264,6 +264,34 @@ def test_self_check_rejects_a_wrong_closed_form(monkeypatch):
         solve_first_order(rec("x^1", Fraction(1, 2), ExpPoly.const(1), 0))
 
 
+def test_self_check_rejects_a_wrong_homogeneous_term():
+    # f(n+1) = 1/2*f(n) + 1 with f(0) = 0.  Every multiple of (1/2)^n solves
+    # the homogeneous part, so only the initial value can catch a wrong alpha.
+    half = Poly.const(Fraction(1, 2))
+    r = rec("x^1", Fraction(1, 2), ExpPoly.const(1), 0)
+    assert solve_first_order(r) == ExpPoly({(ONE, 0): Poly.const(2), (half, 0): Poly.const(-2)})
+    wrong = ExpPoly({(ONE, 0): Poly.const(2), (half, 0): Poly.const(-1)})
+    with pytest.raises(SolverError, match="failed its defining identity"):
+        recurrences._check_closed_form(r, wrong)
+
+
+def test_self_check_rejects_a_residual_at_a_key_the_closed_form_lacks():
+    # f(n+1) = 1/2*f(n) + 1 + 2^n with f(0) = 0, solved without its 2^n term
+    # and with alpha moved so that f(0) still holds: the residual is -2^n,
+    # at a key that no term of f expands to.
+    half, two = Poly.const(Fraction(1, 2)), Poly.const(2)
+    r = rec("x^1", Fraction(1, 2), ExpPoly({(ONE, 0): ONE, (two, 0): ONE}), 0)
+    assert solve_first_order(r) == ExpPoly({
+        (ONE, 0): Poly.const(2),
+        (two, 0): Poly.const(Fraction(2, 3)),
+        (half, 0): Poly.const(Fraction(-8, 3)),
+    })
+    missing = ExpPoly({(ONE, 0): Poly.const(2), (half, 0): Poly.const(-2)})
+    assert missing.value_at_zero() == r.init
+    with pytest.raises(SolverError, match=r"failed its defining identity \(residual -2\^n\)"):
+        recurrences._check_closed_form(r, missing)
+
+
 def test_divide_by_a_constant_matches_fraction_division():
     p, q = Poly.var("p"), Poly.var("q")
     numerators = [Poly(), Poly.const(5), p * q / 4 - Fraction(3, 7) * p + 2, (p - 3) ** 3 / 9]

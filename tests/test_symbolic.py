@@ -9,6 +9,8 @@ import pytest
 from loopmoments import ExpPoly, Moment, Poly
 from loopmoments.symbolic import ONE, ZERO, UnboundSymbolError
 
+from corpus import shifted
+
 x, y, g, u, b = (Poly.var(s) for s in "xygub")
 
 
@@ -153,7 +155,7 @@ def test_kernel_results_stay_in_normal_form():
 
         f, h = (_random_exp_poly(rng, lambda: _random_poly(rng, "xy", 2)) for _ in range(2))
         combined = ExpPoly.linear_combination([(ONE, ExpPoly.const(r)), (p, f), (q, h), (-p, f)])
-        for res in (ExpPoly.linear_combination([(p, f)]), f.shift(), combined):
+        for res in (ExpPoly.linear_combination([(p, f)]), shifted(f), combined):
             _assert_normal_exp_poly(res)
         # (p, f) and (-p, f) cancel, in whatever order the pairs come
         reordered = ExpPoly.linear_combination([(q, h), (ONE, ExpPoly.const(r))])
@@ -286,7 +288,7 @@ def test_shift_agrees_with_pointwise_evaluation():
     for _ in range(100):
         f = _random_exp_poly(rng)
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        residual = ExpPoly.linear_combination([(ONE, f.shift()), (Poly.const(-c), f)])
+        residual = ExpPoly.linear_combination([(ONE, shifted(f)), (Poly.const(-c), f)])
         for n in range(0, 11):
             expected = f.evaluate(n + 1) - c * f.evaluate(n)
             assert residual.evaluate(n) == expected
