@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .frontend import ParseError, UnsupportedProgramError
-from .moments import ClosureOverflowError
+from .moments import CLOSURE_CAP, ClosureOverflowError
 from .pipeline import GoalError, analyze
 from .recurrences import SolverError
 from .report import FORMATS, emit
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-closure",
         type=int,
-        default=10_000,
+        default=CLOSURE_CAP,
         metavar="N",
         help="cap on the number of tracked moments (default %(default)s)",
     )

@@ -40,6 +40,10 @@ from .symbolic import ONE, ZERO, Mono, Moment, Poly
 Draws = tuple[tuple[str, Distribution], ...]
 
 
+# The default cap on the number of tracked moments.
+CLOSURE_CAP = 10_000
+
+
 class ClosureOverflowError(Exception):
     """The set of required moments exceeded the configured cap."""
 
@@ -165,10 +169,7 @@ class MomentTable:
 def _uniform_raw_moment(a: Poly, b: Poly, k: int) -> Poly:
     # E[X^k] = (b^(k+1) - a^(k+1)) / ((k+1)(b-a)) expands to the polynomial
     # sum_{i<=k} a^i b^(k-i) / (k+1), which also covers the point mass a == b.
-    total = Poly()
-    for i in range(k + 1):
-        total = total + a**i * b ** (k - i)
-    return total / (k + 1)
+    return Poly.linear_combination((a**i, b ** (k - i)) for i in range(k + 1)) / (k + 1)
 
 
 def _gauss_raw_moment(mean: Poly, variance: Poly, k: int) -> Poly:
@@ -239,7 +240,7 @@ def moment_closure(
     goals: Iterable[Moment],
     vp: ValidatedProgram,
     table: MomentTable | None = None,
-    cap: int = 10_000,
+    cap: int = CLOSURE_CAP,
 ) -> dict[Moment, MomentEquation]:
     """Equations for the goals and everything they depend on.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence, Union
 
 from .frontend import ValidatedProgram, parse_program, validate_program
-from .moments import MomentEquation, MomentTable, initial_moment, moment_closure
+from .moments import CLOSURE_CAP, MomentEquation, MomentTable, initial_moment, moment_closure
 from .recurrences import solve_all, topo_order
 from .symbolic import ExpPoly, Moment, Poly
 
@@ -163,7 +163,7 @@ def analyze(
     goals: Sequence[Union[Goal, str, int]],
     *,
     name: str = "<input>",
-    max_closure: int = 10_000,
+    max_closure: int = CLOSURE_CAP,
 ) -> InvariantReport:
     """Compute closed-form moments of a loop program for the given goals."""
     started = time.perf_counter()

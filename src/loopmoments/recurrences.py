@@ -137,16 +137,10 @@ def build_recurrence(
 
 
 def _divide(numerator: Poly, divisor: Poly) -> Poly:
-    """Exact division in the coefficient ring.
-
-    Rational divisors always succeed; parameterized divisors succeed only
-    when the quotient stays polynomial, and raise
-    :class:`UnresolvedBaseError` otherwise.
-    """
+    """Exact division in the coefficient ring: a quotient that would leave
+    it raises :class:`UnresolvedBaseError`."""
     if divisor.is_zero():
         raise SolverError("internal: division by zero while matching coefficients")
-    if divisor.is_const():
-        return numerator._scaled(divisor._den, divisor._terms[()])
     quotient = numerator.exact_div(divisor)
     if quotient is None:
         raise UnresolvedBaseError(numerator, divisor)
@@ -233,11 +227,16 @@ def _check_closed_form(rec: Recurrence, closed: ExpPoly) -> None:
         accs[(base, degree)].add(c, coeff, -1)
     for key, coeff in rec.inhom._terms.items():
         accs[key].add(ONE, coeff, -1)
-    nonzero = any(any(acc.nums.values()) for acc in accs.values())
-    if nonzero or closed.value_at_zero() != rec.init:
+    if any(any(acc.nums.values()) for acc in accs.values()):
         raise SolverError(
             f"internal: closed form for E[{rec.target}] failed its defining "
             f"identity (residual {ExpPoly._summed(accs)})"
+        )
+    start = closed.value_at_zero()
+    if start != rec.init:
+        raise SolverError(
+            f"internal: closed form for E[{rec.target}] gives f(0) = {start}, "
+            f"not the initial moment {rec.init}"
         )
 
 

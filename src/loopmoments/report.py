@@ -10,9 +10,11 @@ Three output surfaces share one canonical content model:
   the long lists is built and encoded alone; non-finite floats are the
   strings ``"Infinity"``, ``"-Infinity"`` and ``"NaN"``.
 
-``txt``, ``tex`` and the JSON ``text`` of a closed form come from the one
-:func:`_closed_form_text`, over :func:`~loopmoments.symbolic.render_sum` in
-its ``TEXT`` and ``TEX`` styles.  A closed form containing a base-0 term
+Every surface reads a closed form from its one term list in print order,
+``ExpPoly.print_groups()``: the JSON ``closed_form`` directly, and ``txt``,
+``tex`` and the JSON ``text`` through the one :func:`_closed_form_text`, over
+:func:`~loopmoments.symbolic.render_sum` in its ``TEXT`` and ``TEX`` styles;
+the JSON builds the list once for both.  A closed form containing a base-0 term
 (an indicator of ``n == 0``) is printed as its ``n >= 1`` form with the
 initial value annotated, since the one-point correction has no
 conventional surface syntax.  Moments come in the report's own order.
@@ -38,13 +40,11 @@ from .symbolic import (
     TEX,
     TEXT,
     ExpPoly,
+    Group,
     Mono,
     Moment,
     Poly,
     Style,
-    Summand,
-    exp_poly_summands,
-    poly_summands,
     render_sum,
 )
 
@@ -75,7 +75,7 @@ def invariant_lines(report: InvariantReport) -> list[str]:
 
 
 def render_closed_form(form: ExpPoly, style: Style = TEXT) -> str:
-    return _closed_form_text(form, exp_poly_summands(form.drop_zero_base()), style)
+    return _closed_form_text(form, form.print_groups(), style)
 
 
 # The note on a one-point correction at n = 0, around the initial value.
@@ -85,13 +85,14 @@ _AT_ZERO = {
 }
 
 
-def _closed_form_text(form: ExpPoly, summands: list[Summand], style: Style) -> str:
-    """``summands``, the terms of ``form`` with a nonzero base, in ``style``;
-    a one-point correction at n = 0 is noted with the initial value."""
-    text = render_sum(summands, style)
+def _closed_form_text(form: ExpPoly, groups: list[Group], style: Style) -> str:
+    """``form``, given as its print groups, in ``style``: the terms with a
+    nonzero base, with a one-point correction at n = 0 noted as the initial
+    value."""
+    text = render_sum((group for group in groups if not group[0].is_zero()), style)
     if form.zero_base_part().is_zero():
         return text
-    initial = render_sum(poly_summands(form.value_at_zero()), style)
+    initial = render_sum([(ONE, 0, form.value_at_zero().sorted_ratios())], style)
     return text + _AT_ZERO[style].format(initial)
 
 
@@ -186,22 +187,18 @@ class _JsonTerms:
 
     def invariant(self, moment: Moment, form: ExpPoly) -> dict[str, Any]:
         """The ``closed_form`` terms and the ``text`` of :func:`render_closed_form`,
-        from one pass over the terms in print order."""
+        both from the one print-group list of ``form``."""
+        groups = form.print_groups()
         closed_form = []
-        summands: list[Summand] = []
-        for base, degree, coeff in form.sorted_terms():
-            ratios = coeff.sorted_ratios()
+        for base, degree, ratios in groups:
             base_json = self._bases.get(base)
             if base_json is None:
                 base_json = self._bases[base] = self.poly(base)
             closed_form.append({"coeff": self.ratios(ratios), "base": base_json, "degree": degree})
-            if not base.is_zero():
-                base_part = None if base == ONE else base
-                summands.extend((num, den, mono, degree, base_part) for mono, num, den in ratios)
         return {
             "moment": str(moment),
             "closed_form": closed_form,
-            "text": _closed_form_text(form, summands, TEXT),
+            "text": _closed_form_text(form, groups, TEXT),
         }
 
 

@@ -28,10 +28,13 @@ So structural equality is algebraic equality, and equal values hash alike.
 :class:`~fractions.Fraction` values appear only at the public surface: the
 constructors and scalar operands that accept them, and the views
 (``Poly.terms()``, ``const_value()``, ``evaluate()``) that give them in
-lowest terms.  The kernel itself does plain ``int`` arithmetic: sums of
-exact products are folded over a common denominator and reduced by one gcd
-at the end, and constant bases are put in print order by their numerators
-over the bases' common denominator.
+lowest terms.  The kernel itself does plain ``int`` arithmetic: ``_Acc`` is
+its one sum of exact products (``+``, ``-``, ``*`` and every linear
+combination), folded over a common denominator and reduced by one gcd at the
+end, and constant bases are put in print order by their numerators over the
+bases' common denominator.  Both families print through :func:`render_sum`,
+which takes print groups ``(base, degree, ratios)``: ``ExpPoly.print_groups()``
+or the one group ``(ONE, 0, p.sorted_ratios())`` of a polynomial.
 
 Only the public constructors ``Poly(...)`` and ``ExpPoly(...)`` validate
 (canonicalising monomials, summing coefficients and dropping zeros).  Every
@@ -282,36 +285,27 @@ class Poly:
             return Poly.const(other)
         return None
 
-    def __add__(self, other) -> "Poly":
+    def _plus(self, other, k: int) -> "Poly":
+        """``self + k*other``, both operands summed into one accumulator."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o._terms:
-            return self
-        if not self._terms:
-            return o
-        da, db = self._den, o._den
-        den = da if da == db else math.lcm(da, db)
-        fa, fb = den // da, den // db
-        terms = dict(self._terms) if fa == 1 else {m: n * fa for m, n in self._terms.items()}
-        get = terms.get
-        for mono, num in o._terms.items():
-            terms[mono] = get(mono, 0) + num * fb
-        return _reduced(terms, den)
+        acc = _Acc()
+        acc.add(ONE, self)
+        acc.add(ONE, o, k)
+        return acc.poly()
+
+    def __add__(self, other) -> "Poly":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Poly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + -o
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "Poly":
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return NotImplemented if o is None else o._plus(self, -1)
 
     def __neg__(self) -> "Poly":
         return Poly._trusted({m: -n for m, n in self._terms.items()}, self._den)
@@ -325,15 +319,9 @@ class Poly:
             return self._scaled(b[_ONE_MONO], o._den)
         if len(a) == 1 and _ONE_MONO in a:
             return o._scaled(a[_ONE_MONO], self._den)
-        # Inline rather than through _Acc: this is the kernel's hottest loop,
-        # and both operands are already over their own denominators.
-        terms: dict[Mono, int] = {}
-        get = terms.get
-        for m1, n1 in a.items():
-            for m2, n2 in b.items():
-                mono = _mono_mul(m1, m2)
-                terms[mono] = get(mono, 0) + n1 * n2
-        return _reduced(terms, self._den * o._den)
+        acc = _Acc()
+        acc.add(self, o)
+        return acc.poly()
 
     __rmul__ = __mul__
 
@@ -405,13 +393,13 @@ class Poly:
     def exact_div(self, divisor: "Poly") -> "Poly | None":
         """Exact polynomial quotient, or None when the division has a remainder.
 
-        Multivariate long division against the graded-lex leading term; the
-        quotient is returned only when it is exact.
+        A constant divisor scales the numerators; any other divisor goes
+        through multivariate long division against the graded-lex leading term.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division of polynomial by zero")
         if divisor.is_const():
-            return self / divisor.const_value()
+            return self._scaled(divisor._den, divisor._terms[_ONE_MONO])
 
         def leading(p: Poly) -> tuple[Mono, Fraction]:
             mono = min(p._terms, key=_grlex_key)
@@ -436,7 +424,7 @@ class Poly:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        return render_sum(poly_summands(self))
+        return render_sum([(ONE, 0, self.sorted_ratios())])
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -596,6 +584,10 @@ class ExpPoly:
         ordered = sorted(self._terms.items(), key=lambda item: (rank[item[0][0]], -item[0][1]))
         return [(b, d, c) for (b, d), c in ordered]
 
+    def print_groups(self) -> list[Group]:
+        """The terms as :func:`render_sum` takes them, in print order."""
+        return [(base, deg, coeff.sorted_ratios()) for base, deg, coeff in self.sorted_terms()]
+
     def by_base(self) -> dict[Poly, dict[int, Poly]]:
         """``{base: {degree: coeff}}`` with the bases in print order, so what
         is derived base by base (the side conditions) does not depend on the
@@ -610,9 +602,6 @@ class ExpPoly:
         return Poly.linear_combination(
             (ONE, coeff) for (_, degree), coeff in self._terms.items() if degree == 0
         )
-
-    def drop_zero_base(self) -> "ExpPoly":
-        return ExpPoly._trusted({k: v for k, v in self._terms.items() if not k[0].is_zero()})
 
     def zero_base_part(self) -> Poly:
         """The coefficient of the ``n == 0`` indicator ``0**n``."""
@@ -651,7 +640,7 @@ class ExpPoly:
     # -- rendering --------------------------------------------------------------
 
     def __str__(self) -> str:
-        return render_sum(exp_poly_summands(self))
+        return render_sum(self.print_groups())
 
     def __repr__(self) -> str:
         return f"ExpPoly({self})"
@@ -659,10 +648,10 @@ class ExpPoly:
 
 # -- rendering ------------------------------------------------------------------
 
-# One summand of a rendered sum: num/den * monomial * n**degree * base**n,
-# with the coefficient in lowest terms and base None for a plain polynomial
-# term.
-Summand = tuple[int, int, Mono, int, Poly | None]
+# One print group of a rendered sum: the terms ``num/den * monomial`` of one
+# ``n**degree * base**n``, in print order with each coefficient in lowest
+# terms; a plain polynomial is the one group of base ONE and degree 0.
+Group = tuple[Poly, int, list[tuple[Mono, int, int]]]
 
 
 @dataclass(frozen=True)
@@ -684,62 +673,49 @@ TEX = Style(
 )
 
 
-def poly_summands(p: Poly) -> list[Summand]:
-    """The terms of ``p`` as summands, in canonical print order."""
-    return [(num, den, mono, 0, None) for mono, num, den in p.sorted_ratios()]
+def render_sum(groups: Iterable[Group], style: Style = TEXT) -> str:
+    r"""Render print groups as one line in ``style``.
 
-
-def exp_poly_summands(f: ExpPoly) -> list[Summand]:
-    """The terms of ``f`` flattened to one summand per coefficient monomial,
-    in canonical print order."""
-    summands: list[Summand] = []
-    for base, degree, coeff in f.sorted_terms():
-        base_part = None if base == ONE else base
-        for mono, num, den in coeff.sorted_ratios():
-            summands.append((num, den, mono, degree, base_part))
-    return summands
-
-
-def render_sum(summands: Iterable[Summand], style: Style = TEXT) -> str:
-    r"""Render flat summands as one line in ``style``.
-
-    Every summand is a single product over an integer denominator, e.g.
+    Every term is a single product over an integer denominator, e.g.
     ``b^2*n/3 + y(0)^2`` or ``n*2^n/2`` in :data:`TEXT` and
     ``\frac{b^{2} n}{3}`` in :data:`TEX`.
     """
     power, join, fraction = style.power.format, style.join.join, style.fraction.format
     parts: list[str] = []
-    # Monomials and bases repeat across summands; each is rendered once.
+    # Monomials and bases repeat across groups; each is rendered once.
     mono_texts: dict[Mono, str] = {}
     base_texts: dict[Poly, str] = {}
-    for num, den, mono, ndeg, base in summands:
-        factors = []
-        if mono:
-            text = mono_texts.get(mono)
-            if text is None:
-                text = mono_texts[mono] = join(
-                    [name if exp == 1 else power(name, exp) for name, exp in mono]
-                )
-            factors.append(text)
+    for base, ndeg, ratios in groups:
+        tail = []  # the n and base factors that every term of the group shares
         if ndeg:
-            factors.append("n" if ndeg == 1 else power("n", ndeg))
-        if base is not None:
+            tail.append("n" if ndeg == 1 else power("n", ndeg))
+        if base != ONE:
             text = base_texts.get(base)
             if text is None:
                 text = base_texts[base] = power(_render_base(base, style), "n")
-            factors.append(text)
-        negative = num < 0
-        if negative:
-            num = -num
-        if num != 1 or not factors:
-            factors.insert(0, str(num))
-        body = join(factors)
-        if den != 1:
-            body = fraction(body, den)
-        if parts:
-            parts.append(f"- {body}" if negative else f"+ {body}")
-        else:
-            parts.append(f"-{body}" if negative else body)
+            tail.append(text)
+        for mono, num, den in ratios:
+            factors = []
+            if mono:
+                text = mono_texts.get(mono)
+                if text is None:
+                    text = mono_texts[mono] = join(
+                        [name if exp == 1 else power(name, exp) for name, exp in mono]
+                    )
+                factors.append(text)
+            factors += tail
+            negative = num < 0
+            if negative:
+                num = -num
+            if num != 1 or not factors:
+                factors.insert(0, str(num))
+            body = join(factors)
+            if den != 1:
+                body = fraction(body, den)
+            if parts:
+                parts.append(f"- {body}" if negative else f"+ {body}")
+            else:
+                parts.append(f"-{body}" if negative else body)
     return " ".join(parts) if parts else "0"
 
 
@@ -755,4 +731,4 @@ def _render_base(base: Poly, style: Style) -> str:
             return mono[0][0]
     elif not terms:
         return "0"
-    return style.group.format(render_sum(poly_summands(base), style))
+    return style.group.format(render_sum([(ONE, 0, base.sorted_ratios())], style))

@@ -74,13 +74,6 @@ def required_bindings(vp: ValidatedProgram) -> set[str]:
     return needed
 
 
-def _eval_param(poly: Poly, bindings: Mapping[str, Fraction], what: str) -> Fraction:
-    try:
-        return poly.evaluate(bindings)
-    except UnboundSymbolError as exc:
-        raise VerifierError(f"parameter {exc.name!r} needed by {what} is unbound") from None
-
-
 def _beyond_range(what: str, params: set[str]) -> VerifierError:
     named = f" (parameter {', '.join(sorted(params))})" if params else ""
     return VerifierError(f"{what} is beyond float range{named}")
@@ -94,7 +87,7 @@ def _float(value: Fraction, what: str, params: set[str]) -> float:
 
 
 def _eval_float(poly: Poly, bindings: Mapping[str, Fraction], what: str) -> float:
-    return _float(_eval_param(poly, bindings, what), what, poly.symbols())
+    return _float(poly.evaluate(bindings), what, poly.symbols())
 
 
 def _compile_poly(
@@ -112,8 +105,6 @@ def _compile_poly(
             if name in state_names:
                 factors.append((name, exp))
             else:
-                if name not in bindings:
-                    raise VerifierError(f"parameter {name!r} is unbound")
                 value *= bindings[name] ** exp
                 params.add(name)
         compiled.append((_float(value, f"a coefficient of {what}", params), tuple(factors)))
@@ -198,7 +189,7 @@ def simulate(
     for assignment in vp.update_assignments:
         probs = []
         for branch in assignment.branches:
-            p = _eval_param(branch.prob, bindings, f"a branch probability of {assignment.var!r}")
+            p = branch.prob.evaluate(bindings)
             if p < 0 or p > 1:
                 raise VerifierError(
                     f"branch probability of {assignment.var!r} evaluates to {p}, "

@@ -13,6 +13,7 @@ can be compared with them exactly.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from fractions import Fraction
@@ -521,3 +522,20 @@ def reference_simulate(
         )
         for t in targets
     }
+
+
+@contextlib.contextmanager
+def counting_fractions():
+    """Count the Fraction constructions made inside the block."""
+    original = Fraction.__dict__["__new__"]
+    count = [0]
+
+    def counted(cls, *args, **kwargs):
+        count[0] += 1
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counted)
+    try:
+        yield count
+    finally:
+        Fraction.__new__ = original

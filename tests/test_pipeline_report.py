@@ -1,6 +1,5 @@
 """Goal handling, the analysis pipeline, and report rendering."""
 
-import contextlib
 import hashlib
 import importlib
 import importlib.util
@@ -34,7 +33,7 @@ from loopmoments import (
 )
 from loopmoments.report import invariant_lines, render_closed_form
 
-from corpus import CORPUS, THREE_VAR, WALK, reference_json
+from corpus import CORPUS, THREE_VAR, WALK, counting_fractions, reference_json
 
 
 def M(text: str) -> Moment:
@@ -470,23 +469,6 @@ def test_emit_json_matches_the_document_tree(name):
     source, goals = GOLDEN_CASES[name]
     report = analyze(source, goals, name=name)
     assert emit_json(report) == reference_json(report)
-
-
-@contextlib.contextmanager
-def counting_fractions():
-    """Count the Fraction constructions made inside the block."""
-    original = Fraction.__dict__["__new__"]
-    count = [0]
-
-    def counted(cls, *args, **kwargs):
-        count[0] += 1
-        return original.__func__(cls, *args, **kwargs)
-
-    Fraction.__new__ = staticmethod(counted)
-    try:
-        yield count
-    finally:
-        Fraction.__new__ = original
 
 
 def test_solve_and_report_build_no_fractions():

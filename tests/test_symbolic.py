@@ -9,7 +9,7 @@ import pytest
 from loopmoments import ExpPoly, Moment, Poly
 from loopmoments.symbolic import ONE, ZERO, UnboundSymbolError
 
-from corpus import shifted
+from corpus import counting_fractions, shifted
 
 x, y, g, u, b = (Poly.var(s) for s in "xygub")
 
@@ -198,6 +198,17 @@ def test_kernel_agrees_with_fraction_evaluation():
             assert combined.evaluate(n, point) == expected
         for res in (p + q, p - q, p * q, p**3, p.substitute("x", q.__pow__)):
             _assert_normal_poly(res)
+        # scalar-left operands (__radd__, __rsub__, __rmul__) and zero operands
+        scalar_cases = [
+            (3 - p, 3 - pv),
+            (Fraction(-2, 5) + p, Fraction(-2, 5) + pv),
+            (7 * p, 7 * pv),
+            (p + 0, pv),
+            (0 - p, -pv),
+        ]
+        for res, value in scalar_cases:
+            assert _fraction_value(res, point) == value
+            _assert_normal_poly(res)
         _assert_normal_exp_poly(combined)
 
 
@@ -236,6 +247,14 @@ def test_exact_division():
         assert numerator.exact_div(b_ - a_) == telescoped
     assert (x**2 + 1).exact_div(x + 1) is None
     assert (x * 6).exact_div(Poly.const(3)) == 2 * x
+    # a constant divisor scales the integer numerators: no Fraction is built
+    p = x**2 / 3 - 2 * x * y + Fraction(5, 7)
+    for value in (Fraction(-3), Fraction(-7, 4), Fraction(2, 9)):
+        divisor = Poly.const(value)
+        with counting_fractions() as count:
+            quotient = p.exact_div(divisor)
+        assert count == [0], value
+        assert quotient == p / value
     with pytest.raises(ZeroDivisionError):
         x.exact_div(Poly())
 
@@ -266,7 +285,7 @@ def test_exp_poly_zero_base_is_an_indicator():
     assert f.evaluate(0, {}) == 7  # 0^0 == 1
     assert f.evaluate(1, {}) == 4
     assert f.value_at_zero() == Poly.const(7)
-    assert f.drop_zero_base() == ExpPoly.const(4)
+    assert [t for t in f.terms() if not t[0].is_zero()] == [(ONE, 0, Poly.const(4))]
     assert f.zero_base_part() == Poly.const(3)
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from loopmoments import ExpPoly, Moment, Poly, analyze
+from loopmoments.frontend import parse_program, validate_program
 from loopmoments.symbolic import ONE
 from loopmoments.verifier import (
     MomentEstimate,
@@ -69,12 +70,36 @@ def test_different_seeds_differ():
     assert len(means) == 3
 
 
-def test_unbound_parameter_is_reported():
+@pytest.mark.parametrize(
+    "source, name",
+    [
+        ("x = 0\nwhile true:\n  x = p*x + 1\n", "p"),
+        ("x = 0\nwhile true:\n  x = x + 1 @ p; x @ 1 - p\n", "p"),
+        ("x = 0\nwhile true:\n  u = RV(uniform, 0, p)\n  x = x + u\n", "p"),
+        ("x = RV(gauss, p, 1)\nwhile true:\n  x = x + 1\n", "p"),
+        ("while true:\n  x = x + 1\n", "x(0)"),
+    ],
+    ids=["update-coefficient", "branch-probability", "draw-argument", "initial-distribution",
+         "initial-value"],
+)
+def test_unbound_parameter_is_reported(source, name):
+    # simulate's up-front check is the one place that names unbound symbols.
+    vp = validate_program(parse_program(source))
+    cfg = SimConfig(bindings={}, iterations=5, trials=10, seed=0)
+    with pytest.raises(VerifierError) as err:
+        simulate(vp, cfg, {M("x^1")})
+    assert str(err.value) == f"unbound parameter(s): {name}"
+    assert required_bindings(vp) == {name}
+
+
+def test_unbound_parameters_are_named_beside_bound_ones():
     vp = load("walk")
-    cfg = SimConfig(bindings={"b": 2}, iterations=5, trials=10, seed=0)
-    with pytest.raises(VerifierError, match=r"y\(0\)"):
-        simulate(vp, cfg, {M("y^1")})
     assert required_bindings(vp) == {"b", "y(0)"}
+    for bindings, missing in (({"b": 2}, "y(0)"), ({}, "b, y(0)")):
+        cfg = SimConfig(bindings=bindings, iterations=5, trials=10, seed=0)
+        with pytest.raises(VerifierError) as err:
+            simulate(vp, cfg, {M("y^1")})
+        assert str(err.value) == f"unbound parameter(s): {missing}"
 
 
 def test_probability_binding_outside_unit_interval():
