@@ -78,7 +78,7 @@ class MomentEquation:
         parts = []
         for m in sorted(self.linear, key=Moment.sort_key):
             coeff = self.linear[m]
-            if coeff == Poly.const(1):
+            if coeff == ONE:
                 parts.append(f"E[{m}]")
             else:
                 parts.append(f"({coeff})*E[{m}]")
@@ -174,7 +174,7 @@ def _uniform_raw_moment(a: Poly, b: Poly, k: int) -> Poly:
 
 def _gauss_raw_moment(mean: Poly, variance: Poly, k: int) -> Poly:
     # m_0 = 1, m_1 = mean, m_k = mean*m_{k-1} + (k-1)*variance*m_{k-2}.
-    m_prev, m_cur = Poly.const(1), mean
+    m_prev, m_cur = ONE, mean
     if k == 0:
         return m_prev
     for i in range(2, k + 1):
@@ -276,7 +276,7 @@ def initial_moment(vp: ValidatedProgram, target: Moment, table: MomentTable) -> 
     parameters or independent draws), so the joint initial moment is the
     product of per-variable initial moments.
     """
-    total = Poly.const(1)
+    total = ONE
     for var, exp in target:
         desc = resolve_initial_value(vp, var)
         if isinstance(desc, Distribution):

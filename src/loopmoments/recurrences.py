@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .moments import MomentEquation
-from .symbolic import ONE, ExpPoly, Moment, Poly, _Acc
+from .symbolic import ONE, ExpPoly, Moment, Poly, _Acc, _fold
 
 
 class SolverError(Exception):
@@ -216,17 +216,22 @@ def solve_first_order(rec: Recurrence, side_conditions: list[str] | None = None)
 
 def _check_closed_form(rec: Recurrence, closed: ExpPoly) -> None:
     """Raise unless ``closed`` meets the recurrence and the initial value.
-    ``coeff*base**(n+1)*(n+1)**d`` expands binomially into the residual's
-    sums; the residual is zero exactly when all their numerators are."""
+    ``coeff*base**(n+1)*(n+1)**d - c*coeff*base**n*n**d`` expands binomially
+    to ``base*C(d, j)*coeff`` at each degree ``j < d`` and one product
+    ``(base - c)*coeff`` at degree ``d`` (``0**(n+1) == 0`` makes that
+    ``-c*coeff`` for base 0); the residual is zero exactly when all the
+    numerators of its sums are."""
     c = rec.self_coeff
     accs: defaultdict[tuple[Poly, int], _Acc] = defaultdict(_Acc)
+    deltas: dict[Poly, Poly] = {}
     for (base, degree), coeff in closed._terms.items():
-        if not base.is_zero():
-            for j in range(degree + 1):
-                accs[(base, j)].add(base, coeff, math.comb(degree, j))
-        accs[(base, degree)].add(c, coeff, -1)
-    for key, coeff in rec.inhom._terms.items():
-        accs[key].add(ONE, coeff, -1)
+        delta = deltas.get(base)
+        if delta is None:
+            delta = deltas[base] = base - c
+        for j in range(degree):
+            accs[(base, j)].add(base, coeff, math.comb(degree, j))
+        accs[(base, degree)].add(delta, coeff)
+    _fold(accs, rec.inhom._terms, -1, 1)
     if any(any(acc.nums.values()) for acc in accs.values()):
         raise SolverError(
             f"internal: closed form for E[{rec.target}] failed its defining "

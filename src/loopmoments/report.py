@@ -6,9 +6,12 @@ Three output surfaces share one canonical content model:
 * ``tex`` -- the same invariants as LaTeX math lines.
 * ``json`` -- a machine-readable document and the one report format that
   is read back: :func:`report_from_json` reproduces an equal report.  Its
-  bytes are those of ``json.dumps`` on the whole tree, but each entry of
-  the long lists is built and encoded alone; non-finite floats are the
-  strings ``"Infinity"``, ``"-Infinity"`` and ``"NaN"``.
+  bytes are those of ``json.dumps`` on the whole tree, but no tree of the
+  closed forms is built: each term is written as text, each monomial's
+  ``powers`` and each base are encoded once per report, and only strings
+  (program and moment names, the ``text``) go through the JSON encoder;
+  non-finite floats are the strings ``"Infinity"``, ``"-Infinity"`` and
+  ``"NaN"``.
 
 Every surface reads a closed form from its one term list in print order,
 ``ExpPoly.print_groups()``: the JSON ``closed_form`` directly, and ``txt``,
@@ -165,27 +168,30 @@ def emit_tex(report: InvariantReport) -> str:
 
 
 class _JsonTerms:
-    """The JSON of polynomials and closed forms for one report.  Bases and
-    monomials repeat across the closed forms, so each base's JSON and each
-    monomial's ``powers`` list is built once and shared."""
+    """The JSON text of polynomials and closed forms for one report, written
+    term by term.  Bases and monomials repeat across the closed forms, so
+    each base's text and each monomial's ``powers`` text is encoded once."""
 
     def __init__(self):
-        self._powers: dict[Mono, list[list[Any]]] = {}
-        self._bases: dict[Poly, list[dict[str, Any]]] = {}
+        self._powers: dict[Mono, str] = {}
+        self._bases: dict[Poly, str] = {}
 
-    def ratios(self, ratios: list[tuple[Mono, int, int]]) -> list[dict[str, Any]]:
+    def ratios(self, ratios: list[tuple[Mono, int, int]]) -> str:
         out = []
+        powers_text = self._powers
         for mono, num, den in ratios:
-            powers = self._powers.get(mono)
+            powers = powers_text.get(mono)
             if powers is None:
-                powers = self._powers[mono] = [[name, exp] for name, exp in mono]
-            out.append({"num": num, "den": den, "powers": powers})
-        return out
+                powers = powers_text[mono] = (
+                    "[" + ", ".join(f"[{_encode(name)}, {exp}]" for name, exp in mono) + "]"
+                )
+            out.append(f'{{"num": {num}, "den": {den}, "powers": {powers}}}')
+        return "[" + ", ".join(out) + "]"
 
-    def poly(self, p: Poly) -> list[dict[str, Any]]:
+    def poly(self, p: Poly) -> str:
         return self.ratios(p.sorted_ratios())
 
-    def invariant(self, moment: Moment, form: ExpPoly) -> dict[str, Any]:
+    def invariant(self, moment: Moment, form: ExpPoly) -> str:
         """The ``closed_form`` terms and the ``text`` of :func:`render_closed_form`,
         both from the one print-group list of ``form``."""
         groups = form.print_groups()
@@ -194,12 +200,17 @@ class _JsonTerms:
             base_json = self._bases.get(base)
             if base_json is None:
                 base_json = self._bases[base] = self.poly(base)
-            closed_form.append({"coeff": self.ratios(ratios), "base": base_json, "degree": degree})
-        return {
-            "moment": str(moment),
-            "closed_form": closed_form,
-            "text": _closed_form_text(form, groups, TEXT),
-        }
+            closed_form.append(
+                f'{{"coeff": {self.ratios(ratios)}, "base": {base_json}, "degree": {degree}}}'
+            )
+        text = _encode(_closed_form_text(form, groups, TEXT))
+        return (
+            f'{{"moment": {_encode(str(moment))}, "closed_form": '
+            f'[{", ".join(closed_form)}], "text": {text}}}'
+        )
+
+    def initial(self, moment: Moment, value: Poly) -> str:
+        return f'{{"moment": {_encode(str(moment))}, "value": {self.poly(value)}}}'
 
 
 # Each term of a polynomial's JSON as (monomial, numerator, denominator).
@@ -277,8 +288,7 @@ def emit_json(report: InvariantReport) -> str:
             terms.invariant(moment, form) for moment, form in report.invariants.items()
         ),
         "initial_moments": (
-            {"moment": str(moment), "value": terms.poly(value)}
-            for moment, value in report.initial_moments.items()
+            terms.initial(moment, value) for moment, value in report.initial_moments.items()
         ),
         "symbolic_initials": list(report.symbolic_initials),
         "side_conditions": list(report.side_conditions),
@@ -291,9 +301,10 @@ def emit_json(report: InvariantReport) -> str:
         out += (sep, _encode(key), ": ")
         sep = ", "
         if isinstance(value, Iterator):
+            # the entries of the long lists come as their own JSON text
             out.append("[")
             for i, item in enumerate(value):
-                out += (", " if i else "", _encode(item))
+                out += (", " if i else "", item)
             out.append("]")
         else:
             out.append(_encode(value))

@@ -28,10 +28,14 @@ So structural equality is algebraic equality, and equal values hash alike.
 :class:`~fractions.Fraction` values appear only at the public surface: the
 constructors and scalar operands that accept them, and the views
 (``Poly.terms()``, ``const_value()``, ``evaluate()``) that give them in
-lowest terms.  The kernel itself does plain ``int`` arithmetic: ``_Acc`` is
-its one sum of exact products (``+``, ``-``, ``*`` and every linear
-combination), folded over a common denominator and reduced by one gcd at the
-end, and constant bases are put in print order by their numerators over the
+lowest terms.  The kernel itself does plain ``int`` arithmetic: ``_fold`` is
+its one loop that adds exact products into sums over a common denominator,
+for ``_Acc`` (one sum: ``+``, ``-``, ``*``, ``Poly.linear_combination``) and
+for the keyed sums of ``ExpPoly.linear_combination``.  It runs once per
+contribution, not per term: a constant operand, on either side, is one
+integer multiplier over the other operand's terms, and an empty sum takes
+the product's denominator as it is.  Each sum is reduced by one gcd at the
+end.  Constant bases are put in print order by their numerators over the
 bases' common denominator.  Both families print through :func:`render_sum`,
 which takes print groups ``(base, degree, ratios)``: ``ExpPoly.print_groups()``
 or the one group ``(ONE, 0, p.sorted_ratios())`` of a polynomial.
@@ -48,6 +52,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Union
@@ -108,10 +113,43 @@ def _reduced(nums: dict[Mono, int], den: int) -> "Poly":
     return Poly._trusted(nums, den)
 
 
+def _fold(accs: Mapping, terms: Mapping, num: int, den: int, mono: Mono = _ONE_MONO) -> None:
+    """``accs[key] += num/den * mono * c`` for each ``key: c`` of ``terms``,
+    a mapping to polynomials: the one loop that brings a sum of products to
+    a common denominator and adds the numerators.  An empty sum takes the
+    product's denominator as it is; otherwise the sum's denominator grows to
+    the lcm of the two and the product is scaled up to it."""
+    for key, c in terms.items():
+        acc = accs[key]
+        nums = acc.nums
+        d = c._den * den
+        k = num
+        if not nums:
+            acc.den = d
+        elif d != acc.den:
+            if acc.den % d:
+                lcm = math.lcm(acc.den, d)
+                grow = lcm // acc.den
+                for m in nums:
+                    nums[m] *= grow
+                acc.den = lcm
+            k *= acc.den // d
+        get = nums.get
+        if mono:
+            for m, n in c._terms.items():
+                m = _mono_mul(mono, m)
+                nums[m] = get(m, 0) + k * n
+        else:
+            for m, n in c._terms.items():
+                nums[m] = get(m, 0) + k * n
+
+
 class _Acc:
     """A running sum of exact products ``k*a*b`` of polynomials, kept as
-    integer numerators over one common denominator that grows to the lcm of
-    the products' denominators; :meth:`poly` reduces once at the end."""
+    integer numerators over one common denominator (see :func:`_fold`);
+    :meth:`poly` reduces once at the end.  A product is folded in once per
+    term of its shorter operand, so a constant operand, on either side, is
+    one integer multiplier over the other's terms."""
 
     __slots__ = ("nums", "den")
 
@@ -120,27 +158,11 @@ class _Acc:
         self.den = 1
 
     def add(self, a: "Poly", b: "Poly", k: int = 1) -> None:
-        den = a._den * b._den
-        nums = self.nums
-        if den != self.den:
-            if self.den % den:
-                lcm = math.lcm(self.den, den)
-                grow = lcm // self.den
-                for mono in nums:
-                    nums[mono] *= grow
-                self.den = lcm
-            k *= self.den // den
-        get = nums.get
-        b_items = b._terms.items()
-        for m1, n1 in a._terms.items():
-            n1 *= k
-            if m1:
-                for m2, n2 in b_items:
-                    mono = _mono_mul(m1, m2)
-                    nums[mono] = get(mono, 0) + n1 * n2
-            else:
-                for m2, n2 in b_items:
-                    nums[m2] = get(m2, 0) + n1 * n2
+        if len(b._terms) < len(a._terms):
+            a, b = b, a
+        accs, terms = {None: self}, {None: b}
+        for mono, num in a._terms.items():
+            _fold(accs, terms, k * num, a._den, mono)
 
     def poly(self) -> "Poly":
         return _reduced(self.nums, self.den)
@@ -207,6 +229,8 @@ class Poly:
 
     @classmethod
     def const(cls, value: Scalar) -> "Poly":
+        if type(value) is int:
+            return cls._trusted({_ONE_MONO: value} if value else {})
         q = Fraction(value)
         return cls._trusted({_ONE_MONO: q.numerator} if q else {}, q.denominator)
 
@@ -528,13 +552,10 @@ class ExpPoly:
         """``sum coeff * f`` over ``(coeff, f)`` pairs, summed per
         ``(base, degree)`` key over one common denominator without building
         the intermediate values."""
-        accs: dict[tuple[Poly, int], _Acc] = {}
+        accs: defaultdict[tuple[Poly, int], _Acc] = defaultdict(_Acc)
         for coeff, f in pairs:
-            for key, c in f._terms.items():
-                acc = accs.get(key)
-                if acc is None:
-                    accs[key] = acc = _Acc()
-                acc.add(coeff, c)
+            for mono, num in coeff._terms.items():
+                _fold(accs, f._terms, num, coeff._den, mono)
         return ExpPoly._summed(accs)
 
     @classmethod

@@ -221,6 +221,20 @@ def shifted(f: ExpPoly) -> ExpPoly:
     return ExpPoly(terms)
 
 
+def reference_linear_combination(pairs) -> ExpPoly:
+    """``sum coeff * f`` over ``(coeff, f)`` pairs, multiplied out term by
+    term over the public ``Fraction`` coefficients and handed to the
+    validating constructors, which merge the monomials and sum the keys."""
+    products: dict[tuple[Poly, int], list] = {}
+    for coeff, f in pairs:
+        for base, degree, c in f.terms():
+            out = products.setdefault((base, degree), [])
+            for m1, q1 in coeff.terms():
+                for m2, q2 in c.terms():
+                    out.append((m1 + m2, q1 * q2))
+    return ExpPoly({key: Poly(terms) for key, terms in products.items()})
+
+
 def _json_float(x: float) -> Any:
     if math.isfinite(x):
         return x

@@ -468,7 +468,19 @@ def test_json_text_is_the_txt_right_hand_side(name):
 def test_emit_json_matches_the_document_tree(name):
     source, goals = GOLDEN_CASES[name]
     report = analyze(source, goals, name=name)
-    assert emit_json(report) == reference_json(report)
+    text = emit_json(report)
+    assert text == reference_json(report)
+    assert report_from_json(text) == report
+
+
+def test_emit_json_matches_the_document_tree_on_large_and_verified_reports():
+    # the writer's shared powers and base texts, over many closed forms
+    reports = [analyze(THREE_VAR, [k], name=f"three-var k={k}") for k in (1, 2, 3, 4)]
+    reports.append(verified_walk_report())
+    for report in reports:
+        text = emit_json(report)
+        assert text == reference_json(report), report.program_name
+        assert report_from_json(text) == report, report.program_name
 
 
 def test_solve_and_report_build_no_fractions():

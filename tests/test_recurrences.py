@@ -295,6 +295,57 @@ def test_self_check_rejects_a_residual_at_a_key_the_closed_form_lacks():
         recurrences._check_closed_form(r, missing)
 
 
+def test_self_check_rejects_a_wrong_coefficient_at_the_resonant_key():
+    # f(n+1) = 2*f(n) + 2^n with f(0) = 0 is n*2^n/2.  At the resonant key
+    # (2, 1) the product (base - c)*coeff is zero, so only the binomial
+    # expansion's lower-degree term can see a wrong coefficient there.
+    two = Poly.const(2)
+    r = rec("w^1", 2, ExpPoly({(two, 0): ONE}), 0)
+    assert solve_first_order(r) == ExpPoly({(two, 1): Poly.const(Fraction(1, 2))})
+    wrong = ExpPoly({(two, 1): Poly.const(Fraction(1, 3))})
+    assert wrong.value_at_zero() == r.init
+    with pytest.raises(SolverError, match=r"failed its defining identity \(residual -2\^n/3\)"):
+        recurrences._check_closed_form(r, wrong)
+
+
+def test_self_check_rejects_a_wrong_lower_degree_coefficient():
+    # f(n+1) = 1/2*f(n) + n*2^n with f(0) = 0; the 2^n coefficient is off by
+    # one and alpha is moved so that f(0) still holds
+    half, two = Poly.const(Fraction(1, 2)), Poly.const(2)
+    r = rec("x^1", Fraction(1, 2), ExpPoly({(two, 1): ONE}), 0)
+    right = {(two, 1): Fraction(2, 3), (two, 0): Fraction(-8, 9), (half, 0): Fraction(8, 9)}
+    assert solve_first_order(r) == ExpPoly({k: Poly.const(v) for k, v in right.items()})
+    right[(two, 0)] += 1
+    right[(half, 0)] -= 1
+    wrong = ExpPoly({k: Poly.const(v) for k, v in right.items()})
+    assert wrong.value_at_zero() == r.init
+    with pytest.raises(SolverError, match=r"failed its defining identity \(residual 3\*2\^n/2\)"):
+        recurrences._check_closed_form(r, wrong)
+
+
+def test_self_check_rejects_a_wrong_one_point_correction():
+    # f(n+1) = 1/2*f(n) + 0^n with f(0) = 0 is 2*(1/2)^n - 2*0^n.  With the
+    # base-0 correction at -1 the product (0 - c)*coeff leaves a residual;
+    # with alpha moved as well f(0) fails instead.
+    half = Poly.const(Fraction(1, 2))
+    r = rec("v^1", Fraction(1, 2), ExpPoly({(ZERO, 0): ONE}), 0)
+    assert solve_first_order(r) == ExpPoly({(half, 0): Poly.const(2), (ZERO, 0): Poly.const(-2)})
+    wrong = ExpPoly({(half, 0): ONE, (ZERO, 0): -ONE})
+    assert wrong.value_at_zero() == r.init
+    with pytest.raises(SolverError, match=r"failed its defining identity \(residual -0\^n/2\)"):
+        recurrences._check_closed_form(r, wrong)
+    # f(n+1) = 0*f(n) + 1/2 with f(0) = v(0): the correction is all that
+    # carries the initial value, and only f(0) can see it
+    v0 = Poly.var("v(0)")
+    r = rec("v^1", 0, ExpPoly.const(Fraction(1, 2)), v0)
+    assert solve_first_order(r) == ExpPoly({(ONE, 0): half, (ZERO, 0): v0 - half})
+    with pytest.raises(SolverError) as err:
+        recurrences._check_closed_form(r, ExpPoly({(ONE, 0): half, (ZERO, 0): v0 - 1}))
+    assert str(err.value) == (
+        "internal: closed form for E[v^1] gives f(0) = v(0) - 1/2, not the initial moment v(0)"
+    )
+
+
 def test_divide_by_a_constant_matches_fraction_division():
     p, q = Poly.var("p"), Poly.var("q")
     numerators = [Poly(), Poly.const(5), p * q / 4 - Fraction(3, 7) * p + 2, (p - 3) ** 3 / 9]

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from loopmoments import ExpPoly, Moment, Poly
-from loopmoments.symbolic import ONE, ZERO, UnboundSymbolError
+from loopmoments.symbolic import ONE, ZERO, UnboundSymbolError, _Acc
 
-from corpus import counting_fractions, shifted
+from corpus import counting_fractions, reference_linear_combination, shifted
 
 x, y, g, u, b = (Poly.var(s) for s in "xygub")
 
@@ -230,6 +230,71 @@ def test_cancellation_gives_the_empty_value():
         _assert_same_value(zero, ExpPoly())
     partial = ExpPoly.linear_combination([(ONE, f), (ONE, minus_x)])
     assert [(base, degree) for base, degree, _ in partial.terms()] == [(ONE, 0)]
+
+
+# Denominators that make a sum start empty, take a product whose denominator
+# divides its own, and grow to a larger lcm.
+_DENS = (1, 2, 3, 4, 6, 9, 12, 35, 1024)
+
+
+def _random_const(rng: random.Random) -> Poly:
+    return Poly.const(Fraction(rng.choice((0, 1, -1, rng.randint(-50, 50))), rng.choice(_DENS)))
+
+
+def test_constant_coefficients_match_the_fraction_reference():
+    rng = random.Random(2718)
+    for _ in range(150):
+        pairs = []
+        for _ in range(rng.randint(1, 6)):
+            # mostly constants, as in the solver; zero and symbolic ones too
+            coeff = _random_const(rng) if rng.random() < 0.8 else _random_poly(rng, "xy", 2)
+            f = _random_exp_poly(rng, lambda: _random_const(rng) * _random_poly(rng, "xy", 3))
+            pairs.append((coeff, f))
+        combined = ExpPoly.linear_combination(pairs)
+        _assert_normal_exp_poly(combined)
+        _assert_same_value(combined, reference_linear_combination(pairs))
+        # the same pairs negated cancel to the empty value
+        cancelled = ExpPoly.linear_combination(pairs + [(-coeff, f) for coeff, f in pairs])
+        _assert_same_value(cancelled, ExpPoly())
+        # a constant operand on either side of a sum of products
+        acc, want = _Acc(), Poly()
+        for _ in range(rng.randint(1, 5)):
+            c, p = _random_const(rng), _random_poly(rng, "xy", 3)
+            k = rng.choice((1, -1, 3))
+            if rng.random() < 0.5:
+                acc.add(c, p, k)
+            else:
+                acc.add(p, c, k)
+            want = want + k * c * p
+        got = acc.poly()
+        _assert_normal_poly(got)
+        _assert_same_value(got, want)
+
+
+def test_sums_start_empty_stay_divisible_and_rescale():
+    # 1/4*p starts the sum at denominator 4, -1/2*q divides it and 1/3*r
+    # grows it to 12
+    p, q, r = x + 1, x - 1, x
+    pairs = [(Poly.const(Fraction(1, 4)), p), (Poly.const(Fraction(-1, 2)), q),
+             (Poly.const(Fraction(1, 3)), r)]
+    want = x / 12 + Fraction(3, 4)
+    for swap in (False, True):
+        acc = _Acc()
+        for c, poly in pairs:
+            if swap:
+                acc.add(poly, c)
+            else:
+                acc.add(c, poly)
+        _assert_normal_poly(acc.poly())
+        _assert_same_value(acc.poly(), want)
+    fs = [(c, ExpPoly({(ONE, 1): poly, (ZERO, 0): -poly})) for c, poly in pairs]
+    combined = ExpPoly.linear_combination(fs)
+    _assert_same_value(combined, reference_linear_combination(fs))
+    _assert_same_value(combined, ExpPoly({(ONE, 1): want, (ZERO, 0): -want}))
+    # zero coefficients add nothing, and a contribution can cancel another
+    zeros = [(Poly.const(0), f) for _, f in fs]
+    undo = [fs[0], (Poly.const(Fraction(-1, 4)), fs[0][1])]
+    _assert_same_value(ExpPoly.linear_combination(zeros + undo), ExpPoly())
 
 
 def test_evaluate_and_unbound_error():
