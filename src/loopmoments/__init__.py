@@ -18,6 +18,7 @@ from .frontend import (
 )
 from .moments import (
     ClosureOverflowError,
+    Moment,
     MomentEquation,
     MomentTable,
     initial_moment,
@@ -46,7 +47,7 @@ from .recurrences import (
     topo_order,
 )
 from .report import emit, emit_json, emit_tex, emit_txt, report_from_json
-from .symbolic import ExpPoly, Moment, Poly, UnboundSymbolError
+from .symbolic import ExpPoly, Poly, UnboundSymbolError
 from .verifier import MomentEstimate, SimConfig, VerifierError, check, simulate
 
 __version__ = "0.1.0"

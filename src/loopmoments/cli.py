@@ -84,10 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_bindings(pairs: Sequence[str]) -> dict[str, Fraction]:
     bindings: dict[str, Fraction] = {}
     for pair in pairs:
-        if "=" not in pair:
-            raise VerifierError(f"--param expects NAME=VALUE, got {pair!r}")
         name, _, value = pair.partition("=")
         name = name.strip()
+        if not name or "=" not in pair:
+            raise VerifierError(f"--param expects NAME=VALUE, got {pair!r}")
         try:
             bindings[name] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):

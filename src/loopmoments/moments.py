@@ -1,7 +1,9 @@
 """Rewriting probabilistic updates into linear equations over moments.
 
-For a tracked moment ``E[m](n+1)`` the engine walks the body's updates in
-reverse textual order through the monomial ``m``.  Substituting an update
+A tracked moment is a :class:`Moment`, the canonical monomial over program
+variables whose expected value ``E[m](n)`` is followed.  For a tracked
+moment ``E[m](n+1)`` the engine walks the body's updates in reverse
+textual order through the monomial ``m``.  Substituting an update
 ``var = e_b @ p_b`` writes the polynomial as ``sum_k c_k * var^k`` and
 replaces each ``var^k`` by the update's image ``sum_b p_b * e_b^k``, which
 mixes the branches by their probabilities in the same step; this one step,
@@ -20,20 +22,83 @@ moment:
 
 with coefficients that are polynomials over parameters.  The demand-driven
 closure in :func:`moment_closure` collects every moment such an equation
-mentions, which is a finite set for validated programs.  The images and
-the raw moments are memoised in the :class:`MomentTable` of one analysis,
-so each power of each update is built once across all targets.
+mentions, which is a finite set for validated programs; its cap counts
+every tracked moment, the goals included.  The images and the raw moments
+are memoised in the :class:`MomentTable` of one analysis, so each power of
+each update is built once across all targets.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Mapping
 
 from .frontend import Distribution, UpdateAssignment, ValidatedProgram, resolve_initial_value
-from .symbolic import ONE, ZERO, Mono, Moment, Poly
+from .symbolic import ONE, ZERO, Mono, Poly, _canonical_mono
+
+
+class Moment(tuple):
+    """A monomial over program variables whose expected value is tracked.
+
+    ``Moment((("x", 2), ("y", 1)))`` stands for the sequence
+    ``E[x(n)^2 * y(n)]``.  A moment is its canonical monomial: the tuple of
+    ``(variable, exponent)`` pairs sorted by name with repeated names merged,
+    so it compares, orders and hashes as that tuple, and the rendering
+    ``x^2*y^1`` is canonical.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, powers: Iterable[tuple[str, int]]) -> "Moment":
+        pairs = tuple(powers)
+        if any(e < 1 for _, e in pairs):
+            raise ValueError("moment exponents must be positive")
+        mono = _canonical_mono(pairs)
+        if not mono:
+            raise ValueError("a tracked moment needs at least one variable")
+        return super().__new__(cls, mono)
+
+    @classmethod
+    def single(cls, var: str, exp: int = 1) -> "Moment":
+        return cls(((var, exp),))
+
+    _TOKEN = re.compile(r"^([A-Za-z][A-Za-z0-9]*(?:\(0\))?)(?:\^(\d+))?$")
+
+    @classmethod
+    def parse(cls, text: str) -> "Moment":
+        """Parse goal syntax like ``x^2*y`` (an omitted exponent means 1)."""
+        pairs = []
+        for chunk in text.split("*"):
+            m = cls._TOKEN.match(chunk.strip())
+            if m is None:
+                raise ValueError(f"bad monomial syntax: {text!r}")
+            pairs.append((m.group(1), int(m.group(2)) if m.group(2) else 1))
+        return cls(pairs)
+
+    @property
+    def powers(self) -> Mono:
+        return tuple(self)
+
+    def degree(self) -> int:
+        return sum(e for _, e in self)
+
+    def variables(self) -> tuple[str, ...]:
+        return tuple(v for v, _ in self)
+
+    def as_poly(self) -> Poly:
+        return Poly._trusted({self.powers: 1})
+
+    def sort_key(self) -> tuple:
+        return (self.degree(), self)
+
+    def __str__(self) -> str:
+        return "*".join(f"{v}^{e}" for v, e in self)
+
+    def __repr__(self) -> str:
+        return f"Moment({self.powers!r})"
 
 
 # Draws to average out, as (name, distribution) pairs.
@@ -246,13 +311,15 @@ def moment_closure(
 
     Breadth-first from the goal moments; each equation's right-hand side
     enqueues the moments it mentions, until the set is closed.  The set is
-    finite for validated programs; the cap bounds its size for goals whose
-    closure would take too long to build and solve.  The equations come in
-    discovery order, which the sorted goals and dependencies make
-    deterministic.
+    finite for validated programs; the cap bounds its size, the goals
+    included, for goals whose closure would take too long to build and
+    solve.  The equations come in discovery order, which the sorted goals
+    and dependencies make deterministic.
     """
     table = table or MomentTable()
     queue = sorted(set(goals), key=Moment.sort_key)
+    if len(queue) > cap:
+        raise ClosureOverflowError(cap)
     equations: dict[Moment, MomentEquation] = {}
     pending = deque(queue)
     enqueued = set(queue)

@@ -14,9 +14,16 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence, Union
 
 from .frontend import ValidatedProgram, parse_program, validate_program
-from .moments import CLOSURE_CAP, MomentEquation, MomentTable, initial_moment, moment_closure
+from .moments import (
+    CLOSURE_CAP,
+    Moment,
+    MomentEquation,
+    MomentTable,
+    initial_moment,
+    moment_closure,
+)
 from .recurrences import solve_all, topo_order
-from .symbolic import ExpPoly, Moment, Poly
+from .symbolic import ExpPoly, Poly
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping
 
-from .moments import MomentEquation
-from .symbolic import ONE, ExpPoly, Moment, Poly, _Acc, _fold
+from .moments import Moment, MomentEquation
+from .symbolic import _ONE_MONO, ONE, ExpPoly, Poly, _Acc, _fold, _reduced
 
 
 class SolverError(Exception):
@@ -136,11 +136,20 @@ def build_recurrence(
     )
 
 
-def _divide(numerator: Poly, divisor: Poly) -> Poly:
-    """Exact division in the coefficient ring: a quotient that would leave
-    it raises :class:`UnresolvedBaseError`."""
+def _divide(acc: _Acc, divisor: Poly) -> Poly:
+    """The sum ``acc`` divided exactly in the coefficient ring, which uses
+    ``acc`` up: a constant divisor scales its numerators, reduced once with
+    the sum; a quotient that would leave the ring raises
+    :class:`UnresolvedBaseError`."""
     if divisor.is_zero():
         raise SolverError("internal: division by zero while matching coefficients")
+    if divisor.is_const():
+        num, den = divisor._den, divisor._terms[_ONE_MONO]
+        if den < 0:
+            num, den = -num, -den
+        nums = acc.nums if num == 1 else {m: n * num for m, n in acc.nums.items()}
+        return _reduced(nums, acc.den * den)
+    numerator = acc.poly()
     quotient = numerator.exact_div(divisor)
     if quotient is None:
         raise UnresolvedBaseError(numerator, divisor)
@@ -199,7 +208,7 @@ def solve_first_order(rec: Recurrence, side_conditions: list[str] | None = None)
             for j in range(m + shift + 1, degree + shift + 1):
                 acc.add(q[j], base, -math.comb(j, m))
             divisor = base._scaled(m + 1) if resonant else delta
-            q[m + shift] = _divide(acc.poly(), divisor)
+            q[m + shift] = _divide(acc, divisor)
         # Distinct bases give distinct keys, so nothing here sums.
         for j, qj in q.items():
             if not qj.is_zero():

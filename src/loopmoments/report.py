@@ -30,6 +30,7 @@ import math
 from fractions import Fraction
 from typing import Any, Iterator
 
+from .moments import Moment
 from .pipeline import (
     AllVarsGoal,
     Goal,
@@ -45,7 +46,6 @@ from .symbolic import (
     ExpPoly,
     Group,
     Mono,
-    Moment,
     Poly,
     Style,
     render_sum,
@@ -71,14 +71,19 @@ def emit(report: InvariantReport, fmt: str) -> str:
 
 def invariant_lines(report: InvariantReport) -> list[str]:
     """The deterministic ``E[...] = ...`` lines, without surrounding info."""
+    bases: dict[Poly, str] = {}
     return [
-        f"E[{moment}] = {render_closed_form(form)}"
+        f"E[{moment}] = {render_closed_form(form, TEXT, bases)}"
         for moment, form in report.invariants.items()
     ]
 
 
-def render_closed_form(form: ExpPoly, style: Style = TEXT) -> str:
-    return _closed_form_text(form, form.print_groups(), style)
+def render_closed_form(
+    form: ExpPoly, style: Style = TEXT, bases: dict[Poly, str] | None = None
+) -> str:
+    """``form`` in ``style``; ``bases`` is :func:`render_sum`'s memo of the
+    ``base^n`` texts, shared by the closed forms of one report."""
+    return _closed_form_text(form, form.print_groups(), style, bases)
 
 
 # The note on a one-point correction at n = 0, around the initial value.
@@ -88,11 +93,13 @@ _AT_ZERO = {
 }
 
 
-def _closed_form_text(form: ExpPoly, groups: list[Group], style: Style) -> str:
+def _closed_form_text(
+    form: ExpPoly, groups: list[Group], style: Style, bases: dict[Poly, str] | None
+) -> str:
     """``form``, given as its print groups, in ``style``: the terms with a
     nonzero base, with a one-point correction at n = 0 noted as the initial
     value."""
-    text = render_sum((group for group in groups if not group[0].is_zero()), style)
+    text = render_sum((group for group in groups if not group[0].is_zero()), style, bases)
     if form.zero_base_part().is_zero():
         return text
     initial = render_sum([(ONE, 0, form.value_at_zero().sorted_ratios())], style)
@@ -149,9 +156,10 @@ def emit_tex(report: InvariantReport) -> str:
     out.append(f"% goals: {', '.join(str(g) for g in report.goals)}")
     out.append(r"\begin{align*}")
     body = []
+    bases: dict[Poly, str] = {}
     for moment, form in report.invariants.items():
         powers = "".join(f"{var}^{{{exp}}}" for var, exp in moment.powers)
-        body.append(f"E[{powers}] &= {render_closed_form(form, TEX)}")
+        body.append(f"E[{powers}] &= {render_closed_form(form, TEX, bases)}")
     out.append("\\\\\n".join(body))
     out.append(r"\end{align*}")
     for note in report.side_conditions:
@@ -170,11 +178,13 @@ def emit_tex(report: InvariantReport) -> str:
 class _JsonTerms:
     """The JSON text of polynomials and closed forms for one report, written
     term by term.  Bases and monomials repeat across the closed forms, so
-    each base's text and each monomial's ``powers`` text is encoded once."""
+    each base's JSON and ``base^n`` text and each monomial's ``powers`` text
+    is made once."""
 
     def __init__(self):
         self._powers: dict[Mono, str] = {}
         self._bases: dict[Poly, str] = {}
+        self._base_texts: dict[Poly, str] = {}
 
     def ratios(self, ratios: list[tuple[Mono, int, int]]) -> str:
         out = []
@@ -203,7 +213,7 @@ class _JsonTerms:
             closed_form.append(
                 f'{{"coeff": {self.ratios(ratios)}, "base": {base_json}, "degree": {degree}}}'
             )
-        text = _encode(_closed_form_text(form, groups, TEXT))
+        text = _encode(_closed_form_text(form, groups, TEXT, self._base_texts))
         return (
             f'{{"moment": {_encode(str(moment))}, "closed_form": '
             f'[{", ".join(closed_form)}], "text": {text}}}'

@@ -33,12 +33,16 @@ its one loop that adds exact products into sums over a common denominator,
 for ``_Acc`` (one sum: ``+``, ``-``, ``*``, ``Poly.linear_combination``) and
 for the keyed sums of ``ExpPoly.linear_combination``.  It runs once per
 contribution, not per term: a constant operand, on either side, is one
-integer multiplier over the other operand's terms, and an empty sum takes
-the product's denominator as it is.  Each sum is reduced by one gcd at the
-end.  Constant bases are put in print order by their numerators over the
-bases' common denominator.  Both families print through :func:`render_sum`,
-which takes print groups ``(base, degree, ratios)``: ``ExpPoly.print_groups()``
-or the one group ``(ONE, 0, p.sorted_ratios())`` of a polynomial.
+integer multiplier over the other operand's terms, and an empty sum is
+started in one dict build, with the product's denominator as it is.  Each
+sum is reduced by one gcd at the end.  The sum or difference of two
+constants needs no sum: it is two integer products over the product of the
+denominators, reduced once.  Constant bases are put in print order by their
+numerators over the bases' common denominator.  Both families print through
+:func:`render_sum`, which takes print groups ``(base, degree, ratios)``:
+``ExpPoly.print_groups()`` or the one group ``(ONE, 0, p.sorted_ratios())``
+of a polynomial, and a memo of the ``base^n`` texts that the renderers of
+one report share.
 
 Only the public constructors ``Poly(...)`` and ``ExpPoly(...)`` validate
 (canonicalising monomials, summing coefficients and dropping zeros).  Every
@@ -51,7 +55,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,9 +119,11 @@ def _reduced(nums: dict[Mono, int], den: int) -> "Poly":
 def _fold(accs: Mapping, terms: Mapping, num: int, den: int, mono: Mono = _ONE_MONO) -> None:
     """``accs[key] += num/den * mono * c`` for each ``key: c`` of ``terms``,
     a mapping to polynomials: the one loop that brings a sum of products to
-    a common denominator and adds the numerators.  An empty sum takes the
-    product's denominator as it is; otherwise the sum's denominator grows to
-    the lcm of the two and the product is scaled up to it."""
+    a common denominator and adds the numerators.  An empty sum is started
+    in one dict build with the product's denominator as it is; the dict is
+    its own, a copy when the product is ``c`` itself, since later adds write
+    to it.  Otherwise the sum's denominator grows to the lcm of the two and
+    the product is scaled up to it."""
     for key, c in terms.items():
         acc = accs[key]
         nums = acc.nums
@@ -126,7 +131,14 @@ def _fold(accs: Mapping, terms: Mapping, num: int, den: int, mono: Mono = _ONE_M
         k = num
         if not nums:
             acc.den = d
-        elif d != acc.den:
+            if mono:
+                acc.nums = {_mono_mul(mono, m): k * n for m, n in c._terms.items()}
+            elif k == 1:
+                acc.nums = c._terms.copy()
+            else:
+                acc.nums = {m: k * n for m, n in c._terms.items()}
+            continue
+        if d != acc.den:
             if acc.den % d:
                 lcm = math.lcm(acc.den, d)
                 grow = lcm // acc.den
@@ -310,10 +322,15 @@ class Poly:
         return None
 
     def _plus(self, other, k: int) -> "Poly":
-        """``self + k*other``, both operands summed into one accumulator."""
+        """``self + k*other``, both operands summed into one accumulator, or
+        two constants (zero among them) cross-multiplied in integers."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        a, b = self._terms, o._terms
+        if self.is_const() and o.is_const():
+            num = a.get(_ONE_MONO, 0) * o._den + k * b.get(_ONE_MONO, 0) * self._den
+            return _reduced({_ONE_MONO: num}, self._den * o._den)
         acc = _Acc()
         acc.add(ONE, self)
         acc.add(ONE, o, k)
@@ -456,67 +473,6 @@ class Poly:
 
 ZERO = Poly._trusted({})
 ONE = Poly.const(1)
-
-
-class Moment(tuple):
-    """A monomial over program variables whose expected value is tracked.
-
-    ``Moment((("x", 2), ("y", 1)))`` stands for the sequence
-    ``E[x(n)^2 * y(n)]``.  A moment is its canonical monomial: the tuple of
-    ``(variable, exponent)`` pairs sorted by name with repeated names merged,
-    so it compares, orders and hashes as that tuple, and the rendering
-    ``x^2*y^1`` is canonical.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, powers: Iterable[tuple[str, int]]) -> "Moment":
-        pairs = tuple(powers)
-        if any(e < 1 for _, e in pairs):
-            raise ValueError("moment exponents must be positive")
-        mono = _canonical_mono(pairs)
-        if not mono:
-            raise ValueError("a tracked moment needs at least one variable")
-        return super().__new__(cls, mono)
-
-    @classmethod
-    def single(cls, var: str, exp: int = 1) -> "Moment":
-        return cls(((var, exp),))
-
-    _TOKEN = re.compile(r"^([A-Za-z][A-Za-z0-9]*(?:\(0\))?)(?:\^(\d+))?$")
-
-    @classmethod
-    def parse(cls, text: str) -> "Moment":
-        """Parse goal syntax like ``x^2*y`` (an omitted exponent means 1)."""
-        pairs = []
-        for chunk in text.split("*"):
-            m = cls._TOKEN.match(chunk.strip())
-            if m is None:
-                raise ValueError(f"bad monomial syntax: {text!r}")
-            pairs.append((m.group(1), int(m.group(2)) if m.group(2) else 1))
-        return cls(pairs)
-
-    @property
-    def powers(self) -> Mono:
-        return tuple(self)
-
-    def degree(self) -> int:
-        return sum(e for _, e in self)
-
-    def variables(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self)
-
-    def as_poly(self) -> Poly:
-        return Poly._trusted({self.powers: 1})
-
-    def sort_key(self) -> tuple:
-        return (self.degree(), self)
-
-    def __str__(self) -> str:
-        return "*".join(f"{v}^{e}" for v, e in self)
-
-    def __repr__(self) -> str:
-        return f"Moment({self.powers!r})"
 
 
 class ExpPoly:
@@ -694,18 +650,23 @@ TEX = Style(
 )
 
 
-def render_sum(groups: Iterable[Group], style: Style = TEXT) -> str:
+def render_sum(
+    groups: Iterable[Group], style: Style = TEXT, base_texts: dict[Poly, str] | None = None
+) -> str:
     r"""Render print groups as one line in ``style``.
 
     Every term is a single product over an integer denominator, e.g.
     ``b^2*n/3 + y(0)^2`` or ``n*2^n/2`` in :data:`TEXT` and
-    ``\frac{b^{2} n}{3}`` in :data:`TEX`.
+    ``\frac{b^{2} n}{3}`` in :data:`TEX`.  ``base_texts`` memoises the
+    ``base^n`` texts in ``style``; a caller that renders many sums over few
+    bases passes one dict to every call.
     """
     power, join, fraction = style.power.format, style.join.join, style.fraction.format
     parts: list[str] = []
     # Monomials and bases repeat across groups; each is rendered once.
     mono_texts: dict[Mono, str] = {}
-    base_texts: dict[Poly, str] = {}
+    if base_texts is None:
+        base_texts = {}
     for base, ndeg, ratios in groups:
         tail = []  # the n and base factors that every term of the group shares
         if ndeg:

@@ -24,7 +24,8 @@ from typing import Mapping, Sequence
 
 from .frontend import Distribution, ValidatedProgram, resolve_initial_value
 from .pipeline import VerifyEntry, VerifyReport
-from .symbolic import ExpPoly, Moment, Poly, UnboundSymbolError
+from .moments import Moment
+from .symbolic import ExpPoly, Poly, UnboundSymbolError
 
 _BLOCK = 4096
 # The z of check's z-score rule.

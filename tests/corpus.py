@@ -538,6 +538,20 @@ def reference_simulate(
     }
 
 
+def assert_normal_poly(p: Poly) -> None:
+    """Assert the kernel's normal form: nonzero integer numerators over one
+    positive denominator, with no factor common to all of them and the
+    denominator (zero is ``({}, 1)``), and canonical monomials."""
+    assert type(p._den) is int and p._den > 0, p
+    assert all(type(num) is int and num != 0 for num in p._terms.values()), p
+    assert math.gcd(p._den, *p._terms.values()) == 1, p
+    for mono, coeff in p.terms():
+        assert type(coeff) is Fraction and coeff == Fraction(p._terms[mono], p._den), p
+        names = [name for name, _ in mono]
+        assert names == sorted(set(names)), p
+        assert all(type(e) is int and e > 0 for _, e in mono), p
+
+
 @contextlib.contextmanager
 def counting_fractions():
     """Count the Fraction constructions made inside the block."""

@@ -106,6 +106,15 @@ def test_closure_cap_exits_4(walk_file, capsys):
     assert "moments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["1", "0", "-3"])
+def test_closure_cap_counts_the_goals_and_exits_4(tmp_path, capsys, cap):
+    path = tmp_path / "ident.loop"
+    path.write_text("while true:\na = a\nb = b\nc = c\n", encoding="utf-8")
+    assert main([str(path), "--goal", "1", "--max-closure", cap]) == 4
+    assert "the closure cap" in capsys.readouterr().err
+    assert main([str(path), "--goal", "1", "--max-closure", "3"]) == 0
+
+
 def test_verify_happy_path(walk_file, capsys):
     code = main(
         [
@@ -132,6 +141,13 @@ def test_verify_without_bindings_exits_1(walk_file, capsys):
 def test_bad_param_syntax_exits_1(walk_file, capsys):
     assert main([walk_file, "--goal", "1", "--verify", "--param", "b"]) == 1
     assert main([walk_file, "--goal", "1", "--verify", "--param", "b=zzz"]) == 1
+
+
+@pytest.mark.parametrize("pair", ["=3", " =3"])
+def test_empty_param_name_exits_1(walk_file, capsys, pair):
+    args = [walk_file, "--goal", "1", "--verify", "--param", "b=2", "--param", "y(0)=0"]
+    assert main([*args, "--param", pair]) == 1
+    assert capsys.readouterr().err == f"error: --param expects NAME=VALUE, got {pair!r}\n"
 
 
 def test_verify_beyond_float_range_fails_without_a_traceback(tmp_path, capsys):

@@ -234,6 +234,18 @@ def test_closure_cap_is_enforced():
     )
 
 
+@pytest.mark.parametrize("cap", [1, 2, 0, -3])
+def test_closure_cap_counts_the_goals(cap):
+    # each goal of the identity loop depends on itself only, so the three
+    # goals alone are more than the cap
+    vp = validate_program(parse_program("while true:\na = a\nb = b\nc = c\n"))
+    goals = {M("a^1"), M("b^1"), M("c^1")}
+    with pytest.raises(ClosureOverflowError) as info:
+        moment_closure(goals, vp, cap=cap)
+    assert info.value.cap == cap
+    assert set(moment_closure(goals, vp, cap=3)) == goals
+
+
 # The closure's equations against the reference that substitutes every
 # branch separately and replaces draws only at the end.
 EQUIVALENCE_CASES = {

@@ -421,9 +421,13 @@ def test_coupled_polynomial_chain():
 #   PYTHONPATH=src:tests python -c "import json, test_pipeline_report as t;
 #   print(json.dumps({n: t.golden_digests(n) for n in sorted(t.GOLDEN_CASES)},
 #   indent=1, sort_keys=True))"
+# A new case's entry is recorded the same way, as "name": t.golden_digests("name"),
+# on the commit before any change that it is meant to pin.
 GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
 GOLDEN_CASES = {name: (source, goals) for name, (source, goals, _) in CORPUS.items()}
 GOLDEN_CASES["three-var"] = (THREE_VAR, [3])
+# the benchmark's own three-var job, at goal 4
+GOLDEN_CASES["three-var-k4"] = (THREE_VAR, [4])
 
 
 def golden_digests(name: str) -> dict[str, str]:

@@ -19,9 +19,9 @@ from loopmoments import (
     topo_order,
 )
 from loopmoments import recurrences
-from loopmoments.symbolic import ONE, ZERO
+from loopmoments.symbolic import ONE, ZERO, _Acc
 
-from corpus import closure_for
+from corpus import assert_normal_poly, closure_for, counting_fractions
 
 b = Poly.var("b")
 
@@ -258,7 +258,7 @@ def test_random_recurrences_match_exact_iteration():
 def test_self_check_rejects_a_wrong_closed_form(monkeypatch):
     exact = recurrences._divide
     monkeypatch.setattr(
-        recurrences, "_divide", lambda num, divisor: exact(num, divisor) + 1
+        recurrences, "_divide", lambda acc, divisor: exact(acc, divisor) + 1
     )
     with pytest.raises(SolverError, match="failed its defining identity"):
         solve_first_order(rec("x^1", Fraction(1, 2), ExpPoly.const(1), 0))
@@ -346,29 +346,71 @@ def test_self_check_rejects_a_wrong_one_point_correction():
     )
 
 
+def _sum(*pairs) -> _Acc:
+    """A fresh sum of ``a * b`` over the pairs, as a coefficient row of the
+    solver is built; its denominator need not be in lowest terms."""
+    acc = _Acc()
+    for a, b in pairs:
+        acc.add(a, b)
+    return acc
+
+
 def test_divide_by_a_constant_matches_fraction_division():
     p, q = Poly.var("p"), Poly.var("q")
-    numerators = [Poly(), Poly.const(5), p * q / 4 - Fraction(3, 7) * p + 2, (p - 3) ** 3 / 9]
-    for numerator in numerators:
-        for value in (Fraction(-3), Fraction(-7, 4), Fraction(2, 9), Fraction(5), Fraction(1)):
-            got = recurrences._divide(numerator, Poly.const(value))
+    quarter = Poly.const(Fraction(1, 4))
+    rows = [
+        (),
+        ((ONE, Poly.const(5)),),
+        ((ONE, p * q / 4 - Fraction(3, 7) * p + 2),),
+        ((ONE, (p - 3) ** 3 / 9),),
+        # p/4 + p/4 leaves the sum at denominator 4 with an even numerator
+        ((quarter, p), (quarter, p), (Poly.const(Fraction(-1, 6)), q)),
+        # a sum that cancels to zero
+        ((ONE, p / 3), (Poly.const(-1), p / 3)),
+    ]
+    values = (Fraction(-3), Fraction(-7, 4), Fraction(-1), Fraction(2, 9), Fraction(5), Fraction(1))
+    for pairs in rows:
+        numerator = _sum(*pairs).poly()
+        for value in values:
+            acc, divisor = _sum(*pairs), Poly.const(value)
+            with counting_fractions() as count:
+                got = recurrences._divide(acc, divisor)
+            assert count == [0], value
             assert dict(got.terms()) == {mono: c / value for mono, c in numerator.terms()}
             assert got == numerator / value
+            assert_normal_poly(got)
+
+
+def test_divide_by_a_resonant_divisor():
+    # at resonance the coefficient of n^(m+1) is divided by base*(m+1)
+    p = Poly.var("p")
+    pairs = ((Poly.const(Fraction(1, 6)), p**2 - 1), (Poly.const(Fraction(1, 10)), p))
+    numerator = _sum(*pairs).poly()
+    for base in (Fraction(1, 2), Fraction(-1, 3), Fraction(1), Fraction(-2), Fraction(5, 4)):
+        for m in range(4):
+            divisor = Poly.const(base)._scaled(m + 1)
+            got = recurrences._divide(_sum(*pairs), divisor)
+            value = base * (m + 1)
+            assert dict(got.terms()) == {mono: c / value for mono, c in numerator.terms()}
+            assert_normal_poly(got)
 
 
 def test_divide_by_a_parameterized_divisor():
     p = Poly.var("p")
-    assert recurrences._divide(p * p - 1, p - 1) == p + 1
-    assert recurrences._divide((p - 1) / 3, 2 * p - 2) == Poly.const(Fraction(1, 6))
+    assert recurrences._divide(_sum((ONE, p * p - 1)), p - 1) == p + 1
+    third = Poly.const(Fraction(1, 3))
+    assert recurrences._divide(_sum((third, p), (third, -ONE)), 2 * p - 2) == Poly.const(
+        Fraction(1, 6)
+    )
     with pytest.raises(UnresolvedBaseError) as err:
-        recurrences._divide(p + 2, p - 1)
+        recurrences._divide(_sum((ONE, p), (ONE, Poly.const(2))), p - 1)
     assert str(err.value) == (
         "cannot divide p + 2 exactly by the parameterized quantity p - 1; "
         "closed-form coefficients would leave the polynomial ring"
     )
     assert (err.value.numerator, err.value.divisor) == (p + 2, p - 1)
     with pytest.raises(SolverError, match="division by zero"):
-        recurrences._divide(p, Poly())
+        recurrences._divide(_sum((ONE, p)), Poly())
 
 
 def test_solver_failures_name_the_moment():

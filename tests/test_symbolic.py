@@ -1,15 +1,19 @@
 """Polynomial and exponential-polynomial algebra."""
 
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from loopmoments import ExpPoly, Moment, Poly
+from loopmoments import ExpPoly, Moment, Poly, symbolic
 from loopmoments.symbolic import ONE, ZERO, UnboundSymbolError, _Acc
 
-from corpus import counting_fractions, reference_linear_combination, shifted
+from corpus import (
+    assert_normal_poly,
+    counting_fractions,
+    reference_linear_combination,
+    shifted,
+)
 
 x, y, g, u, b = (Poly.var(s) for s in "xygub")
 
@@ -109,23 +113,10 @@ def test_public_constructor_canonicalises_monomials():
         Poly({(("x", -1),): 1})
 
 
-def _assert_normal_poly(p: Poly) -> None:
-    # nonzero integer numerators over one positive denominator, with no
-    # factor common to all of them and the denominator; zero is ({}, 1)
-    assert type(p._den) is int and p._den > 0, p
-    assert all(type(num) is int and num != 0 for num in p._terms.values()), p
-    assert math.gcd(p._den, *p._terms.values()) == 1, p
-    for mono, coeff in p.terms():
-        assert type(coeff) is Fraction and coeff == Fraction(p._terms[mono], p._den), p
-        names = [name for name, _ in mono]
-        assert names == sorted(set(names)), p
-        assert all(type(e) is int and e > 0 for _, e in mono), p
-
-
 def _assert_normal_exp_poly(f: ExpPoly) -> None:
     for base, degree, coeff in f.terms():
-        _assert_normal_poly(base)
-        _assert_normal_poly(coeff)
+        assert_normal_poly(base)
+        assert_normal_poly(coeff)
         assert not coeff.is_zero() and degree >= 0, f
 
 
@@ -146,7 +137,7 @@ def test_kernel_results_stay_in_normal_form():
             results += [p.exact_div(q), (p * q).exact_div(q)]
         for res in results:
             if res is not None:
-                _assert_normal_poly(res)
+                assert_normal_poly(res)
                 _assert_same_value(res, Poly(dict(res.terms())))
         _assert_same_value(p + q, q + p)
         _assert_same_value(p * q, q * p)
@@ -197,7 +188,7 @@ def test_kernel_agrees_with_fraction_evaluation():
             expected = (pv + rv) * f.evaluate(n, point) + qv * h.evaluate(n, point)
             assert combined.evaluate(n, point) == expected
         for res in (p + q, p - q, p * q, p**3, p.substitute("x", q.__pow__)):
-            _assert_normal_poly(res)
+            assert_normal_poly(res)
         # scalar-left operands (__radd__, __rsub__, __rmul__) and zero operands
         scalar_cases = [
             (3 - p, 3 - pv),
@@ -208,7 +199,7 @@ def test_kernel_agrees_with_fraction_evaluation():
         ]
         for res, value in scalar_cases:
             assert _fraction_value(res, point) == value
-            _assert_normal_poly(res)
+            assert_normal_poly(res)
         _assert_normal_exp_poly(combined)
 
 
@@ -267,7 +258,7 @@ def test_constant_coefficients_match_the_fraction_reference():
                 acc.add(p, c, k)
             want = want + k * c * p
         got = acc.poly()
-        _assert_normal_poly(got)
+        assert_normal_poly(got)
         _assert_same_value(got, want)
 
 
@@ -285,7 +276,7 @@ def test_sums_start_empty_stay_divisible_and_rescale():
                 acc.add(poly, c)
             else:
                 acc.add(c, poly)
-        _assert_normal_poly(acc.poly())
+        assert_normal_poly(acc.poly())
         _assert_same_value(acc.poly(), want)
     fs = [(c, ExpPoly({(ONE, 1): poly, (ZERO, 0): -poly})) for c, poly in pairs]
     combined = ExpPoly.linear_combination(fs)
@@ -295,6 +286,61 @@ def test_sums_start_empty_stay_divisible_and_rescale():
     zeros = [(Poly.const(0), f) for _, f in fs]
     undo = [fs[0], (Poly.const(Fraction(-1, 4)), fs[0][1])]
     _assert_same_value(ExpPoly.linear_combination(zeros + undo), ExpPoly())
+
+
+def test_a_sum_started_from_a_polynomial_leaves_it_unchanged():
+    # the first contribution to an empty sum gives the sum its own dict;
+    # later adds, rescaling included, must not write through to the operand
+    rng = random.Random(1618)
+    for _ in range(60):
+        p = _random_poly(rng, "xy", 4)
+        frozen = dict(p.terms())
+        more = [(_random_const(rng), _random_poly(rng, "xy", 4)) for _ in range(3)]
+        more.append((Poly.const(Fraction(1, 35)), p))
+        for k in (1, -1, 3):
+            acc = _Acc()
+            acc.add(ONE, p, k)
+            for c, q in more:
+                acc.add(c, q)
+            got = acc.poly()
+            assert_normal_poly(got)
+            _assert_same_value(got, k * p + sum((c * q for c, q in more), Poly()))
+            assert dict(p.terms()) == frozen
+        # a keyed sum started from the whole of f, then added to
+        f = ExpPoly({(ONE, 0): p, (Poly.const(2), 1): p * x})
+        kept = {key: dict(c.terms()) for key, c in f._terms.items()}
+        pairs = [(ONE, f), (Poly.const(Fraction(-2, 3)), f), (y, f)]
+        combined = ExpPoly.linear_combination(pairs)
+        _assert_same_value(combined, reference_linear_combination(pairs))
+        assert {key: dict(c.terms()) for key, c in f._terms.items()} == kept
+        assert dict(p.terms()) == frozen
+
+
+_CONSTANTS = (0, 1, -1, 7, -12, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6), Fraction(-7, 6))
+
+
+def test_constant_plus_constant_is_exact_integer_arithmetic(monkeypatch):
+    class NoAcc:
+        def __init__(self):
+            raise AssertionError("two constants were summed through an accumulator")
+
+    monkeypatch.setattr(symbolic, "_Acc", NoAcc)
+    for a in _CONSTANTS:
+        for b_ in _CONSTANTS:
+            pa, pb = Poly.const(a), Poly.const(b_)
+            with counting_fractions() as count:
+                results = [pa + pb, pa - pb, pb - pa]
+            assert count == [0], (a, b_)
+            want = [Fraction(a) + b_, Fraction(a) - b_, Fraction(b_) - a]
+            for res, value in zip(results, want):
+                assert_normal_poly(res)
+                _assert_same_value(res, Poly.const(value))
+            # scalar operands on either side
+            assert pa + b_ == Poly.const(want[0]) and b_ + pa == Poly.const(want[0])
+            assert pa - b_ == Poly.const(want[1]) and b_ - pa == Poly.const(want[2])
+        # exact cancellation gives the zero polynomial ({}, 1)
+        zero = Poly.const(a) - Poly.const(a)
+        assert zero._terms == {} and zero._den == 1
 
 
 def test_evaluate_and_unbound_error():
