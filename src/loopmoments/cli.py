@@ -88,6 +88,8 @@ def _parse_bindings(pairs: Sequence[str]) -> dict[str, Fraction]:
         name = name.strip()
         if not name or "=" not in pair:
             raise VerifierError(f"--param expects NAME=VALUE, got {pair!r}")
+        if name in bindings:
+            raise VerifierError(f"--param {name!r} is given more than once")
         try:
             bindings[name] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):

@@ -25,17 +25,17 @@ and returns a :class:`ValidatedProgram` for the rest of the pipeline.
 
 from __future__ import annotations
 
+import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .symbolic import Poly
+from .symbolic import ONE, Poly
 
 # The loop counter name is reserved so reports stay unambiguous.
 RESERVED_NAMES = frozenset({"n", "RV"})
-
-DIST_KINDS = ("uniform", "gauss")
 
 
 class ParseError(Exception):
@@ -56,12 +56,14 @@ class ParseError(Exception):
 class UnsupportedProgramError(Exception):
     """The program parses but violates a structural restriction.
 
-    ``restriction`` names which of the three requirements failed:
+    ``restriction`` names which of the four requirements failed:
     ``"distinctness"`` (assigned names pairwise distinct, variables never
     used where only parameters are allowed), ``"probability-sum"``
-    (branch probabilities of an update sum to 1), or
+    (branch probabilities of an update sum to 1),
     ``"dependency-structure"`` (updates depend on themselves linearly and
-    otherwise only on previously assigned variables).
+    otherwise only on previously assigned variables), or
+    ``"distribution-argument"`` (constant distribution arguments meet their
+    kind's rule, such as a gauss variance >= 0).
     """
 
     def __init__(self, restriction: str, message: str, line: int | None = None):
@@ -82,6 +84,58 @@ class Distribution:
     kind: str
     arg1: Poly
     arg2: Poly
+
+    def symbols(self) -> set[str]:
+        return self.arg1.symbols() | self.arg2.symbols()
+
+
+def _uniform_raw_moment(a: Poly, b: Poly, k: int) -> Poly:
+    # E[X^k] = (b^(k+1) - a^(k+1)) / ((k+1)(b-a)) expands to the polynomial
+    # sum_{i<=k} a^i b^(k-i) / (k+1), which also covers the point mass a == b.
+    return Poly.linear_combination((a**i, b ** (k - i)) for i in range(k + 1)) / (k + 1)
+
+
+def _uniform_sampler(a: float, b: float):
+    import numpy as np
+
+    lo, hi = min(a, b), max(a, b)
+    if lo == hi:
+        return lambda rng, size: np.full(size, lo)
+    if not math.isfinite(hi - lo):
+        raise OverflowError("the width of the uniform draw")
+    return lambda rng, size: lo + (hi - lo) * rng.random(size)
+
+
+def _gauss_raw_moment(mean: Poly, variance: Poly, k: int) -> Poly:
+    # m_0 = 1, m_1 = mean, m_k = mean*m_{k-1} + (k-1)*variance*m_{k-2}.
+    m_prev, m_cur = ONE, mean
+    if k == 0:
+        return m_prev
+    for i in range(2, k + 1):
+        m_prev, m_cur = m_cur, mean * m_cur + (i - 1) * variance * m_prev
+    return m_cur
+
+
+def _gauss_check(mean, variance) -> str | None:
+    return f"gauss variance evaluates to the negative value {variance}" if variance < 0 else None
+
+
+def _gauss_sampler(mean: float, variance: float):
+    sd = math.sqrt(variance)
+    if mean == 0 and sd == 1:
+        return lambda rng, size: rng.standard_normal(size)
+    return lambda rng, size: mean + sd * rng.standard_normal(size)
+
+
+# Each kind of ``RV(kind, arg1, arg2)``: E[X^k] as a polynomial in the
+# arguments; why exact or float arguments make no distribution, or None; and
+# for float arguments that do, ``sample(rng, size)`` (OverflowError names what
+# is beyond float range).
+DistributionKind = namedtuple("DistributionKind", "raw_moment check sampler")
+DISTRIBUTIONS = {
+    "uniform": DistributionKind(_uniform_raw_moment, lambda lo, hi: None, _uniform_sampler),
+    "gauss": DistributionKind(_gauss_raw_moment, _gauss_check, _gauss_sampler),
+}
 
 
 @dataclass(frozen=True)
@@ -309,9 +363,9 @@ def _parse_distribution(text: str, line: int) -> Distribution:
     if len(parts) != 3:
         raise ParseError("RV(...) takes a distribution name and two arguments", line)
     kind = parts[0].strip()
-    if kind not in DIST_KINDS:
+    if kind not in DISTRIBUTIONS:
         raise ParseError(
-            f"unknown distribution {kind!r}; expected one of {', '.join(DIST_KINDS)}", line
+            f"unknown distribution {kind!r}; expected one of {', '.join(DISTRIBUTIONS)}", line
         )
     arg1 = parse_expression(parts[1], line)
     arg2 = parse_expression(parts[2], line)
@@ -405,12 +459,9 @@ def parse_program(source_text: str) -> Program:
     assigned = {a.var for a in inits} | {r.var for r in rvs} | {u.var for u in updates}
     mentioned: set[str] = set()
     for a in inits:
-        if isinstance(a.value, Distribution):
-            mentioned |= a.value.arg1.symbols() | a.value.arg2.symbols()
-        else:
-            mentioned |= a.value.symbols()
+        mentioned |= a.value.symbols()
     for r in rvs:
-        mentioned |= r.dist.arg1.symbols() | r.dist.arg2.symbols()
+        mentioned |= r.dist.symbols()
     for u in updates:
         for br in u.branches:
             mentioned |= br.expr.symbols() | br.prob.symbols()
@@ -425,9 +476,9 @@ def parse_program(source_text: str) -> Program:
 
 
 def _check_parameter_only(
-    expr: Poly, program_vars: set[str], what: str, line: int
+    value: Poly | Distribution, program_vars: set[str], what: str, line: int
 ) -> None:
-    clash = sorted(expr.symbols() & program_vars)
+    clash = sorted(value.symbols() & program_vars)
     if clash:
         raise UnsupportedProgramError(
             "distinctness",
@@ -444,7 +495,8 @@ def validate_program(p: Program) -> ValidatedProgram:
     branch probabilities); branch probabilities of each update sum to the
     constant 1; every update is linear in its own variable with a
     parameter-only self-coefficient and otherwise references only
-    variables assigned earlier.  Violations raise
+    variables assigned earlier; a distribution whose arguments are both
+    constants meets its kind's argument rule.  Violations raise
     :class:`UnsupportedProgramError` with the restriction named.
     """
     seen: dict[str, int] = {}
@@ -471,14 +523,10 @@ def validate_program(p: Program) -> ValidatedProgram:
     program_vars = set(rv_dists) | set(update_vars) | set(const_vars)
 
     for a in p.init_assignments:
-        if isinstance(a.value, Distribution):
-            _check_parameter_only(a.value.arg1, program_vars, "distribution argument", a.line)
-            _check_parameter_only(a.value.arg2, program_vars, "distribution argument", a.line)
-        else:
-            _check_parameter_only(a.value, program_vars, "initial value", a.line)
+        what = "distribution argument" if isinstance(a.value, Distribution) else "initial value"
+        _check_parameter_only(a.value, program_vars, what, a.line)
     for r in p.rv_assignments:
-        _check_parameter_only(r.dist.arg1, program_vars, "distribution argument", r.line)
-        _check_parameter_only(r.dist.arg2, program_vars, "distribution argument", r.line)
+        _check_parameter_only(r.dist, program_vars, "distribution argument", r.line)
 
     for u in p.update_assignments:
         total = Poly()
@@ -531,6 +579,16 @@ def validate_program(p: Program) -> ValidatedProgram:
                         u.line,
                     )
         visible.add(u.var)
+
+    # Distribution arguments known exactly meet their kind's rule; arguments
+    # with parameters are checked where they are bound (the verifier).
+    dists = [(a.value, a.line) for a in p.init_assignments if isinstance(a.value, Distribution)]
+    for dist, line in dists + [(r.dist, r.line) for r in p.rv_assignments]:
+        if dist.arg1.is_const() and dist.arg2.is_const():
+            check = DISTRIBUTIONS[dist.kind].check
+            problem = check(dist.arg1.const_value(), dist.arg2.const_value())
+            if problem is not None:
+                raise UnsupportedProgramError("distribution-argument", problem, line)
 
     return ValidatedProgram(
         program=p,

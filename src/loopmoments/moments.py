@@ -36,7 +36,13 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Mapping
 
-from .frontend import Distribution, UpdateAssignment, ValidatedProgram, resolve_initial_value
+from .frontend import (
+    DISTRIBUTIONS,
+    Distribution,
+    UpdateAssignment,
+    ValidatedProgram,
+    resolve_initial_value,
+)
 from .symbolic import ONE, ZERO, Mono, Poly, _canonical_mono
 
 
@@ -224,27 +230,7 @@ class MomentTable:
         return self._memo[key]
 
     def _compute(self, dist: Distribution, k: int) -> Poly:
-        if dist.kind == "uniform":
-            return _uniform_raw_moment(dist.arg1, dist.arg2, k)
-        if dist.kind == "gauss":
-            return _gauss_raw_moment(dist.arg1, dist.arg2, k)
-        raise ValueError(f"no moment rule for distribution kind {dist.kind!r}")
-
-
-def _uniform_raw_moment(a: Poly, b: Poly, k: int) -> Poly:
-    # E[X^k] = (b^(k+1) - a^(k+1)) / ((k+1)(b-a)) expands to the polynomial
-    # sum_{i<=k} a^i b^(k-i) / (k+1), which also covers the point mass a == b.
-    return Poly.linear_combination((a**i, b ** (k - i)) for i in range(k + 1)) / (k + 1)
-
-
-def _gauss_raw_moment(mean: Poly, variance: Poly, k: int) -> Poly:
-    # m_0 = 1, m_1 = mean, m_k = mean*m_{k-1} + (k-1)*variance*m_{k-2}.
-    m_prev, m_cur = ONE, mean
-    if k == 0:
-        return m_prev
-    for i in range(2, k + 1):
-        m_prev, m_cur = m_cur, mean * m_cur + (i - 1) * variance * m_prev
-    return m_cur
+        return DISTRIBUTIONS[dist.kind].raw_moment(dist.arg1, dist.arg2, k)
 
 
 def moment_equation(target: Moment, vp: ValidatedProgram, table: MomentTable) -> MomentEquation:

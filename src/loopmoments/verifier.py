@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .frontend import Distribution, ValidatedProgram, resolve_initial_value
+from .frontend import DISTRIBUTIONS, Distribution, ValidatedProgram, resolve_initial_value
 from .pipeline import VerifyEntry, VerifyReport
 from .moments import Moment
 from .symbolic import ExpPoly, Poly, UnboundSymbolError
@@ -141,22 +141,14 @@ def _sampler(value: Poly | Distribution, bindings: Mapping[str, Fraction], var: 
     what = f"a distribution argument of {var!r}"
     a = _eval_float(value.arg1, bindings, what)
     b = _eval_float(value.arg2, bindings, what)
-    if value.kind == "uniform":
-        lo, hi = min(a, b), max(a, b)
-        if lo == hi:
-            return lambda rng, size: np.full(size, lo)
-        if not math.isfinite(hi - lo):
-            params = value.arg1.symbols() | value.arg2.symbols()
-            raise _beyond_range(f"the width of the uniform draw of {var!r}", params)
-        return lambda rng, size: lo + (hi - lo) * rng.random(size)
-    if value.kind == "gauss":
-        if b < 0:
-            raise VerifierError(f"gauss variance evaluates to the negative value {b}")
-        sd = math.sqrt(b)
-        if a == 0 and sd == 1:
-            return lambda rng, size: rng.standard_normal(size)
-        return lambda rng, size: a + sd * rng.standard_normal(size)
-    raise VerifierError(f"cannot sample distribution kind {value.kind!r}")
+    entry = DISTRIBUTIONS[value.kind]
+    problem = entry.check(a, b)
+    if problem is not None:
+        raise VerifierError(problem)
+    try:
+        return entry.sampler(a, b)
+    except OverflowError as exc:
+        raise _beyond_range(f"{exc} of {var!r}", value.symbols()) from None
 
 
 def simulate(

@@ -79,10 +79,11 @@ def test_zero_exponent_goal_names_the_constructor_rule(walk_file, capsys):
 @pytest.mark.parametrize(
     "source,needle",
     [
-        # each of the three structural restrictions, with its own diagnostic
+        # each of the four structural restrictions, with its own diagnostic
         ("x=0\nwhile true:\nu = RV(uniform, 0, x)\nx = x + u\n", "distinctness"),
         ("x=0\nwhile true:\nx = x+1 @ 1/3; x @ 1/3\n", "probability-sum"),
         ("x=0\nwhile true:\nx = x*x\n", "dependency-structure"),
+        ("x=0\nwhile true:\ng = RV(gauss, 0, -1)\nx = x + g\n", "distribution-argument"),
     ],
 )
 def test_restriction_violations_exit_3(tmp_path, capsys, source, needle):
@@ -141,6 +142,13 @@ def test_verify_without_bindings_exits_1(walk_file, capsys):
 def test_bad_param_syntax_exits_1(walk_file, capsys):
     assert main([walk_file, "--goal", "1", "--verify", "--param", "b"]) == 1
     assert main([walk_file, "--goal", "1", "--verify", "--param", "b=zzz"]) == 1
+
+
+def test_repeated_param_name_exits_1(walk_file, capsys):
+    args = [walk_file, "--goal", "1", "--verify", "--param", "b=2", "--param", "y(0)=0"]
+    assert main([*args, "--param", "b=5", "--trials", "200"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: --param 'b' is given more than once\n")
 
 
 @pytest.mark.parametrize("pair", ["=3", " =3"])

@@ -12,7 +12,7 @@ from loopmoments import (
     resolve_initial_value,
     validate_program,
 )
-from loopmoments.frontend import Distribution
+from loopmoments.frontend import DISTRIBUTIONS, Distribution
 
 from corpus import CORPUS, WALK
 
@@ -127,6 +127,14 @@ def test_parse_error_carries_line_and_column():
         assert (err.value.line, err.value.col) == (3, col), body
 
 
+@pytest.mark.parametrize("kind", list(DISTRIBUTIONS))
+def test_every_distribution_kind_parses(kind):
+    p = parse_program(f"x = RV({kind}, 0, 1)\nwhile true:\nr = RV({kind}, a, 2)\nx = x + r\n")
+    assert p.init_assignments[0].value == Distribution(kind, Poly.const(0), Poly.const(1))
+    assert p.rv_assignments[0].dist == Distribution(kind, Poly.var("a"), Poly.const(2))
+    assert p.parameters == frozenset({"a"})
+
+
 def test_walk_program_is_accepted():
     vp = validate_program(parse_program(WALK))
     assert vp.update_vars == ("x", "y")
@@ -147,6 +155,9 @@ def test_walk_program_is_accepted():
         ("x=0\nwhile true:\nx = x+1 @ 3/2; x @ -1/2\n", "probability-sum", "negative"),
         # distinctness: variables where only parameters may appear
         ("x=0\nwhile true:\nu = RV(uniform, 0, x)\nx = x + u\n", "distinctness", "distribution argument"),
+        # both arguments of one draw: every clashing name is listed
+        ("x=0\ny=0\nwhile true:\nu = RV(uniform, y, x)\nx = x + u\ny = y\n",
+         "distinctness", "(found x, y)"),
         ("x=0\nwhile true:\nx = x + 1 @ x; x @ 1 - x\n", "distinctness", "branch probability"),
         ("x=0\nwhile true:\nx = x\nx = x + 1\n", "distinctness", "twice"),
         ("x=0\nx=1\nwhile true:\nx = x\n", "distinctness", "twice"),
@@ -154,6 +165,11 @@ def test_walk_program_is_accepted():
         # a draw assigned twice
         ("x=0\nwhile true:\nu = RV(gauss, 0, 1)\nu = RV(gauss, 0, 1)\nx = x + u\n",
          "distinctness", "twice"),
+        # a constant argument outside its kind's rule, in the body or as an initial value
+        ("x=0\nwhile true:\ng = RV(gauss, 0, -1)\nx = x + g\n", "distribution-argument",
+         "gauss variance evaluates to the negative value -1 (line 3)"),
+        ("x = RV(gauss, 0, -4)\nwhile true:\nx = x + 1\n", "distribution-argument",
+         "gauss variance evaluates to the negative value -4 (line 1)"),
     ],
 )
 def test_restriction_violations(source, restriction, fragment):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from loopmoments import ExpPoly, Moment, Poly, analyze
-from loopmoments.frontend import parse_program, validate_program
+from loopmoments.frontend import DISTRIBUTIONS, parse_program, validate_program
 from loopmoments.symbolic import ONE
 from loopmoments.verifier import (
     MomentEstimate,
@@ -285,6 +285,31 @@ def test_negative_gauss_variance_is_a_verifier_error():
     cfg = SimConfig(bindings={"v": Fraction(-1, 2)}, iterations=2, trials=10, seed=0)
     with pytest.raises(VerifierError, match="gauss variance evaluates to the negative value -0.5"):
         simulate(vp, cfg, {M("x^1")})
+
+
+# One concrete pair of arguments per kind of the distribution table.
+_KIND_ARGUMENTS = {
+    "uniform": (Fraction(-1, 2), Fraction(3, 2)),
+    "gauss": (Fraction(1, 3), Fraction(2)),
+}
+
+
+@pytest.mark.parametrize("kind", list(DISTRIBUTIONS))
+def test_distribution_sampler_matches_its_raw_moments(kind):
+    # The two halves of a table entry describe one distribution: the sample
+    # mean of X^k from the sampler agrees with the exact E[X^k] of the
+    # raw-moment rule within 5 standard errors, for k = 1..4.
+    import numpy as np
+
+    entry = DISTRIBUTIONS[kind]
+    a, b = _KIND_ARGUMENTS[kind]
+    assert entry.check(a, b) is None and entry.check(float(a), float(b)) is None
+    draws = entry.sampler(float(a), float(b))(np.random.default_rng(7), 200_000)
+    for k in range(1, 5):
+        powers = draws**k
+        exact = entry.raw_moment(Poly.const(a), Poly.const(b), k).const_value()
+        se = powers.std(ddof=1) / math.sqrt(len(powers))
+        assert abs(powers.mean() - float(exact)) <= 5 * se, (kind, k, powers.mean(), exact)
 
 
 def test_uniform_width_beyond_float_range_is_a_verifier_error():
