@@ -117,7 +117,9 @@ def _gauss_raw_moment(mean: Poly, variance: Poly, k: int) -> Poly:
 
 
 def _gauss_check(mean, variance) -> str | None:
-    return f"gauss variance evaluates to the negative value {variance}" if variance < 0 else None
+    if variance is not None and variance < 0:
+        return f"gauss variance evaluates to the negative value {variance}"
+    return None
 
 
 def _gauss_sampler(mean: float, variance: float):
@@ -128,9 +130,9 @@ def _gauss_sampler(mean: float, variance: float):
 
 
 # Each kind of ``RV(kind, arg1, arg2)``: E[X^k] as a polynomial in the
-# arguments; why exact or float arguments make no distribution, or None; and
-# for float arguments that do, ``sample(rng, size)`` (OverflowError names what
-# is beyond float range).
+# arguments; why exact or float arguments (None for one with parameters) make
+# no distribution, or None; and for float arguments that do,
+# ``sample(rng, size)`` (OverflowError names what is beyond float range).
 DistributionKind = namedtuple("DistributionKind", "raw_moment check sampler")
 DISTRIBUTIONS = {
     "uniform": DistributionKind(_uniform_raw_moment, lambda lo, hi: None, _uniform_sampler),
@@ -580,15 +582,15 @@ def validate_program(p: Program) -> ValidatedProgram:
                     )
         visible.add(u.var)
 
-    # Distribution arguments known exactly meet their kind's rule; arguments
-    # with parameters are checked where they are bound (the verifier).
+    # Distribution arguments known exactly meet their kind's rule, whatever
+    # the other argument; one with parameters is passed as None and checked
+    # where it is bound (the verifier).
     dists = [(a.value, a.line) for a in p.init_assignments if isinstance(a.value, Distribution)]
     for dist, line in dists + [(r.dist, r.line) for r in p.rv_assignments]:
-        if dist.arg1.is_const() and dist.arg2.is_const():
-            check = DISTRIBUTIONS[dist.kind].check
-            problem = check(dist.arg1.const_value(), dist.arg2.const_value())
-            if problem is not None:
-                raise UnsupportedProgramError("distribution-argument", problem, line)
+        args = [arg.const_value() if arg.is_const() else None for arg in (dist.arg1, dist.arg2)]
+        problem = DISTRIBUTIONS[dist.kind].check(*args)
+        if problem is not None:
+            raise UnsupportedProgramError("distribution-argument", problem, line)
 
     return ValidatedProgram(
         program=p,

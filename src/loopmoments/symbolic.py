@@ -37,12 +37,16 @@ integer multiplier over the other operand's terms, and an empty sum is
 started in one dict build, with the product's denominator as it is.  Each
 sum is reduced by one gcd at the end.  The sum or difference of two
 constants needs no sum: it is two integer products over the product of the
-denominators, reduced once.  Constant bases are put in print order by their
-numerators over the bases' common denominator.  Both families print through
-:func:`render_sum`, which takes print groups ``(base, degree, ratios)``:
-``ExpPoly.print_groups()`` or the one group ``(ONE, 0, p.sorted_ratios())``
-of a polynomial, and a memo of the ``base^n`` texts that the renderers of
-one report share.
+denominators, reduced once.  ``Poly.substitute`` folds straight from its own
+numerators: one pass groups them by the power of the replaced symbol, and
+every group goes into one sum with that power's value.  Monomial products
+are memoised like the graded-lex sort keys, since one analysis multiplies
+the same few monomials over and over.  Constant bases are put in print order
+by their numerators over the bases' common denominator.  Both families print
+through :func:`render_sum`, which takes print groups ``(base, degree,
+ratios)``: ``ExpPoly.print_groups()`` or the one group ``(ONE, 0,
+p.sorted_ratios())`` of a polynomial, and a memo of the ``base^n`` texts that
+the renderers of one report share.
 
 Only the public constructors ``Poly(...)`` and ``ExpPoly(...)`` validate
 (canonicalising monomials, summing coefficients and dropping zeros).  Every
@@ -81,7 +85,11 @@ class UnboundSymbolError(SymbolicError):
         self.name = name
 
 
+@functools.lru_cache(maxsize=1 << 14)
 def _mono_mul(a: Mono, b: Mono) -> Mono:
+    # A closure multiplies the same few monomials over and over (most
+    # products of one analysis are repeats), so, like the grlex keys, the
+    # products are cached.
     if not a:
         return b
     if not b:
@@ -412,12 +420,28 @@ class Poly:
     def substitute(self, name: str, power: Callable[[int], "Poly"]) -> "Poly":
         """``sum_k c_k * power(k)`` for ``self == sum_k c_k * name^k``: each
         power of ``name`` is replaced by a known polynomial and the result
-        expanded (``p.substitute("x", q.__pow__)`` replaces ``x`` by ``q``)."""
-        if name not in self.symbols():
+        expanded (``p.substitute("x", q.__pow__)`` replaces ``x`` by ``q``).
+        ``power(0)`` must be 1: ``self`` is returned as it is when ``name`` is
+        absent.
+
+        One pass groups the numerators by the exponent of ``name``; each
+        group, still over ``self``'s denominator and so not reduced, is
+        folded with ``power(k)`` into one sum, which is reduced once."""
+        groups: dict[int, dict[Mono, int]] = {}
+        for mono, num in self._terms.items():
+            k, rest = 0, mono
+            for i, (sym, exp) in enumerate(mono):
+                if sym == name:
+                    k, rest = exp, mono[:i] + mono[i + 1 :]
+                    break
+            groups.setdefault(k, {})[rest] = num
+        if groups.keys() <= {0}:
             return self
-        return Poly.linear_combination(
-            (coeff, power(k)) for k, coeff in self.coefficients_by_power(name).items()
-        )
+        acc = _Acc()
+        for k, nums in groups.items():
+            # Read by the fold only; it never escapes.
+            acc.add(Poly._trusted(nums, self._den), power(k))
+        return acc.poly()
 
     def evaluate(self, bindings: Mapping[str, Scalar]) -> Fraction:
         """Exact value under a full binding of the symbols."""

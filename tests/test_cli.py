@@ -84,6 +84,7 @@ def test_zero_exponent_goal_names_the_constructor_rule(walk_file, capsys):
         ("x=0\nwhile true:\nx = x+1 @ 1/3; x @ 1/3\n", "probability-sum"),
         ("x=0\nwhile true:\nx = x*x\n", "dependency-structure"),
         ("x=0\nwhile true:\ng = RV(gauss, 0, -1)\nx = x + g\n", "distribution-argument"),
+        ("x=0\nwhile true:\ng = RV(gauss, m, -1)\nx = x + g\n", "distribution-argument"),
     ],
 )
 def test_restriction_violations_exit_3(tmp_path, capsys, source, needle):

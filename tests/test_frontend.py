@@ -170,6 +170,9 @@ def test_walk_program_is_accepted():
          "gauss variance evaluates to the negative value -1 (line 3)"),
         ("x = RV(gauss, 0, -4)\nwhile true:\nx = x + 1\n", "distribution-argument",
          "gauss variance evaluates to the negative value -4 (line 1)"),
+        # a constant negative variance whatever the mean: a symbolic one here
+        ("x=0\nwhile true:\ng = RV(gauss, m, -1)\nx = x + g\n", "distribution-argument",
+         "gauss variance evaluates to the negative value -1 (line 3)"),
     ],
 )
 def test_restriction_violations(source, restriction, fragment):
@@ -178,6 +181,19 @@ def test_restriction_violations(source, restriction, fragment):
         validate_program(p)
     assert err.value.restriction == restriction
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        # a symbolic argument is checked where it is bound (the verifier)
+        "x=0\nwhile true:\ng = RV(gauss, 0, s)\nx = x + g\n",
+        "x=0\nwhile true:\nu = RV(uniform, a, 3)\nx = x + u\n",
+        "x=0\nwhile true:\ng = RV(gauss, m, 0)\nx = x + g\n",
+    ],
+)
+def test_distribution_arguments_with_parameters_are_accepted(source):
+    validate_program(parse_program(source))
 
 
 def test_self_coefficient_may_be_a_parameter():

@@ -428,6 +428,8 @@ GOLDEN_CASES = {name: (source, goals) for name, (source, goals, _) in CORPUS.ite
 GOLDEN_CASES["three-var"] = (THREE_VAR, [3])
 # the benchmark's own three-var job, at goal 4
 GOLDEN_CASES["three-var-k4"] = (THREE_VAR, [4])
+# the walk-ladder benchmark's heaviest job, at goal 8
+GOLDEN_CASES["walk-k8"] = (WALK, [8])
 
 
 def golden_digests(name: str) -> dict[str, str]:

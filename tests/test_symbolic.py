@@ -68,6 +68,64 @@ def test_substitute_replaces_each_power_by_its_own_value():
     assert p.substitute("x", raw.__getitem__) == 2 * b**2 * y + 2 * b + 1
 
 
+def _random_mono(rng: random.Random, names: str) -> tuple:
+    picked = rng.sample(names, rng.randint(0, len(names)))
+    return tuple(sorted((name, rng.randint(1, 4)) for name in picked))
+
+
+def test_memoised_mono_mul_matches_the_dict_merge():
+    rng = random.Random(8128)
+    for _ in range(500):
+        # shared names, disjoint names, and the empty monomial on either side
+        a = _random_mono(rng, "wxyz")
+        bb = _random_mono(rng, rng.choice(("wxyz", "xy", "pq", "")))
+        merged: dict[str, int] = {}
+        for name, exp in a + bb:
+            merged[name] = merged.get(name, 0) + exp
+        want = tuple(sorted(merged.items()))
+        assert symbolic._mono_mul(a, bb) == want
+        assert symbolic._mono_mul(bb, a) == want
+    assert symbolic._mono_mul.cache_info().maxsize is not None
+
+
+def _shared_factor_poly(rng: random.Random) -> Poly:
+    """``sum_k x^k * c_k / den`` where the numerators of each power share a
+    factor with ``den``, so a power's own coefficient reduces further than
+    the whole polynomial does."""
+    den = rng.choice((6, 12, 35, 36, 1024))
+    terms = {}
+    for k in rng.sample(range(5), rng.randint(1, 4)):
+        factor = rng.choice([f for f in range(1, den + 1) if den % f == 0])
+        for _ in range(rng.randint(1, 3)):
+            mono = _random_mono(rng, "yz") + ((("x", k),) if k else ())
+            terms[mono] = Fraction(factor * rng.choice((-3, -1, 1, 2, 5)), den)
+    return Poly(terms)
+
+
+def test_substitute_matches_the_sum_over_powers():
+    rng = random.Random(496)
+    for _ in range(300):
+        p = _shared_factor_poly(rng)
+        q = _random_const(rng) * _random_poly(rng, "xyz", 3)
+        # power(0) is 1, as for every power of a value
+        values = {k: _random_const(rng) * _random_poly(rng, "yz", 3) for k in range(1, 5)}
+        values[0] = ONE
+        for power in (q.__pow__, values.__getitem__):
+            got = p.substitute("x", power)
+            want = Poly.linear_combination(
+                (c, power(k)) for k, c in p.coefficients_by_power("x").items()
+            )
+            assert_normal_poly(got)
+            _assert_same_value(got, want)
+        assert p.substitute("w", values.__getitem__) is p
+    # a sum that cancels is the zero value, in normal form
+    cancelled = (x * y / 6 - y**2 / 6).substitute("x", y.__pow__)
+    assert_normal_poly(cancelled)
+    _assert_same_value(cancelled, ZERO)
+    for absent in (ZERO, Poly.const(Fraction(3, 4)), y / 2):
+        assert absent.substitute("x", y.__pow__) is absent
+
+
 def _random_poly(rng: random.Random, symbols="abc", max_terms=4) -> Poly:
     total = Poly()
     for _ in range(rng.randint(0, max_terms)):
