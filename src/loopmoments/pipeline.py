@@ -185,13 +185,11 @@ def analyze(
     init_moments = {m: initial_moment(vp, m, table) for m in equations}
     solved, side_conditions = solve_all(order, equations, init_moments)
 
+    # The self-check makes every closed form equal its initial moment at
+    # n = 0, and an initial value enters a closed form only through one, so
+    # these are the initial values that the closed forms carry.
     symbolic_initials = sorted(
-        {
-            sym
-            for form in solved.values()
-            for sym in form.free_symbols()
-            if sym.endswith("(0)")
-        }
+        {sym for value in init_moments.values() for sym in value.symbols() if sym.endswith("(0)")}
     )
 
     elapsed = time.perf_counter() - started

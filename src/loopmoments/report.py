@@ -13,14 +13,16 @@ Three output surfaces share one canonical content model:
   non-finite floats are the strings ``"Infinity"``, ``"-Infinity"`` and
   ``"NaN"``.
 
-Every surface reads a closed form from its one term list in print order,
-``ExpPoly.print_groups()``: the JSON ``closed_form`` directly, and ``txt``,
-``tex`` and the JSON ``text`` through the one :func:`_closed_form_text`, over
-:func:`~loopmoments.symbolic.render_sum` in its ``TEXT`` and ``TEX`` styles;
-the JSON builds the list once for both.  A closed form containing a base-0 term
-(an indicator of ``n == 0``) is printed as its ``n >= 1`` form with the
-initial value annotated, since the one-point correction has no
-conventional surface syntax.  Moments come in the report's own order.
+Every surface walks a closed form's terms once, in print order
+(``ExpPoly.sorted_terms()``), through the one per-term formatter
+:func:`~loopmoments.symbolic.render_terms` in its ``TEXT`` or ``TEX``
+style, and :func:`_closed_form_text` sums the terms' texts.  The JSON takes
+each entry's ``num`` and ``den`` and its ``text`` from the same pass, so the
+gcd and decimal conversions of a term are made once per writer.  A closed
+form containing a base-0 term (an indicator of ``n == 0``) is printed as its
+``n >= 1`` form with the initial value annotated, since the one-point
+correction has no conventional surface syntax.  Moments come in the
+report's own order.
 """
 
 from __future__ import annotations
@@ -44,11 +46,12 @@ from .symbolic import (
     TEX,
     TEXT,
     ExpPoly,
-    Group,
     Mono,
     Poly,
     Style,
+    joined,
     render_sum,
+    render_terms,
 )
 
 FORMATS = ("txt", "tex", "json")
@@ -71,19 +74,25 @@ def emit(report: InvariantReport, fmt: str) -> str:
 
 def invariant_lines(report: InvariantReport) -> list[str]:
     """The deterministic ``E[...] = ...`` lines, without surrounding info."""
-    bases: dict[Poly, str] = {}
+    texts: dict = {}
     return [
-        f"E[{moment}] = {render_closed_form(form, TEXT, bases)}"
+        f"E[{moment}] = {render_closed_form(form, TEXT, texts)}"
         for moment, form in report.invariants.items()
     ]
 
 
-def render_closed_form(
-    form: ExpPoly, style: Style = TEXT, bases: dict[Poly, str] | None = None
-) -> str:
-    """``form`` in ``style``; ``bases`` is :func:`render_sum`'s memo of the
-    ``base^n`` texts, shared by the closed forms of one report."""
-    return _closed_form_text(form, form.print_groups(), style, bases)
+def render_closed_form(form: ExpPoly, style: Style = TEXT, texts: dict | None = None) -> str:
+    """``form`` in ``style``; ``texts`` is :func:`render_terms`'s memo of
+    factor texts, shared by the closed forms of one report."""
+    if texts is None:
+        texts = {}
+    pieces = [
+        piece
+        for base, degree, coeff in form.sorted_terms()
+        if not base.is_zero()
+        for _, _, _, piece in render_terms(base, degree, coeff, style, texts)
+    ]
+    return _closed_form_text(form, pieces, style)
 
 
 # The note on a one-point correction at n = 0, around the initial value.
@@ -93,16 +102,13 @@ _AT_ZERO = {
 }
 
 
-def _closed_form_text(
-    form: ExpPoly, groups: list[Group], style: Style, bases: dict[Poly, str] | None
-) -> str:
-    """``form``, given as its print groups, in ``style``: the terms with a
-    nonzero base, with a one-point correction at n = 0 noted as the initial
-    value."""
-    text = render_sum((group for group in groups if not group[0].is_zero()), style, bases)
+def _closed_form_text(form: ExpPoly, pieces: list[str], style: Style) -> str:
+    """``form`` in ``style`` from the pieces of its terms with a nonzero
+    base, with a one-point correction at n = 0 noted as the initial value."""
+    text = joined(pieces)
     if form.zero_base_part().is_zero():
         return text
-    initial = render_sum([(ONE, 0, form.value_at_zero().sorted_ratios())], style)
+    initial = render_sum([(ONE, 0, form.value_at_zero())], style)
     return text + _AT_ZERO[style].format(initial)
 
 
@@ -156,10 +162,10 @@ def emit_tex(report: InvariantReport) -> str:
     out.append(f"% goals: {', '.join(str(g) for g in report.goals)}")
     out.append(r"\begin{align*}")
     body = []
-    bases: dict[Poly, str] = {}
+    texts: dict = {}
     for moment, form in report.invariants.items():
         powers = "".join(f"{var}^{{{exp}}}" for var, exp in moment.powers)
-        body.append(f"E[{powers}] &= {render_closed_form(form, TEX, bases)}")
+        body.append(f"E[{powers}] &= {render_closed_form(form, TEX, texts)}")
     out.append("\\\\\n".join(body))
     out.append(r"\end{align*}")
     for note in report.side_conditions:
@@ -177,43 +183,47 @@ def emit_tex(report: InvariantReport) -> str:
 
 class _JsonTerms:
     """The JSON text of polynomials and closed forms for one report, written
-    term by term.  Bases and monomials repeat across the closed forms, so
-    each base's JSON and ``base^n`` text and each monomial's ``powers`` text
-    is made once."""
+    term by term from :func:`render_terms`.  Bases and monomials repeat
+    across the closed forms, so each base's JSON, each monomial's ``powers``
+    and each factor text is made once."""
 
     def __init__(self):
         self._powers: dict[Mono, str] = {}
         self._bases: dict[Poly, str] = {}
-        self._base_texts: dict[Poly, str] = {}
+        self._texts: dict = {}
 
-    def ratios(self, ratios: list[tuple[Mono, int, int]]) -> str:
+    def _entries(self, terms: Iterator[tuple[Mono, str, str, str]], pieces: list[str]) -> str:
+        """The JSON entries of :func:`render_terms` output; its pieces go to
+        ``pieces``."""
         out = []
         powers_text = self._powers
-        for mono, num, den in ratios:
+        for mono, num, den, piece in terms:
             powers = powers_text.get(mono)
             if powers is None:
                 powers = powers_text[mono] = (
                     "[" + ", ".join(f"[{_encode(name)}, {exp}]" for name, exp in mono) + "]"
                 )
             out.append(f'{{"num": {num}, "den": {den}, "powers": {powers}}}')
+            pieces.append(piece)
         return "[" + ", ".join(out) + "]"
 
     def poly(self, p: Poly) -> str:
-        return self.ratios(p.sorted_ratios())
+        return self._entries(render_terms(ONE, 0, p, TEXT, self._texts), [])
 
     def invariant(self, moment: Moment, form: ExpPoly) -> str:
-        """The ``closed_form`` terms and the ``text`` of :func:`render_closed_form`,
-        both from the one print-group list of ``form``."""
-        groups = form.print_groups()
-        closed_form = []
-        for base, degree, ratios in groups:
+        """The ``closed_form`` entries and the ``text`` of
+        :func:`render_closed_form`, both from one pass over the terms."""
+        closed_form, pieces = [], []
+        for base, degree, coeff in form.sorted_terms():
             base_json = self._bases.get(base)
             if base_json is None:
                 base_json = self._bases[base] = self.poly(base)
+            terms = render_terms(base, degree, coeff, TEXT, self._texts)
+            coeff_json = self._entries(terms, [] if base.is_zero() else pieces)
             closed_form.append(
-                f'{{"coeff": {self.ratios(ratios)}, "base": {base_json}, "degree": {degree}}}'
+                f'{{"coeff": {coeff_json}, "base": {base_json}, "degree": {degree}}}'
             )
-        text = _encode(_closed_form_text(form, groups, TEXT, self._base_texts))
+        text = _encode(_closed_form_text(form, pieces, TEXT))
         return (
             f'{{"moment": {_encode(str(moment))}, "closed_form": '
             f'[{", ".join(closed_form)}], "text": {text}}}'

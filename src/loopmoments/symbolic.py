@@ -42,11 +42,16 @@ numerators: one pass groups them by the power of the replaced symbol, and
 every group goes into one sum with that power's value.  Monomial products
 are memoised like the graded-lex sort keys, since one analysis multiplies
 the same few monomials over and over.  Constant bases are put in print order
-by their numerators over the bases' common denominator.  Both families print
-through :func:`render_sum`, which takes print groups ``(base, degree,
-ratios)``: ``ExpPoly.print_groups()`` or the one group ``(ONE, 0,
-p.sorted_ratios())`` of a polynomial, and a memo of the ``base^n`` texts that
-the renderers of one report share.
+by their numerators over the bases' common denominator.
+
+Both families print through :func:`render_terms`, the one per-term
+formatter: it reads a coefficient's numerators in graded-lex order and makes,
+per term, one gcd, one decimal text each of the reduced numerator and
+denominator, and the term's signed text.  :func:`render_sum` joins those
+texts for ``(base, degree, coeff)`` triples, ``ExpPoly.sorted_terms()`` or
+``[(ONE, 0, p)]`` of a polynomial; the JSON writer also takes the decimal
+texts for its entries.  A memo of the factor texts is shared by the sums of
+one report.
 
 Only the public constructors ``Poly(...)`` and ``ExpPoly(...)`` validate
 (canonicalising monomials, summing coefficients and dropping zeros).  Every
@@ -147,13 +152,15 @@ def _fold(accs: Mapping, terms: Mapping, num: int, den: int, mono: Mono = _ONE_M
                 acc.nums = {m: k * n for m, n in c._terms.items()}
             continue
         if d != acc.den:
-            if acc.den % d:
+            q, r = divmod(acc.den, d)
+            if r:
                 lcm = math.lcm(acc.den, d)
                 grow = lcm // acc.den
                 for m in nums:
                     nums[m] *= grow
                 acc.den = lcm
-            k *= acc.den // d
+                q = lcm // d
+            k *= q
         get = nums.get
         if mono:
             for m, n in c._terms.items():
@@ -289,18 +296,6 @@ class Poly:
     def terms(self) -> Iterator[tuple[Mono, Fraction]]:
         den = self._den
         return ((mono, Fraction(num, den)) for mono, num in self._terms.items())
-
-    def sorted_ratios(self) -> list[tuple[Mono, int, int]]:
-        """``(monomial, numerator, denominator)`` with each coefficient in
-        lowest terms, in descending graded-lex order: the canonical print
-        order."""
-        den, terms = self._den, self._terms
-        out = []
-        for mono in sorted(terms, key=_grlex_key):
-            num = terms[mono]
-            g = math.gcd(num, den)
-            out.append((mono, num // g, den // g))
-        return out
 
     def split(self, names: set[str] | frozenset[str]) -> dict[Mono, "Poly"]:
         """Group by the part of each monomial over ``names``:
@@ -489,7 +484,7 @@ class Poly:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        return render_sum([(ONE, 0, self.sorted_ratios())])
+        return render_sum([(ONE, 0, self)])
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -568,26 +563,32 @@ class ExpPoly:
         """Terms in print order: symbolic bases before constant ones, bases
         descending (constants by value, symbolic ones by their text), then
         degrees descending."""
-        symbolic: list[Poly] = []
-        consts: list[Poly] = []
-        for base in {base for base, _ in self._terms}:
-            (consts if base.is_const() else symbolic).append(base)
-        symbolic.sort(key=str, reverse=True)
-        # Over the common denominator of the constant bases their numerators
-        # compare exactly as the values do.
-        den = math.lcm(*(base._den for base in consts))
-        consts.sort(
-            key=lambda base: base._terms.get(_ONE_MONO, 0) * (den // base._den), reverse=True
-        )
-        # Few distinct bases carry many terms: rank the bases once, so the
-        # terms sort on int keys.
-        rank = {base: i for i, base in enumerate(symbolic + consts)}
-        ordered = sorted(self._terms.items(), key=lambda item: (rank[item[0][0]], -item[0][1]))
-        return [(b, d, c) for (b, d), c in ordered]
-
-    def print_groups(self) -> list[Group]:
-        """The terms as :func:`render_sum` takes them, in print order."""
-        return [(base, deg, coeff.sorted_ratios()) for base, deg, coeff in self.sorted_terms()]
+        # Few distinct bases carry many terms, and often there is one: the
+        # terms are grouped by base in one pass, then the bases and each
+        # base's degrees are put in order.
+        groups: dict[Poly, list[tuple[int, Poly]]] = {}
+        for (base, degree), coeff in self._terms.items():
+            groups.setdefault(base, []).append((degree, coeff))
+        bases = list(groups)
+        if len(bases) > 1:
+            symbolic: list[Poly] = []
+            consts: list[Poly] = []
+            for base in bases:
+                (consts if base.is_const() else symbolic).append(base)
+            symbolic.sort(key=str, reverse=True)
+            # Over the common denominator of the constant bases their
+            # numerators compare exactly as the values do.
+            den = math.lcm(*(base._den for base in consts))
+            consts.sort(
+                key=lambda base: base._terms.get(_ONE_MONO, 0) * (den // base._den), reverse=True
+            )
+            bases = symbolic + consts
+        out = []
+        for base in bases:
+            group = groups[base]
+            group.sort(reverse=True)  # the degrees differ: no coefficient is compared
+            out += [(base, degree, coeff) for degree, coeff in group]
+        return out
 
     def by_base(self) -> dict[Poly, dict[int, Poly]]:
         """``{base: {degree: coeff}}`` with the bases in print order, so what
@@ -641,18 +642,13 @@ class ExpPoly:
     # -- rendering --------------------------------------------------------------
 
     def __str__(self) -> str:
-        return render_sum(self.print_groups())
+        return render_sum(self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"ExpPoly({self})"
 
 
 # -- rendering ------------------------------------------------------------------
-
-# One print group of a rendered sum: the terms ``num/den * monomial`` of one
-# ``n**degree * base**n``, in print order with each coefficient in lowest
-# terms; a plain polynomial is the one group of base ONE and degree 0.
-Group = tuple[Poly, int, list[tuple[Mono, int, int]]]
 
 
 @dataclass(frozen=True)
@@ -674,55 +670,69 @@ TEX = Style(
 )
 
 
-def render_sum(
-    groups: Iterable[Group], style: Style = TEXT, base_texts: dict[Poly, str] | None = None
-) -> str:
-    r"""Render print groups as one line in ``style``.
-
-    Every term is a single product over an integer denominator, e.g.
-    ``b^2*n/3 + y(0)^2`` or ``n*2^n/2`` in :data:`TEXT` and
-    ``\frac{b^{2} n}{3}`` in :data:`TEX`.  ``base_texts`` memoises the
-    ``base^n`` texts in ``style``; a caller that renders many sums over few
-    bases passes one dict to every call.
-    """
-    power, join, fraction = style.power.format, style.join.join, style.fraction.format
-    parts: list[str] = []
-    # Monomials and bases repeat across groups; each is rendered once.
-    mono_texts: dict[Mono, str] = {}
-    if base_texts is None:
-        base_texts = {}
-    for base, ndeg, ratios in groups:
-        tail = []  # the n and base factors that every term of the group shares
-        if ndeg:
-            tail.append("n" if ndeg == 1 else power("n", ndeg))
+def render_terms(
+    base: Poly, ndeg: int, coeff: Poly, style: Style, texts: dict
+) -> Iterator[tuple[Mono, str, str, str]]:
+    r"""The terms of ``coeff * n**ndeg * base**n`` in print order, the
+    monomials of ``coeff`` in descending graded-lex order, each as
+    ``(monomial, numerator, denominator, piece)``: the coefficient in lowest
+    terms as decimal texts, and the term as a single product over an integer
+    denominator in ``style``, signed for a sum (`` + b^2*n/3``,
+    `` - n*2^n/2``, `` + \frac{b^{2} n}{3}``); :func:`joined` sums the
+    pieces.  ``texts`` memoises the texts of the ``n**ndeg * base**n``
+    factors and of the monomials in ``style``: they repeat, so a caller
+    passes one dict to the sums of one report."""
+    power, sep = style.power.format, style.join
+    tail = texts.get((base, ndeg))
+    if tail is None:  # the factors that every term shares
+        tail = ["n" if ndeg == 1 else power("n", ndeg)] if ndeg else []
         if base != ONE:
-            text = base_texts.get(base)
-            if text is None:
-                text = base_texts[base] = power(_render_base(base, style), "n")
-            tail.append(text)
-        for mono, num, den in ratios:
-            factors = []
-            if mono:
-                text = mono_texts.get(mono)
-                if text is None:
-                    text = mono_texts[mono] = join(
-                        [name if exp == 1 else power(name, exp) for name, exp in mono]
-                    )
-                factors.append(text)
-            factors += tail
-            negative = num < 0
-            if negative:
-                num = -num
-            if num != 1 or not factors:
-                factors.insert(0, str(num))
-            body = join(factors)
-            if den != 1:
-                body = fraction(body, den)
-            if parts:
-                parts.append(f"- {body}" if negative else f"+ {body}")
-            else:
-                parts.append(f"-{body}" if negative else body)
-    return " ".join(parts) if parts else "0"
+            tail.append(power(_render_base(base, style), "n"))
+        tail = texts[(base, ndeg)] = sep.join(tail)
+    den, nums = coeff._den, coeff._terms
+    for mono in sorted(nums, key=_grlex_key) if len(nums) > 1 else nums:
+        num, d = nums[mono], den
+        g = math.gcd(num, d)
+        if g != 1:
+            num //= g
+            d //= g
+        num_text, den_text = str(num), str(d)
+        rest = tail
+        if mono:
+            rest = texts.get(mono)
+            if rest is None:
+                rest = texts[mono] = sep.join(
+                    [name if exp == 1 else power(name, exp) for name, exp in mono]
+                )
+            if tail:
+                rest += sep + tail
+        if num < 0:
+            sign, body = " - ", num_text[1:]
+        else:
+            sign, body = " + ", num_text
+        if rest:
+            body = rest if body == "1" else body + sep + rest
+        if d != 1:
+            body = style.fraction.format(body, den_text)
+        yield mono, num_text, den_text, sign + body
+
+
+def joined(pieces: list[str]) -> str:
+    """The sum of the signed pieces of :func:`render_terms`, ``0`` if none."""
+    text = "".join(pieces)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def render_sum(terms: Iterable[tuple[Poly, int, Poly]], style: Style = TEXT) -> str:
+    """The sum of ``coeff * n**degree * base**n`` over ``(base, degree,
+    coeff)`` triples, ``ExpPoly.sorted_terms()`` or ``[(ONE, 0, p)]`` for a
+    polynomial ``p``, as one line in ``style`` (see :func:`render_terms`)."""
+    texts: dict = {}
+    return joined(
+        [piece for triple in terms for _, _, _, piece in render_terms(*triple, style, texts)]
+    )
 
 
 def _render_base(base: Poly, style: Style) -> str:
@@ -737,4 +747,4 @@ def _render_base(base: Poly, style: Style) -> str:
             return mono[0][0]
     elif not terms:
         return "0"
-    return style.group.format(render_sum([(ONE, 0, base.sorted_ratios())], style))
+    return style.group.format(render_sum([(ONE, 0, base)], style))

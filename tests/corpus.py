@@ -242,9 +242,15 @@ def _json_float(x: float) -> Any:
 
 
 def _poly_json(p: Poly) -> list[dict[str, Any]]:
+    # descending graded-lex order: total degree first, then the exponents
+    # over the sorted names
+    def grlex(term):
+        mono = term[0]
+        return (-sum(exp for _, exp in mono), [(name, -exp) for name, exp in mono])
+
     return [
-        {"num": num, "den": den, "powers": [[name, exp] for name, exp in mono]}
-        for mono, num, den in p.sorted_ratios()
+        {"num": q.numerator, "den": q.denominator, "powers": [[name, exp] for name, exp in mono]}
+        for mono, q in sorted(p.terms(), key=grlex)
     ]
 
 

@@ -430,6 +430,16 @@ GOLDEN_CASES["three-var"] = (THREE_VAR, [3])
 GOLDEN_CASES["three-var-k4"] = (THREE_VAR, [4])
 # the walk-ladder benchmark's heaviest job, at goal 8
 GOLDEN_CASES["walk-k8"] = (WALK, [8])
+# the writers' rarer branches: a symbolic base with an n^k factor
+# (E[x^2] = n^2*(p^2)^n) and a multi-term parametric base
+# (E[z^1] = z(0)*(p*q/2 - 2*q + 1)^n)
+GOLDEN_CASES["symbolic-bases"] = (
+    "y = 1\nx = 0\nwhile true:\n"
+    "  z = 1/2*p*z - z @ q; z @ 1 - q\n"
+    "  y = p*y\n"
+    "  x = p*x + y\n",
+    [1, 2],
+)
 
 
 def golden_digests(name: str) -> dict[str, str]:
@@ -468,6 +478,21 @@ def test_json_text_is_the_txt_right_hand_side(name):
     if name == "fresh_draw":
         # a closed form with a base-0 term, i.e. a one-point correction at n = 0
         assert "[n >= 1; at n = 0: v(0)]" in txt["v^1"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_symbolic_initials_are_those_the_closed_forms_carry(name):
+    # analyze reads them off the initial moments; every closed form equals
+    # its initial moment at n = 0, so the closed forms carry the same ones
+    source, goals = GOLDEN_CASES[name]
+    report = analyze(source, goals)
+    carried = {
+        sym
+        for form in report.invariants.values()
+        for sym in form.free_symbols()
+        if sym.endswith("(0)")
+    }
+    assert report.symbolic_initials == tuple(sorted(carried))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
