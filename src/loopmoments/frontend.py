@@ -103,6 +103,8 @@ def _uniform_sampler(a: float, b: float):
         return lambda rng, size: np.full(size, lo)
     if not math.isfinite(hi - lo):
         raise OverflowError("the width of the uniform draw")
+    if lo == 0:  # 0.0 + x is x for every x >= 0
+        return lambda rng, size: hi * rng.random(size)
     return lambda rng, size: lo + (hi - lo) * rng.random(size)
 
 

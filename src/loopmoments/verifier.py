@@ -8,16 +8,20 @@ is statistical: a disagreement beyond ``z`` standard errors flags a real
 inconsistency rather than numeric noise.
 
 Trials are grouped into fixed-size blocks; block ``b`` uses the RNG
-substream spawned from ``(seed, b)``, so results are bit-for-bit
-reproducible and independent of how blocks would be scheduled.  An update
-with several branches draws one uniform per trial and compares it with the
-cumulative branch probabilities; the last branch takes any rounding
-remainder.  Each arithmetic step is one numpy call over a block.
+substream spawned from ``(seed, b)``.  The blocks run on the CPUs in the
+process's affinity set, one thread per CPU at most, and their sums are
+added in block order, so identical configurations reproduce bit for bit
+whatever the CPU count.  A negative seed is a configuration error.  An
+update with several branches draws one uniform per trial and compares it
+with the cumulative branch probabilities; the last branch takes any
+rounding remainder.  Each arithmetic step is one numpy call over a block.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -30,6 +34,12 @@ from .symbolic import ExpPoly, Poly, UnboundSymbolError
 _BLOCK = 4096
 # The z of check's z-score rule.
 _Z = 5.0
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 class VerifierError(Exception):
@@ -53,6 +63,8 @@ class SimConfig:
             raise VerifierError("iterations must be >= 0")
         if self.trials < 2:
             raise VerifierError("at least two trials are needed for a standard error")
+        if self.seed < 0:
+            raise VerifierError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -97,7 +109,7 @@ def _compile_poly(
     """Fold parameters into float coefficients; keep state factors symbolic."""
     import numpy as np
 
-    compiled: list[tuple[float, tuple[tuple[str, int], ...]]] = []
+    compiled: list[tuple[bool, float, tuple[tuple[str, int], ...]]] = []
     for mono, coeff in poly.terms():
         value = coeff
         factors: list[tuple[str, int]] = []
@@ -108,23 +120,26 @@ def _compile_poly(
             else:
                 value *= bindings[name] ** exp
                 params.add(name)
-        compiled.append((_float(value, f"a coefficient of {what}", params), tuple(factors)))
+        c = _float(value, f"a coefficient of {what}", params)
+        subtract = bool(compiled) and c == -1.0
+        compiled.append((subtract, 1.0 if subtract else c, tuple(factors)))
 
     # ``c * p1 * p2 ...`` left to right, terms summed in order, one numpy
     # call per step.  Starting from the first term rather than from zeros can
     # only leave -0.0 for 0.0, which no estimate sees: its sums start at 0.0
-    # and nothing divides.  The result may be a state array: never write to it.
+    # and nothing divides.  A later -1 term is subtracted: the bits of adding
+    # it times -1.0.  The result may be a state array: never write to it.
     def evaluate(state: dict[str, np.ndarray], size: int) -> np.ndarray:
         total = None
-        for c, factors in compiled:
+        for subtract, c, factors in compiled:
             term = None if c == 1.0 and factors else c
             for name, exp in factors:
                 power = state[name] if exp == 1 else state[name] ** exp
                 term = power if term is None else term * power
-            if total is not None:
-                total = total + term
-            else:
+            if total is None:
                 total = term if factors else np.full(size, term)
+            else:
+                total = total - term if subtract else total + term
         return np.zeros(size) if total is None else total
 
     return evaluate
@@ -204,24 +219,18 @@ def simulate(
     ]
     draws = [(rv.var, _sampler(rv.dist, bindings, rv.var)) for rv in vp.program.rv_assignments]
 
-    # Per target: the sum of the values, and the first two sums of the
-    # values shifted by the first one simulated.  The shift keeps the
+    # Per target and block: the sum of the values, and the first two sums of
+    # the values shifted by the first one simulated.  The shift keeps the
     # variance from cancelling when the spread is tiny beside the mean, and
-    # identical values give exactly 0.
-    sums = {t: 0.0 for t in target_list}
+    # identical values give exactly 0.  An overflow leaves an inf or nan
+    # estimate, which check() fails and the report names: numpy's warnings
+    # about it would only be noise, in whichever thread.
     shifts: dict[Moment, float] = {}
-    s1s = {t: 0.0 for t in target_list}
-    s2s = {t: 0.0 for t in target_list}
 
-    n_blocks = (cfg.trials + _BLOCK - 1) // _BLOCK
-    # An overflow leaves an inf or nan estimate, which check() fails and the
-    # report names; numpy's warnings about it would only be noise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for block in range(n_blocks):
-            size = min(_BLOCK, cfg.trials - block * _BLOCK)
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=cfg.seed, spawn_key=(block,))
-            )
+    def run_block(block: int) -> list[tuple[float, float, float]]:
+        size = min(_BLOCK, cfg.trials - block * _BLOCK)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(block,)))
+        with np.errstate(over="ignore", invalid="ignore"):
             state = {var: sample(rng, size) for var, sample in inits}
             for _ in range(cfg.iterations):
                 for var, sample in draws:
@@ -233,23 +242,52 @@ def simulate(
                         for threshold, evaluate in others:
                             values = np.where(u >= threshold, evaluate(state, size), values)
                     state[var] = values
-
+            sums = []
             for t in target_list:
                 values = None
                 for var, exp in t.powers:
                     power = state[var] if exp == 1 else state[var] ** exp
                     values = power if values is None else values * power
-                sums[t] += float(values.sum())
                 shifted = values - shifts.setdefault(t, float(values[0]))
-                s1s[t] += float(shifted.sum())
-                s2s[t] += float(np.dot(shifted, shifted))
+                sums.append((float(values.sum()), float(shifted.sum()), float(shifted.dot(shifted))))
+        return sums
 
+    # Block 0 fixes the shifts.  Then the calling thread and one helper per
+    # further CPU take the other blocks in turn; once a block has raised,
+    # each stops before its next block.
+    n_blocks = (cfg.trials + _BLOCK - 1) // _BLOCK
+    results = [run_block(0)] + [None] * (n_blocks - 1)
+    pending, lock, failures = iter(range(1, n_blocks)), threading.Lock(), []
+
+    def work():
+        try:
+            while not failures:
+                with lock:
+                    block = next(pending, None)
+                if block is None:
+                    return
+                results[block] = run_block(block)
+        except BaseException as exc:
+            failures.append(exc)
+
+    helpers = [threading.Thread(target=work) for _ in range(min(_cpus(), n_blocks - 1) - 1)]
+    for thread in helpers:
+        thread.start()
+    work()
+    for thread in helpers:
+        thread.join()
+    if failures:
+        raise failures[0]
+
+    # Added in block order, one float at a time, as one thread would.
     out = {}
     n = cfg.trials
-    for t in target_list:
-        mean = sums[t] / n
-        sd = math.sqrt(max(s2s[t] - s1s[t] * s1s[t] / n, 0.0) / (n - 1))
-        out[t] = MomentEstimate(t, mean, sd, sd / math.sqrt(n), n)
+    for t, per_block in zip(target_list, zip(*results)):
+        total = s1 = s2 = 0.0
+        for block_total, block_s1, block_s2 in per_block:
+            total, s1, s2 = total + block_total, s1 + block_s1, s2 + block_s2
+        sd = math.sqrt(max(s2 - s1 * s1 / n, 0.0) / (n - 1))
+        out[t] = MomentEstimate(t, total / n, sd, sd / math.sqrt(n), n)
     return out
 
 

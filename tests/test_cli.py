@@ -159,6 +159,12 @@ def test_empty_param_name_exits_1(walk_file, capsys, pair):
     assert capsys.readouterr().err == f"error: --param expects NAME=VALUE, got {pair!r}\n"
 
 
+def test_negative_seed_exits_1(walk_file, capsys):
+    args = [walk_file, "--goal", "1", "--verify", "--param", "b=2", "--param", "y(0)=0"]
+    assert main([*args, "--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: seed must be >= 0\n")
+
+
 def test_verify_beyond_float_range_fails_without_a_traceback(tmp_path, capsys):
     # E[x^40] at n = 20 is 2^40 * 10^2400, far beyond float range
     path = tmp_path / "prog"
@@ -207,6 +213,21 @@ def test_overflowed_estimate_is_reported_without_warnings(tmp_path):
     assert proc.returncode == 1
     assert "E[x^40]: expected inf, estimate overflowed -> FAIL" in proc.stdout
     assert "verification result: FAIL" in proc.stdout
+    assert proc.stderr == "verification failed; see report\n"
+
+
+def test_overflow_stays_silent_on_helper_threads(tmp_path):
+    # 12000 trials are three blocks; with four CPUs, blocks 1 and 2 go to
+    # the calling thread and a helper thread.
+    (tmp_path / "prog").write_text("x = 2\nwhile true:\nx = 1000*x\n", encoding="utf-8")
+    code = (
+        "import sys; from loopmoments import cli, verifier; "
+        "verifier._cpus = lambda: 4; sys.exit(cli.main(sys.argv[1:]))"
+    )
+    args = ["-c", code, "prog", "--goal", "40", "--verify", "--trials", "12000"]
+    proc = _python(args, tmp_path)
+    assert proc.returncode == 1
+    assert "E[x^40]: expected inf, estimate overflowed -> FAIL" in proc.stdout
     assert proc.stderr == "verification failed; see report\n"
 
 

@@ -1,11 +1,14 @@
 """Simulation, estimation, and the statistical check."""
 
 import math
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 
-from loopmoments import ExpPoly, Moment, Poly, analyze
+from loopmoments import ExpPoly, Moment, Poly, analyze, verifier
 from loopmoments.frontend import DISTRIBUTIONS, parse_program, validate_program
 from loopmoments.symbolic import ONE
 from loopmoments.verifier import (
@@ -114,6 +117,12 @@ def test_config_sanity():
         SimConfig(bindings={}, iterations=-1, trials=10, seed=0)
     with pytest.raises(VerifierError):
         SimConfig(bindings={}, iterations=1, trials=1, seed=0)
+
+
+def test_negative_seed_is_a_verifier_error():
+    # numpy's SeedSequence takes non-negative entropy only
+    with pytest.raises(VerifierError, match=r"^seed must be >= 0$"):
+        SimConfig(bindings={}, iterations=1, trials=10, seed=-1)
 
 
 def test_check_passes_on_matching_estimates():
@@ -386,12 +395,9 @@ _LEAN_LOOP_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_LEAN_LOOP_CASES))
-@pytest.mark.parametrize("iterations, trials", [(0, 5), (7, 5000)])
-def test_simulate_matches_the_reference_loop_bit_for_bit(name, iterations, trials):
-    # The lean loop must see the same draws and do the same float operations
-    # as the reference: every mean and sd agrees to the last bit, for all
-    # powers up to 3 and all products of two variables.
+def _assert_matches_the_reference(name, iterations, trials):
+    # Every mean and sd agrees to the last bit, for all powers up to 3 and
+    # all products of two variables.
     source, bindings = _LEAN_LOOP_CASES[name]
     vp = analyze(source, [1]).validated
     names = vp.all_variables()
@@ -402,3 +408,108 @@ def test_simulate_matches_the_reference_loop_bit_for_bit(name, iterations, trial
     expected = reference_simulate(vp, bindings, iterations, trials, 11, targets)
     for t in targets:
         assert (got[t].mean.hex(), got[t].sd.hex()) == tuple(x.hex() for x in expected[t]), t
+
+
+@pytest.mark.parametrize("name", sorted(_LEAN_LOOP_CASES))
+@pytest.mark.parametrize("iterations, trials", [(0, 5), (7, 5000)])
+def test_simulate_matches_the_reference_loop_bit_for_bit(name, iterations, trials):
+    # The lean loop must see the same draws and do the same float operations
+    # as the reference.
+    _assert_matches_the_reference(name, iterations, trials)
+
+
+@pytest.mark.parametrize("name", ["three_branches", "three_var", "walk"])
+def test_blocks_on_helper_threads_match_the_reference_loop(monkeypatch, name):
+    # Four blocks, the last of 5 trials: the calling thread and up to three
+    # helpers share blocks 1-3 on any machine, and the reference runs them
+    # one after another.
+    monkeypatch.setattr(verifier, "_cpus", lambda: 4)
+    _assert_matches_the_reference(name, 7, 3 * 4096 + 5)
+
+
+def test_estimates_do_not_depend_on_the_cpu_count(monkeypatch):
+    # Also a stress test of the shared schedule: more threads than this
+    # machine's CPUs, switching as often as the interpreter allows.  A block
+    # taken twice or never changes a sum or leaves no result.
+    vp = load("walk")
+    cfg = SimConfig(bindings={"b": 2, "y(0)": Fraction(1, 3)}, iterations=2,
+                    trials=16 * 4096 + 1, seed=3)
+    targets = {M("x^2"), M("y^1"), M("u^1*x^1")}
+    real_sampler = verifier._sampler
+    threads = set()
+
+    def sampler(value, bindings, var):
+        sample = real_sampler(value, bindings, var)
+
+        def recorded(rng, size):
+            threads.add(threading.get_ident())
+            return sample(rng, size)
+
+        return recorded
+
+    monkeypatch.setattr(verifier, "_sampler", sampler)
+    runs = []
+    interval = sys.getswitchinterval()
+    for cpus in (1, 4, 8):
+        monkeypatch.setattr(verifier, "_cpus", lambda: cpus)
+        threads.clear()
+        sys.setswitchinterval(1e-6)
+        try:
+            est = simulate(vp, cfg, targets)
+        finally:
+            sys.setswitchinterval(interval)
+        runs.append({t: (est[t].mean.hex(), est[t].sd.hex()) for t in targets})
+        # one CPU starts no thread; never more threads than CPUs
+        if cpus == 1:
+            assert threads == {threading.get_ident()}
+        assert len(threads) <= cpus
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_a_block_that_raises_in_a_helper_stops_the_run(monkeypatch):
+    # One sampler call per block: the initial value of x.  Three CPUs start
+    # two helpers.  The first helper's block waits until the second helper
+    # is in a block, then raises; the second finishes its block slowly.  The
+    # calling thread's second block waits until the first helper has raised
+    # and ended.  So simulate has to join the slow helper, and the calling
+    # thread has to stop.
+    vp = validate_program(parse_program("x = 0\nwhile true:\n  x = x + 1\n"))
+    cfg = SimConfig(bindings={}, iterations=3, trials=8 * 4096, seed=0)
+    real_sampler = verifier._sampler
+    lock, entered, raised = threading.Lock(), threading.Event(), threading.Event()
+    helpers, calls_here = [], []
+
+    def sampler(value, bindings, var):
+        sample = real_sampler(value, bindings, var)
+
+        def failing(rng, size):
+            me = threading.current_thread()
+            if me is threading.main_thread():
+                calls_here.append(None)
+                if len(calls_here) > 1:
+                    assert raised.wait(timeout=60)
+                    helpers[0].join(timeout=60)
+                    assert not helpers[0].is_alive()
+                return sample(rng, size)
+            with lock:
+                helpers.append(me)
+            if helpers[0] is me:
+                assert entered.wait(timeout=60)
+                raised.set()
+                raise RuntimeError("a block failed")
+            entered.set()
+            assert raised.wait(timeout=60)
+            time.sleep(0.2)
+            return sample(rng, size)
+
+        return failing
+
+    monkeypatch.setattr(verifier, "_sampler", sampler)
+    monkeypatch.setattr(verifier, "_cpus", lambda: 3)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="a block failed"):
+        simulate(vp, cfg, {M("x^1")})
+    assert threading.active_count() == before
+    assert len(set(helpers)) == 2
+    # block 0, and at most the one block during which a helper failed
+    assert len(calls_here) <= 2
