@@ -477,14 +477,14 @@ def test_a_block_that_raises_in_a_helper_stops_the_run(monkeypatch):
     cfg = SimConfig(bindings={}, iterations=3, trials=8 * 4096, seed=0)
     real_sampler = verifier._sampler
     lock, entered, raised = threading.Lock(), threading.Event(), threading.Event()
-    helpers, calls_here = [], []
+    caller, helpers, calls_here = threading.current_thread(), [], []
 
     def sampler(value, bindings, var):
         sample = real_sampler(value, bindings, var)
 
         def failing(rng, size):
             me = threading.current_thread()
-            if me is threading.main_thread():
+            if me is caller:
                 calls_here.append(None)
                 if len(calls_here) > 1:
                     assert raised.wait(timeout=60)
