@@ -1,7 +1,8 @@
 """Exact closed-form moments for probabilistic loop programs.
 
 The public surface: :func:`analyze` runs source text through the whole
-pipeline and returns an :class:`InvariantReport`; the frontend, moment,
+pipeline and returns an :class:`InvariantReport`, whose ``analysis`` is the
+:class:`Analysis` record of every stage's output; the frontend, moment,
 recurrence, report, and verifier modules expose the individual stages.
 """
 
@@ -27,6 +28,7 @@ from .moments import (
 )
 from .pipeline import (
     AllVarsGoal,
+    Analysis,
     Goal,
     GoalError,
     InvariantReport,

@@ -8,9 +8,10 @@ Usage::
                  --iters 20 --trials 100000 --seed 0]
 
 Exit codes: 0 success, 1 verification or configuration failure, 2 parse
-error (including unreadable input and bad goals), 3 unsupported program
-structure, 4 solver failure or moment-set blowup.  Diagnostics go to
-stderr; the report goes to stdout and, when requested, to a file.
+error (including unreadable or non-UTF-8 input and bad goals), 3
+unsupported program structure, 4 solver failure or moment-set blowup.
+Diagnostics go to stderr; the report goes to stdout and, when requested,
+to a file.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             cfg = SimConfig(
                 bindings=bindings, iterations=args.iters, trials=args.trials, seed=args.seed
             )
-            estimates = simulate(report.validated, cfg, set(report.invariants))
+            estimates = simulate(report.analysis.program, cfg, set(report.invariants))
             report = report.with_verification(check(report.invariants, estimates, cfg))
             if not report.verification.passed:
                 code = EXIT_FAILURE
@@ -121,6 +122,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 handle.write(rendered)
     except OSError as exc:
         print(f"error: file access failed: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.program} is not UTF-8 text: {exc.reason} at byte {exc.start}",
+              file=sys.stderr)
         return EXIT_PARSE
     except (ParseError, GoalError) as exc:
         print(f"error: {exc}", file=sys.stderr)

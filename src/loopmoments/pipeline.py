@@ -3,8 +3,10 @@
 A goal is either "the k-th moments of every program variable" (written as
 a bare integer) or one specific monomial moment (written like ``x^2`` or
 ``x^2*y``).  :func:`analyze` runs the whole pipeline -- parse, validate,
-collect the needed moments, order and solve their recurrences -- and
-returns an :class:`InvariantReport`.
+collect the needed moments, order and solve their recurrences -- records
+every stage's output in one :class:`Analysis`, and returns the
+:class:`InvariantReport` built from it.  The stage functions are looked up
+in this module's namespace at call time, so a caller can wrap them.
 """
 
 from __future__ import annotations
@@ -130,14 +132,35 @@ class VerifyReport:
 
 
 @dataclass(frozen=True)
+class Analysis:
+    """Every stage's output of one :func:`analyze` run, in stage order.
+
+    ``program`` is the validated program, ``goals`` the parsed goals,
+    ``equations`` the one-step equation of every moment in the closure,
+    ``order`` the dependency order they are solved in, ``initial_moments``
+    their values at ``n = 0``, ``solved`` the closed form of every one, and
+    ``side_conditions`` what the solver assumed.
+    """
+
+    program: ValidatedProgram
+    goals: tuple[Goal, ...]
+    equations: Mapping[Moment, MomentEquation]
+    order: tuple[Moment, ...]
+    initial_moments: Mapping[Moment, Poly]
+    solved: Mapping[Moment, ExpPoly]
+    side_conditions: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class InvariantReport:
     """Everything the analysis produced, ready for rendering.
 
     ``invariants`` and ``initial_moments`` are copied in canonical moment
     order (:meth:`Moment.sort_key`), the order every renderer prints.
-    ``validated`` and ``equations`` are working state for follow-up stages
-    (the simulation verifier); they are excluded from equality so reports
-    survive serialization round-trips.
+    ``analysis`` is the working state behind the report, for follow-up
+    stages such as the simulation verifier; it is ``None`` on a report read
+    back from JSON and excluded from equality, so reports survive
+    serialization round-trips.
     """
 
     program_name: str
@@ -150,16 +173,18 @@ class InvariantReport:
     side_conditions: tuple[str, ...]
     elapsed_seconds: float
     verification: VerifyReport | None = None
-    validated: ValidatedProgram | None = field(default=None, compare=False, repr=False)
-    equations: Mapping[Moment, MomentEquation] | None = field(
-        default=None, compare=False, repr=False
-    )
+    analysis: Analysis | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("invariants", "initial_moments"):
             moments = getattr(self, name)
             ordered = {m: moments[m] for m in sorted(moments, key=Moment.sort_key)}
             object.__setattr__(self, name, ordered)
+
+    @property
+    def validated(self) -> ValidatedProgram | None:
+        """The validated program, or ``None`` when there is no analysis."""
+        return self.analysis.program if self.analysis is not None else None
 
     def with_verification(self, verification: VerifyReport) -> "InvariantReport":
         return replace(self, verification=verification)
@@ -174,16 +199,22 @@ def analyze(
 ) -> InvariantReport:
     """Compute closed-form moments of a loop program for the given goals."""
     started = time.perf_counter()
-    program = parse_program(source_text)
-    vp = validate_program(program)
-    parsed_goals = parse_goals(goals, vp.all_variables())
-
+    vp = validate_program(parse_program(source_text))
+    parsed_goals = tuple(parse_goals(goals, vp.all_variables()))
     table = MomentTable()
-    targets = goal_moments(parsed_goals, vp)
-    equations = moment_closure(targets, vp, table, cap=max_closure)
+    equations = moment_closure(goal_moments(parsed_goals, vp), vp, table, cap=max_closure)
     order = topo_order(equations)
     init_moments = {m: initial_moment(vp, m, table) for m in equations}
     solved, side_conditions = solve_all(order, equations, init_moments)
+    analysis = Analysis(
+        program=vp,
+        goals=parsed_goals,
+        equations=equations,
+        order=tuple(order),
+        initial_moments=init_moments,
+        solved=solved,
+        side_conditions=tuple(side_conditions),
+    )
 
     # The self-check makes every closed form equal its initial moment at
     # n = 0, and an initial value enters a closed form only through one, so
@@ -197,12 +228,11 @@ def analyze(
         program_name=name,
         variables=tuple(vp.all_variables()),
         parameters=tuple(sorted(vp.parameters)),
-        goals=tuple(parsed_goals),
-        invariants=solved,
-        initial_moments=init_moments,
+        goals=analysis.goals,
+        invariants=analysis.solved,
+        initial_moments=analysis.initial_moments,
         symbolic_initials=tuple(symbolic_initials),
-        side_conditions=tuple(side_conditions),
+        side_conditions=analysis.side_conditions,
         elapsed_seconds=elapsed,
-        validated=vp,
-        equations=equations,
+        analysis=analysis,
     )

@@ -347,10 +347,6 @@ class Poly:
     def __sub__(self, other) -> "Poly":
         return self._plus(other, -1)
 
-    def __rsub__(self, other) -> "Poly":
-        o = self._coerce(other)
-        return NotImplemented if o is None else o._plus(self, -1)
-
     def __neg__(self) -> "Poly":
         return Poly._trusted({m: -n for m, n in self._terms.items()}, self._den)
 
@@ -631,13 +627,6 @@ class ExpPoly:
             b = base.evaluate(bindings)
             total += coeff.evaluate(bindings) * b**n * Fraction(n) ** degree
         return total
-
-    def free_symbols(self) -> set[str]:
-        out: set[str] = set()
-        for (base, _), coeff in self._terms.items():
-            out |= base.symbols()
-            out |= coeff.symbols()
-        return out
 
     # -- rendering --------------------------------------------------------------
 

@@ -28,8 +28,6 @@ from loopmoments import (
     MomentTable,
     Poly,
     ValidatedProgram,
-    initial_moment,
-    moment_closure,
     parse_program,
     resolve_initial_value,
     validate_program,
@@ -147,29 +145,6 @@ DISCRETE = (
 def load(name: str) -> ValidatedProgram:
     source, _, _ = CORPUS[name]
     return validate_program(parse_program(source))
-
-
-def goal_targets(vp: ValidatedProgram, goals: list) -> set[Moment]:
-    """The moments a goal list asks for: an int ``k`` means ``v^k`` for
-    every variable, a string is one monomial."""
-    targets = set()
-    for goal in goals:
-        if isinstance(goal, int):
-            for var in vp.all_variables():
-                targets.add(Moment.single(var, goal))
-        else:
-            targets.add(Moment.parse(goal))
-    return targets
-
-
-def closure_for(name: str, table: MomentTable | None = None):
-    """(validated, equations, init moments) for a corpus entry's goals."""
-    source, goals, _ = CORPUS[name]
-    vp = validate_program(parse_program(source))
-    table = table or MomentTable()
-    equations = moment_closure(goal_targets(vp, goals), vp, table)
-    inits = {m: initial_moment(vp, m, table) for m in equations}
-    return vp, equations, inits
 
 
 def naive_moment_equation(

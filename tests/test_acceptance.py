@@ -23,14 +23,13 @@ from loopmoments import (
     MomentTable,
     build_recurrence,
     solve_first_order,
-    topo_order,
 )
 from loopmoments.cli import main
 from loopmoments.frontend import Distribution
 from loopmoments.symbolic import ONE
 from loopmoments.verifier import SimConfig, check, simulate
 
-from corpus import CORPUS, WALK, closure_for, iterate_equations, shifted
+from corpus import CORPUS, WALK, iterate_equations, shifted
 
 b = Poly.var("b")
 y0 = Poly.var("y(0)")
@@ -69,7 +68,7 @@ def test_criterion_1_running_example_equations():
             b**2 / 3 + 1,
         ),
     }
-    equations = report.equations
+    equations = report.analysis.equations
     assert set(equations) == set(expected), "exactly the nine equations"
     for moment, (linear, constant) in expected.items():
         assert equations[moment] == MomentEquation(moment, linear, constant), str(moment)
@@ -109,11 +108,13 @@ def test_criterion_3_symbolic_self_check_across_corpus():
     resonant = nonresonant = 0
     checked = 0
     for name in sorted(CORPUS):
-        vp, equations, inits = closure_for(name)
-        order = topo_order(equations)
+        source, goals, _ = CORPUS[name]
+        analysis = analyze(source, goals, name=name).analysis
         solved = {}
-        for moment in order:
-            recurrence = build_recurrence(equations[moment], solved, inits)
+        for moment in analysis.order:
+            recurrence = build_recurrence(
+                analysis.equations[moment], solved, analysis.initial_moments
+            )
             form = solve_first_order(recurrence)
             solved[moment] = form
             # the defining identity, recomputed here from scratch
@@ -150,12 +151,14 @@ def test_criterion_4_iteration_oracle():
     for name in sorted(CORPUS):
         source, goals, example = CORPUS[name]
         report = analyze(source, goals, name=name)
+        equations = report.analysis.equations
         needed = set()
         for form in report.invariants.values():
-            needed |= form.free_symbols()
+            for base, _, coeff in form.terms():
+                needed |= base.symbols() | coeff.symbols()
         for value in report.initial_moments.values():
             needed |= value.symbols()
-        for equation in report.equations.values():
+        for equation in equations.values():
             needed |= equation.constant.symbols()
             for coeff in equation.linear.values():
                 needed |= coeff.symbols()
@@ -164,10 +167,8 @@ def test_criterion_4_iteration_oracle():
             {**{s: Fraction(0) for s in needed}, **example},
         ]
         for bindings in binding_sets:
-            init_values = {
-                m: report.initial_moments[m] for m in report.equations
-            }
-            history = iterate_equations(report.equations, init_values, bindings, 25)
+            init_values = {m: report.initial_moments[m] for m in equations}
+            history = iterate_equations(equations, init_values, bindings, 25)
             for n in range(26):
                 for moment, form in report.invariants.items():
                     assert form.evaluate(n, bindings) == history[n][moment], (
@@ -243,7 +244,7 @@ def test_criterion_6_monte_carlo_agreement():
         seed=2026,
     )
     targets = {M("x^1"), M("x^2"), M("y^1"), M("x^1*y^1"), M("y^2")}
-    estimates = simulate(report.validated, cfg, targets)
+    estimates = simulate(report.analysis.program, cfg, targets)
     result = check(report.invariants, estimates, cfg)
     assert result.z == 5.0
     by_moment = {str(e.moment): e for e in result.entries}
@@ -269,7 +270,7 @@ def test_criterion_7_third_moments_complete_quickly():
     # spot-check the run numerically rather than trusting speed alone
     bindings = {"b": Fraction(2), "y(0)": Fraction(0)}
     history = iterate_equations(
-        report.equations, report.initial_moments, bindings, 10
+        report.analysis.equations, report.initial_moments, bindings, 10
     )
     for moment, form in report.invariants.items():
         assert form.evaluate(10, bindings) == history[10][moment]

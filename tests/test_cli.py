@@ -54,6 +54,15 @@ def test_missing_file_exits_2(capsys):
     assert "file access failed" in capsys.readouterr().err
 
 
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.loop"
+    path.write_bytes(b"x = 0\nwhile true:\n  x = x + 1 # caf\xe9\n")
+    assert main([str(path), "--goal", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(path) in err and "UTF-8" in err
+
+
 def test_syntax_error_exits_2(tmp_path, capsys):
     path = tmp_path / "bad"
     path.write_text("x=0\nx = x + 1\n", encoding="utf-8")

@@ -11,6 +11,8 @@ from loopmoments import (
     MomentEquation,
     MomentTable,
     Poly,
+    analyze,
+    goal_moments,
     initial_moment,
     moment_closure,
     moment_equation,
@@ -25,7 +27,6 @@ from corpus import (
     WALK,
     FiniteSupportTable,
     enumerate_moments,
-    goal_targets,
     load,
     naive_moment_equation,
 )
@@ -268,21 +269,17 @@ EQUIVALENCE_CASES = {
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
 def test_closure_matches_the_naive_reference(case):
     source, goals = EQUIVALENCE_CASES[case]
-    vp = validate_program(parse_program(source))
-    equations = moment_closure(goal_targets(vp, goals), vp)
-    for target, eq in equations.items():
-        assert eq == naive_moment_equation(target, vp, MomentTable()), target
+    analysis = analyze(source, goals).analysis
+    for target, eq in analysis.equations.items():
+        assert eq == naive_moment_equation(target, analysis.program, MomentTable()), target
 
 
 def test_analysis_shares_one_moment_per_monomial():
     # The table hands out one Moment per monomial, so an equation link holds
     # a reference, not a copy: memory stays flat in the number of links.
-    from loopmoments import analyze
-
-    report = analyze(THREE_VAR, [3])
     shared: dict[Moment, Moment] = {}
     links = 0
-    for eq in report.equations.values():
+    for eq in analyze(THREE_VAR, [3]).analysis.equations.values():
         for m in eq.linear:
             links += 1
             assert shared.setdefault(m, m) is m, m
@@ -299,12 +296,12 @@ def test_shared_table_matches_fresh_tables():
         "x = 0\nwhile true:\nu = RV(gauss, 1, 2)\nx = x + u\n",
         "x = 0\ny = 1\nwhile true:\nu = RV(uniform, 0, 1)\ny = 1/2*y + 1\nx = x + u\n",
     ]
-    programs = [validate_program(parse_program(source)) for source in sources]
+    analyses = [analyze(source, [3, "u^1*x^2"]).analysis for source in sources]
     shared = MomentTable()
-    for vp in programs:
-        targets = goal_targets(vp, [3, "u^1*x^2"])
-        assert moment_closure(targets, vp, shared) == moment_closure(targets, vp, MomentTable())
-    first, _, _, last = (vp.update_assignments[-1] for vp in programs)
+    for analysis in analyses:
+        targets = goal_moments(analysis.goals, analysis.program)
+        assert moment_closure(targets, analysis.program, shared) == analysis.equations
+    first, _, _, last = (a.program.update_assignments[-1] for a in analyses)
     assert first.line != last.line
     assert shared.image(first, 3) is shared.image(last, 3)
 

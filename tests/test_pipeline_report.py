@@ -29,7 +29,6 @@ from loopmoments import (
     parse_goals,
     report_from_json,
     solve_all,
-    topo_order,
 )
 from loopmoments.report import invariant_lines, render_closed_form
 
@@ -222,7 +221,7 @@ def verified_walk_report() -> InvariantReport:
         trials=2000,
         seed=11,
     )
-    estimates = simulate(report.validated, cfg, set(report.invariants))
+    estimates = simulate(report.analysis.program, cfg, set(report.invariants))
     return report.with_verification(check(report.invariants, estimates, cfg))
 
 
@@ -241,7 +240,7 @@ def overflowed_report() -> InvariantReport:
 
     report = analyze("x = -2\nwhile true:\nx = 1000*x\n", [1, 39, 40], name="overflow")
     cfg = SimConfig(bindings={}, iterations=5, trials=100, seed=0)
-    estimates = simulate(report.validated, cfg, set(report.invariants))
+    estimates = simulate(report.analysis.program, cfg, set(report.invariants))
     verification = check(report.invariants, estimates, cfg)
     first, *rest = verification.entries
     failed = replace(first, expected=first.expected + 1, passed=False)
@@ -356,7 +355,7 @@ from dataclasses import replace
 from loopmoments import analyze, emit_json
 report = analyze(sys.stdin.read(), [3])
 text = emit_json(replace(report, elapsed_seconds=0.0))
-json.dump([text, [str(m) for m in report.equations]], sys.stdout)
+json.dump([text, [str(m) for m in report.analysis.equations]], sys.stdout)
 """
 
 
@@ -387,7 +386,7 @@ def test_fifth_moments_verify_against_exact_iteration():
 
     report = analyze(WALK, [5])
     bindings = {"b": Fraction(3), "y(0)": Fraction(-1, 2)}
-    history = iterate_equations(report.equations, report.initial_moments, bindings, 15)
+    history = iterate_equations(report.analysis.equations, report.initial_moments, bindings, 15)
     for moment, form in report.invariants.items():
         for n in (0, 7, 15):
             assert form.evaluate(n, bindings) == history[n][moment], (str(moment), n)
@@ -408,7 +407,7 @@ def test_coupled_polynomial_chain():
 
     report = analyze(source, [2])
     assert max(m.degree() for m in report.invariants) >= 4
-    history = iterate_equations(report.equations, report.initial_moments, {}, 12)
+    history = iterate_equations(report.analysis.equations, report.initial_moments, {}, 12)
     for moment, form in report.invariants.items():
         assert form.evaluate(12, {}) == history[12][moment], str(moment)
 
@@ -489,7 +488,8 @@ def test_symbolic_initials_are_those_the_closed_forms_carry(name):
     carried = {
         sym
         for form in report.invariants.values()
-        for sym in form.free_symbols()
+        for base, _, coeff in form.terms()
+        for sym in base.symbols() | coeff.symbols()
         if sym.endswith("(0)")
     }
     assert report.symbolic_initials == tuple(sorted(carried))
@@ -501,7 +501,21 @@ def test_emit_json_matches_the_document_tree(name):
     report = analyze(source, goals, name=name)
     text = emit_json(report)
     assert text == reference_json(report)
-    assert report_from_json(text) == report
+    restored = report_from_json(text)
+    assert restored == report and restored.analysis is None
+    # the report is built from its analysis record, which holds the full
+    # solved map and solves along a dependency order
+    analysis = report.analysis
+    assert analysis.solved == report.invariants
+    assert analysis.initial_moments == report.initial_moments
+    assert analysis.side_conditions == report.side_conditions
+    assert analysis.goals == report.goals
+    assert sorted(analysis.order, key=Moment.sort_key) == sorted(
+        analysis.equations, key=Moment.sort_key
+    )
+    position = {m: i for i, m in enumerate(analysis.order)}
+    for moment, equation in analysis.equations.items():
+        assert all(position[d] < position[moment] for d in equation.dependencies()), moment
 
 
 def test_emit_json_matches_the_document_tree_on_large_and_verified_reports():
@@ -517,15 +531,15 @@ def test_emit_json_matches_the_document_tree_on_large_and_verified_reports():
 def test_solve_and_report_build_no_fractions():
     # the solver and the emitters work on the kernel's integer numerators
     report = analyze(THREE_VAR, [3])
-    equations = report.equations
-    order = topo_order(equations)
+    analysis = report.analysis
     with counting_fractions() as count:
         Fraction(1, 3)  # the counter sees a construction
     assert count == [1]
     with counting_fractions() as count:
-        solved, _ = solve_all(order, equations, report.initial_moments)
+        solved, sides = solve_all(analysis.order, analysis.equations, analysis.initial_moments)
     assert count == [0]
-    assert solved == report.invariants
+    assert solved == analysis.solved == report.invariants
+    assert tuple(sides) == analysis.side_conditions == report.side_conditions
     for fmt in ("txt", "json"):
         with counting_fractions() as count:
             emit(report, fmt)
@@ -542,7 +556,7 @@ def test_public_names_resolve():
     assert {"analyze", "emit", "report_from_json", "ExpPoly"} <= set(namespace)
 
 
-def test_benchmark_trace_hooks_resolve():
+def test_benchmark_trace_hooks_resolve(monkeypatch):
     # bench/tracing.py wraps these functions by name and only warns about a
     # missing one, so a renamed stage would silently leave its layer empty
     path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -552,6 +566,16 @@ def test_benchmark_trace_hooks_resolve():
     for module_name, attr, _ in tracing.HOOKS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+        # teardown puts the unwrapped function back
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    # the wrappers replace module globals, so each is called only if the
+    # pipeline looks its function up at call time: one captured at import
+    # would leave its span, and its per-layer metric, empty
+    tracer = tracing.Tracer()
+    tracer.install()
+    analyze(WALK, [2])
+    recorded = {span[0] for span in tracer.spans}
+    assert {name for *_, name in tracing.HOOKS} <= recorded, recorded
     # kernel_profile reads the kernel functions' code objects by name: each
     # must exist and be one the pipeline calls, or its count reads 0
     counts = tracing.kernel_profile(lambda: analyze(WALK, [2]))

@@ -13,6 +13,7 @@ from loopmoments import (
     Recurrence,
     SolverError,
     UnresolvedBaseError,
+    analyze,
     build_recurrence,
     solve_all,
     solve_first_order,
@@ -21,7 +22,7 @@ from loopmoments import (
 from loopmoments import recurrences
 from loopmoments.symbolic import ONE, ZERO, _Acc
 
-from corpus import assert_normal_poly, closure_for, counting_fractions
+from corpus import CORPUS, assert_normal_poly, counting_fractions
 
 b = Poly.var("b")
 
@@ -34,12 +35,18 @@ def const_eq(target, value: Poly) -> MomentEquation:
     return MomentEquation(M(target), {}, value)
 
 
+def corpus_analysis(name: str):
+    source, goals, _ = CORPUS[name]
+    return analyze(source, goals, name=name).analysis
+
+
 # -- ordering --------------------------------------------------------------------
 
 
 def test_walk_order_respects_dependencies():
-    _, equations, _ = closure_for("walk")
-    order = topo_order(equations)
+    analysis = corpus_analysis("walk")
+    order = topo_order(analysis.equations)
+    assert tuple(order) == analysis.order
     pos = {m: i for i, m in enumerate(order)}
     assert pos[M("x^1")] < pos[M("x^1*y^1")]
     assert pos[M("x^2")] < pos[M("x^1*y^1")]
@@ -83,26 +90,26 @@ def test_order_requires_a_closed_set():
 
 
 def test_build_recurrence_for_x_squared():
-    _, equations, inits = closure_for("walk")
-    rec = build_recurrence(equations[M("x^2")], {}, inits)
+    walk = corpus_analysis("walk")
+    rec = build_recurrence(walk.equations[M("x^2")], {}, walk.initial_moments)
     assert rec.self_coeff == Poly.const(1)
     assert rec.inhom == ExpPoly.const(b**2 / 3)
     assert rec.init == Poly.const(0)
 
 
 def test_build_recurrence_folds_solved_dependencies():
-    _, equations, inits = closure_for("walk")
+    walk = corpus_analysis("walk")
     solved = {M("x^2"): ExpPoly({(ONE, 1): b**2 / 3})}  # (b^2/3) n
-    rec = build_recurrence(equations[M("x^1*y^1")], solved, inits)
+    rec = build_recurrence(walk.equations[M("x^1*y^1")], solved, walk.initial_moments)
     assert rec.self_coeff == Poly.const(1)
     assert rec.inhom == ExpPoly({(ONE, 1): b**2 / 3, (ONE, 0): b**2 / 3})
     assert rec.init == Poly.const(0)  # x(0) = 0 times the symbolic y(0)
 
 
 def test_build_recurrence_reports_missing_dependency():
-    _, equations, inits = closure_for("walk")
+    walk = corpus_analysis("walk")
     with pytest.raises(SolverError):
-        build_recurrence(equations[M("x^1*y^1")], {}, inits)
+        build_recurrence(walk.equations[M("x^1*y^1")], {}, walk.initial_moments)
 
 
 def rec(target: str, c, inhom: ExpPoly, init) -> Recurrence:
@@ -194,9 +201,8 @@ def test_parameterized_base_with_exact_division_records_side_condition():
         assert f.evaluate(n, {"p": Fraction(3)}) == Fraction(3) ** n - 1
 
     # w sums the post-update v, so E[w](n) = p^(n+1) - p
-    vp, equations, inits = closure_for("geometric_chain")
-    order = topo_order(equations)
-    solved, notes = solve_all(order, equations, inits)
+    chain = corpus_analysis("geometric_chain")
+    solved, notes = solve_all(chain.order, chain.equations, chain.initial_moments)
     assert notes == ["p != 1"]
     assert solved[M("w^1")] == ExpPoly({(p, 0): p, (ONE, 0): -p})
     for n in range(6):
@@ -425,9 +431,8 @@ def test_solver_failures_name_the_moment():
 
 
 def test_solve_all_walks_the_whole_corpus_entry():
-    vp, equations, inits = closure_for("walk")
-    order = topo_order(equations)
-    solved, notes = solve_all(order, equations, inits)
+    walk = corpus_analysis("walk")
+    solved, notes = solve_all(walk.order, walk.equations, walk.initial_moments)
     assert notes == []
     assert solved[M("x^2")] == ExpPoly({(ONE, 1): b**2 / 3})
     assert solved[M("y^1")] == ExpPoly.const(Poly.var("y(0)"))
@@ -437,8 +442,7 @@ def test_solve_all_walks_the_whole_corpus_entry():
 def test_solutions_are_deterministic():
     results = []
     for _ in range(2):
-        _, equations, inits = closure_for("walk")
-        order = topo_order(equations)
-        solved, _ = solve_all(order, equations, inits)
+        walk = corpus_analysis("walk")
+        solved, _ = solve_all(walk.order, walk.equations, walk.initial_moments)
         results.append({str(m): str(f) for m, f in solved.items()})
     assert results[0] == results[1]
