@@ -14,7 +14,6 @@ from .frontend import (
     UpdateBranch,
     ValidatedProgram,
     parse_program,
-    resolve_initial_value,
     validate_program,
 )
 from .moments import (

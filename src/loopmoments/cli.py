@@ -11,7 +11,7 @@ Exit codes: 0 success, 1 verification or configuration failure, 2 parse
 error (including unreadable or non-UTF-8 input and bad goals), 3
 unsupported program structure, 4 solver failure or moment-set blowup.
 Diagnostics go to stderr; the report goes to stdout and, when requested,
-to a file.
+to a file: one that cannot be written exits 2 after the report is printed.
 """
 
 from __future__ import annotations
@@ -117,9 +117,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             if not report.verification.passed:
                 code = EXIT_FAILURE
         rendered = emit(report, args.format)
-        if args.out is not None:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(rendered)
     except OSError as exc:
         print(f"error: file access failed: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -143,6 +140,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     sys.stdout.write(rendered)
     if code == EXIT_FAILURE:
         print("verification failed; see report", file=sys.stderr)
+    if args.out is not None:
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return EXIT_PARSE
     return code
 
 

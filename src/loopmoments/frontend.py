@@ -20,7 +20,10 @@ comments, and only the literal header ``while true:`` is accepted.
 
 :func:`parse_program` builds a :class:`Program`; :func:`validate_program`
 checks the structural restrictions that make moment computation possible
-and returns a :class:`ValidatedProgram` for the rest of the pipeline.
+and returns a :class:`ValidatedProgram` for the rest of the pipeline, with
+every variable resolved once: its ``variables``, the ``state`` carried
+between iterations, the ``draws``, each variable's ``initial`` value and
+the ``symbols`` a binding must give.
 """
 
 from __future__ import annotations
@@ -189,16 +192,25 @@ class Program:
 
 @dataclass(frozen=True, eq=False)
 class ValidatedProgram:
-    """A :class:`Program` that passed :func:`validate_program`, plus views
-    the moment engine needs repeatedly."""
+    """A :class:`Program` that passed :func:`validate_program`, with every
+    variable resolved once.
+
+    ``variables`` lists the assigned variables in program order: draws,
+    then updates, then init-only constants.  ``state`` holds those carried
+    from iteration to iteration (updates and constants), ``draws`` maps each
+    body draw to its :class:`Distribution`, and ``initial`` maps every
+    variable, in ``variables`` order, to its value at ``n = 0``: its init
+    assignment, else its draw's distribution (a measurement sees the latest
+    draw), else the symbol ``v(0)``.  ``symbols`` holds every name a binding
+    must give: the parameters and those ``v(0)`` symbols.
+    """
 
     program: Program
-    rv_dists: Mapping[str, Distribution]
-    init_values: Mapping[str, InitValue]
-    # update-assigned variables in textual order
-    update_vars: tuple[str, ...]
-    # variables assigned only in the init section (constants through the loop)
-    const_vars: tuple[str, ...]
+    variables: tuple[str, ...]
+    state: frozenset[str]
+    draws: Mapping[str, Distribution]
+    initial: Mapping[str, InitValue]
+    symbols: frozenset[str]
 
     @property
     def parameters(self) -> frozenset[str]:
@@ -207,17 +219,6 @@ class ValidatedProgram:
     @property
     def update_assignments(self) -> tuple[UpdateAssignment, ...]:
         return self.program.update_assignments
-
-    def state_vars(self) -> frozenset[str]:
-        """Variables carried from iteration to iteration."""
-        return frozenset(self.update_vars) | frozenset(self.const_vars)
-
-    def all_variables(self) -> tuple[str, ...]:
-        """Every assigned variable, in program order."""
-        ordered = [r.var for r in self.program.rv_assignments]
-        ordered += list(self.update_vars)
-        ordered += list(self.const_vars)
-        return tuple(ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +502,8 @@ def validate_program(p: Program) -> ValidatedProgram:
     parameter-only self-coefficient and otherwise references only
     variables assigned earlier; a distribution whose arguments are both
     constants meets its kind's argument rule.  Violations raise
-    :class:`UnsupportedProgramError` with the restriction named.
+    :class:`UnsupportedProgramError` with the restriction named; a program
+    that passes comes back with its variable table resolved.
     """
     seen: dict[str, int] = {}
     for a in p.init_assignments:
@@ -518,13 +520,11 @@ def validate_program(p: Program) -> ValidatedProgram:
             )
         loop_seen[a.var] = a.line
 
-    rv_dists = {r.var: r.dist for r in p.rv_assignments}
-    update_vars = tuple(u.var for u in p.update_assignments)
-    init_values: dict[str, InitValue] = {a.var: a.value for a in p.init_assignments}
-    const_vars = tuple(
-        a.var for a in p.init_assignments if a.var not in loop_seen
-    )
-    program_vars = set(rv_dists) | set(update_vars) | set(const_vars)
+    draws = {r.var: r.dist for r in p.rv_assignments}
+    updated = [u.var for u in p.update_assignments]
+    constants = [a.var for a in p.init_assignments if a.var not in loop_seen]
+    variables = (*draws, *updated, *constants)
+    program_vars = set(variables)
 
     for a in p.init_assignments:
         what = "distribution argument" if isinstance(a.value, Distribution) else "initial value"
@@ -552,7 +552,7 @@ def validate_program(p: Program) -> ValidatedProgram:
 
     # Dependency structure: linear in self, polynomial only in variables
     # assigned earlier (random draws, earlier updates, init-only constants).
-    visible = set(rv_dists) | set(const_vars)
+    visible = set(draws) | set(constants)
     for u in p.update_assignments:
         for br in u.branches:
             by_power = br.expr.coefficients_by_power(u.var)
@@ -594,31 +594,14 @@ def validate_program(p: Program) -> ValidatedProgram:
         if problem is not None:
             raise UnsupportedProgramError("distribution-argument", problem, line)
 
+    # An init assignment wins over a draw's distribution, which wins over v(0).
+    initial: dict[str, InitValue] = {v: draws.get(v) or Poly.var(f"{v}(0)") for v in variables}
+    initial.update((a.var, a.value) for a in p.init_assignments)
     return ValidatedProgram(
         program=p,
-        rv_dists=rv_dists,
-        init_values=init_values,
-        update_vars=update_vars,
-        const_vars=const_vars,
+        variables=variables,
+        state=frozenset(updated + constants),
+        draws=draws,
+        initial=initial,
+        symbols=p.parameters.union(*(value.symbols() for value in initial.values())),
     )
-
-
-def initial_value_symbol(var: str) -> str:
-    """The parameter name standing for an unspecified initial value."""
-    return f"{var}(0)"
-
-
-def resolve_initial_value(vp: ValidatedProgram, var: str) -> InitValue:
-    """Symbolic description of ``var`` before the first iteration.
-
-    An explicit init assignment wins; a random-variable draw without one is
-    described by its own distribution (measurements of it see the latest
-    draw); anything else becomes the symbolic parameter ``var(0)``.
-    """
-    if var in vp.init_values:
-        return vp.init_values[var]
-    if var in vp.rv_dists:
-        return vp.rv_dists[var]
-    if var in vp.update_vars:
-        return Poly.var(initial_value_symbol(var))
-    raise ValueError(f"{var!r} is not an assigned variable of the program")

@@ -36,13 +36,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Mapping
 
-from .frontend import (
-    DISTRIBUTIONS,
-    Distribution,
-    UpdateAssignment,
-    ValidatedProgram,
-    resolve_initial_value,
-)
+from .frontend import DISTRIBUTIONS, Distribution, UpdateAssignment, ValidatedProgram
 from .symbolic import ONE, ZERO, Mono, Poly, _canonical_mono
 
 
@@ -233,6 +227,12 @@ class MomentTable:
         return DISTRIBUTIONS[dist.kind].raw_moment(dist.arg1, dist.arg2, k)
 
 
+def _check_assigned(target: Moment, vp: ValidatedProgram) -> None:
+    for var, _ in target:
+        if var not in vp.initial:
+            raise ValueError(f"{var!r} is not an assigned variable of the program")
+
+
 def moment_equation(target: Moment, vp: ValidatedProgram, table: MomentTable) -> MomentEquation:
     """The one-step equation for a tracked moment.
 
@@ -242,11 +242,8 @@ def moment_equation(target: Moment, vp: ValidatedProgram, table: MomentTable) ->
     fresh value.  A target over draw variables only therefore reduces to a
     constant, and a mixed target keeps the exact joint expectation.
     """
-    state_vars = vp.state_vars()
-    draws = vp.rv_dists
-    for var, _ in target:
-        if var not in draws and var not in state_vars:
-            raise ValueError(f"{var!r} is not an assigned variable of the program")
+    _check_assigned(target, vp)
+    draws = vp.draws
 
     # Each draw is eliminated right after the reverse walk has passed the
     # earliest update that mentions it: no later step can bring it back.
@@ -281,7 +278,7 @@ def moment_equation(target: Moment, vp: ValidatedProgram, table: MomentTable) ->
         poly = expect_draws(poly, [name for name in eliminate_after[i] if name in symbols])
 
     # Only state variables and parameters are left: split by linearity.
-    parts = poly.split(state_vars)
+    parts = poly.split(vp.state)
     constant = parts.pop((), ZERO)
     linear = {table.tracked(part): c for part, c in parts.items()}
     return MomentEquation(target, linear, constant)
@@ -329,9 +326,10 @@ def initial_moment(vp: ValidatedProgram, target: Moment, table: MomentTable) -> 
     parameters or independent draws), so the joint initial moment is the
     product of per-variable initial moments.
     """
+    _check_assigned(target, vp)
     total = ONE
     for var, exp in target:
-        desc = resolve_initial_value(vp, var)
+        desc = vp.initial[var]
         if isinstance(desc, Distribution):
             total = total * table.moment(desc, exp)
         else:

@@ -1,12 +1,15 @@
 """End-to-end analysis: from loop source text to closed-form moments.
 
-A goal is either "the k-th moments of every program variable" (written as
-a bare integer) or one specific monomial moment (written like ``x^2`` or
-``x^2*y``).  :func:`analyze` runs the whole pipeline -- parse, validate,
-collect the needed moments, order and solve their recurrences -- records
-every stage's output in one :class:`Analysis`, and returns the
-:class:`InvariantReport` built from it.  The stage functions are looked up
-in this module's namespace at call time, so a caller can wrap them.
+A goal is either "the k-th moments of every program variable" (every name
+in the validated program's ``variables``, written as a bare integer) or one
+specific monomial moment (written like ``x^2`` or ``x^2*y``).
+:func:`analyze` runs the whole pipeline -- parse, validate, collect the
+needed moments, order and solve their recurrences -- records every stage's
+output in one :class:`Analysis`, and returns the :class:`InvariantReport`
+built from it, whose symbolic initials are the symbols of unspecified
+initial values that the initial moments hold.  The stage functions are
+looked up in this module's namespace at call time, so a caller can wrap
+them.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ def goal_moments(goals: Sequence[Goal], vp: ValidatedProgram) -> set[Moment]:
     wanted: set[Moment] = set()
     for goal in goals:
         if isinstance(goal, AllVarsGoal):
-            for var in vp.all_variables():
+            for var in vp.variables:
                 wanted.add(Moment.single(var, goal.k))
         else:
             wanted.add(goal.moment)
@@ -200,7 +203,7 @@ def analyze(
     """Compute closed-form moments of a loop program for the given goals."""
     started = time.perf_counter()
     vp = validate_program(parse_program(source_text))
-    parsed_goals = tuple(parse_goals(goals, vp.all_variables()))
+    parsed_goals = tuple(parse_goals(goals, vp.variables))
     table = MomentTable()
     equations = moment_closure(goal_moments(parsed_goals, vp), vp, table, cap=max_closure)
     order = topo_order(equations)
@@ -218,20 +221,19 @@ def analyze(
 
     # The self-check makes every closed form equal its initial moment at
     # n = 0, and an initial value enters a closed form only through one, so
-    # these are the initial values that the closed forms carry.
-    symbolic_initials = sorted(
-        {sym for value in init_moments.values() for sym in value.symbols() if sym.endswith("(0)")}
-    )
+    # the symbols of the initial moments other than the parameters are the
+    # initial values that the closed forms carry.
+    carried = set().union(*(value.symbols() for value in init_moments.values()))
 
     elapsed = time.perf_counter() - started
     return InvariantReport(
         program_name=name,
-        variables=tuple(vp.all_variables()),
+        variables=vp.variables,
         parameters=tuple(sorted(vp.parameters)),
         goals=analysis.goals,
         invariants=analysis.solved,
         initial_moments=analysis.initial_moments,
-        symbolic_initials=tuple(symbolic_initials),
+        symbolic_initials=tuple(sorted(carried - vp.parameters)),
         side_conditions=analysis.side_conditions,
         elapsed_seconds=elapsed,
         analysis=analysis,

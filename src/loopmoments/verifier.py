@@ -1,11 +1,13 @@
 """Monte-Carlo cross-check of closed-form moments.
 
-The simulator runs the validated loop forward under concrete parameter
-bindings, estimates the target moments at iteration ``n`` from independent
-trials, and compares each estimate against the exact closed form with a
-z-score rule.  The symbolic side is exact, so the whole tolerance budget
-is statistical: a disagreement beyond ``z`` standard errors flags a real
-inconsistency rather than numeric noise.
+The simulator runs the validated loop forward under concrete bindings of
+the program's ``symbols`` (its parameters and ``v(0)`` initial values),
+starting each trial from its ``initial`` table and sampling its ``draws``
+every iteration.  It estimates the target moments at iteration ``n`` from
+independent trials and compares each estimate against the exact closed
+form with a z-score rule.  The symbolic side is exact, so the whole
+tolerance budget is statistical: a disagreement beyond ``z`` standard
+errors flags a real inconsistency rather than numeric noise.
 
 Trials are grouped into fixed-size blocks; block ``b`` uses the RNG
 substream spawned from ``(seed, b)``.  The blocks run on the CPUs in the
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .frontend import DISTRIBUTIONS, Distribution, ValidatedProgram, resolve_initial_value
+from .frontend import DISTRIBUTIONS, Distribution, ValidatedProgram
 from .pipeline import VerifyEntry, VerifyReport
 from .moments import Moment
 from .symbolic import ExpPoly, Poly, UnboundSymbolError
@@ -73,18 +75,6 @@ class MomentEstimate:
     mean: float
     sd: float
     se: float
-    trials: int
-
-
-def required_bindings(vp: ValidatedProgram) -> set[str]:
-    """Parameter names the simulator needs bound, including the ``v(0)``
-    symbols of update variables without an explicit initial value."""
-    needed = set(vp.parameters)
-    for var in vp.update_vars:
-        value = resolve_initial_value(vp, var)
-        if isinstance(value, Poly):
-            needed |= value.symbols()
-    return needed
 
 
 def _beyond_range(what: str, params: set[str]) -> VerifierError:
@@ -180,16 +170,16 @@ def simulate(
     """
     import numpy as np
 
-    missing = sorted(required_bindings(vp) - set(cfg.bindings))
+    missing = sorted(vp.symbols - set(cfg.bindings))
     if missing:
         raise VerifierError(f"unbound parameter(s): {', '.join(missing)}")
     target_list = sorted(set(targets), key=Moment.sort_key)
     for t in target_list:
-        unknown = sorted(set(t.variables()) - set(vp.all_variables()))
+        unknown = sorted(set(t.variables()) - vp.initial.keys())
         if unknown:
             raise VerifierError(f"target E[{t}] mentions unknown {', '.join(unknown)}")
 
-    state_names = frozenset(vp.all_variables())
+    state_names = frozenset(vp.variables)
     bindings = cfg.bindings
 
     # Pre-compute branch probabilities (exactly) and compile expressions.
@@ -213,11 +203,8 @@ def simulate(
         )
         updates.append((assignment.var, first, list(zip(thresholds, others))))
 
-    inits = [
-        (var, _sampler(resolve_initial_value(vp, var), bindings, var))
-        for var in vp.all_variables()
-    ]
-    draws = [(rv.var, _sampler(rv.dist, bindings, rv.var)) for rv in vp.program.rv_assignments]
+    inits = [(var, _sampler(value, bindings, var)) for var, value in vp.initial.items()]
+    draws = [(var, _sampler(dist, bindings, var)) for var, dist in vp.draws.items()]
 
     # Per target and block: the sum of the values, and the first two sums of
     # the values shifted by the first one simulated.  The shift keeps the
@@ -287,7 +274,7 @@ def simulate(
         for block_total, block_s1, block_s2 in per_block:
             total, s1, s2 = total + block_total, s1 + block_s1, s2 + block_s2
         sd = math.sqrt(max(s2 - s1 * s1 / n, 0.0) / (n - 1))
-        out[t] = MomentEstimate(t, total / n, sd, sd / math.sqrt(n), n)
+        out[t] = MomentEstimate(t, total / n, sd, sd / math.sqrt(n))
     return out
 
 

@@ -29,7 +29,6 @@ from loopmoments import (
     Poly,
     ValidatedProgram,
     parse_program,
-    resolve_initial_value,
     validate_program,
 )
 from loopmoments.frontend import Distribution
@@ -160,16 +159,15 @@ def naive_moment_equation(
         for branch in assignment.branches:
             mixed = mixed + branch.prob * poly.substitute(assignment.var, branch.expr.__pow__)
         poly = mixed
-    state_vars = vp.state_vars()
     linear: dict[Moment, Poly] = {}
     constant = Poly()
     for mono, coeff in poly.terms():
         value = Poly.const(coeff)
         state_part = []
         for name, exp in mono:
-            if name in vp.rv_dists:
-                value = value * table.moment(vp.rv_dists[name], exp)
-            elif name in state_vars:
+            if name in vp.draws:
+                value = value * table.moment(vp.draws[name], exp)
+            elif name in vp.state:
                 state_part.append((name, exp))
             else:
                 value = value * Poly.var(name) ** exp
@@ -325,13 +323,14 @@ def enumerate_moments(
 
     initial: dict[str, Fraction] = {}
     overrides = dict(initial_overrides or {})
-    for var in vp.all_variables():
-        if var in vp.rv_dists and var not in vp.init_values:
+    init_values = {a.var: a.value for a in vp.program.init_assignments}
+    for var in vp.variables:
+        if var in vp.draws and var not in init_values:
             continue  # first draw happens inside the body
         if var in overrides:
             initial[var] = overrides[var]
             continue
-        value = vp.init_values.get(var)
+        value = init_values.get(var)
         if value is None:
             key = f"{var}(0)"
             if key not in bindings:
@@ -435,7 +434,7 @@ def reference_simulate(
     estimates must agree bit for bit."""
     import numpy as np
 
-    names = frozenset(vp.all_variables())
+    names = frozenset(vp.variables)
 
     def compiled(poly):
         terms = []
@@ -478,8 +477,8 @@ def reference_simulate(
         )
         for u in vp.update_assignments
     ]
-    inits = [(v, sampler(resolve_initial_value(vp, v))) for v in vp.all_variables()]
-    draws = [(rv.var, sampler(rv.dist)) for rv in vp.program.rv_assignments]
+    inits = [(v, sampler(value)) for v, value in vp.initial.items()]
+    draws = [(v, sampler(dist)) for v, dist in vp.draws.items()]
     targets = sorted(set(targets), key=Moment.sort_key)
     sums = dict.fromkeys(targets, 0.0)
     s1s = dict.fromkeys(targets, 0.0)

@@ -49,6 +49,15 @@ def test_output_file_is_written(walk_file, tmp_path, capsys):
     assert out_path.read_text(encoding="utf-8") == capsys.readouterr().out
 
 
+def test_unwritable_output_file_still_prints_the_report(walk_file, tmp_path, capsys):
+    out_path = tmp_path / "missing" / "report.txt"
+    assert main([walk_file, "--goal", "1", "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert "\nE[x^1] = " in "\n" + captured.out
+    assert captured.err.startswith(f"error: cannot write {out_path}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["/no/such/file", "--goal", "1"]) == 2
     assert "file access failed" in capsys.readouterr().err

@@ -9,10 +9,10 @@ from loopmoments import (
     Poly,
     UnsupportedProgramError,
     parse_program,
-    resolve_initial_value,
     validate_program,
 )
 from loopmoments.frontend import DISTRIBUTIONS, Distribution
+from loopmoments.symbolic import ONE
 
 from corpus import CORPUS, WALK
 
@@ -137,9 +137,10 @@ def test_every_distribution_kind_parses(kind):
 
 def test_walk_program_is_accepted():
     vp = validate_program(parse_program(WALK))
-    assert vp.update_vars == ("x", "y")
-    assert set(vp.rv_dists) == {"u", "g"}
-    assert vp.all_variables() == ("u", "g", "x", "y")
+    assert vp.variables == ("u", "g", "x", "y")
+    assert vp.state == frozenset({"x", "y"})
+    assert set(vp.draws) == {"u", "g"}
+    assert vp.symbols == frozenset({"b", "y(0)"})
 
 
 @pytest.mark.parametrize(
@@ -203,16 +204,22 @@ def test_self_coefficient_may_be_a_parameter():
 
 def test_dependence_on_init_only_constant_is_allowed():
     vp = validate_program(parse_program("c0 = 5\nx = 0\nwhile true:\nx = x + c0\n"))
-    assert vp.const_vars == ("c0",)
+    assert vp.variables == ("x", "c0")
+    assert vp.state == frozenset({"x", "c0"})
+    assert vp.initial == {"x": Poly.const(0), "c0": Poly.const(5)}
 
 
 def test_resolve_initial_values():
     vp = validate_program(parse_program(WALK))
-    assert resolve_initial_value(vp, "x") == Poly.const(0)
-    assert resolve_initial_value(vp, "y") == Poly.var("y(0)")
-    assert resolve_initial_value(vp, "u") == vp.rv_dists["u"]
-    with pytest.raises(ValueError):
-        resolve_initial_value(vp, "nope")
+    assert vp.initial["x"] == Poly.const(0)
+    assert vp.initial["y"] == Poly.var("y(0)")
+    assert vp.initial["u"] == vp.draws["u"]
+    # an init assignment wins over the draw's distribution
+    vp = validate_program(parse_program(
+        "u = 2\nx = RV(gauss, 0, 1)\nwhile true:\nu = RV(uniform, 0, 1)\nx = x + u\n"
+    ))
+    assert vp.initial == {"u": Poly.const(2), "x": Distribution("gauss", Poly.const(0), ONE)}
+    assert vp.symbols == frozenset()
 
 
 def test_distribution_initialized_variable_moments():

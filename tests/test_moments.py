@@ -158,7 +158,7 @@ def test_mixed_target_keeps_the_joint_expectation():
     assert eq.constant == Poly.const(Fraction(1, 3))
 
     # cross-checked by exact enumeration with a two-point stand-in
-    dist = vp.rv_dists["u"]
+    dist = vp.draws["u"]
     support = [(Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(1, 2))]
     table = FiniteSupportTable({dist: support})
     eq2 = moment_equation(M("u^1*x^1"), vp, table)
@@ -318,7 +318,7 @@ def test_closure_degree_bound(name):
     ]
     max_update_degree = max(update_degrees + [1])
     for k in (g for g in goals if isinstance(g, int)):
-        targets = {Moment.single(v, k) for v in vp.all_variables()}
+        targets = {Moment.single(v, k) for v in vp.variables}
         closure = moment_closure(targets, vp)
         bound = k * max_update_degree ** len(vp.update_assignments)
         assert all(m.degree() <= bound for m in closure)
@@ -335,7 +335,7 @@ def test_one_step_prediction_matches_enumeration_with_two_point_draws():
     # with brute-force enumeration at every step.
     source = "x = 1\nwhile true:\nu = RV(uniform, 0, 1)\nx = x + u @ 2/3; x - u @ 1/3\n"
     vp = validate_program(parse_program(source))
-    dist = vp.rv_dists["u"]
+    dist = vp.draws["u"]
     support = [(Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(1, 2))]
     table = FiniteSupportTable({dist: support})
 
@@ -361,3 +361,12 @@ def test_initial_moments_multiply_across_variables():
     assert initial_moment(vp, M("y^2"), table) == Poly.var("y(0)") ** 2
     assert initial_moment(vp, M("u^2"), table) == b**2 / 3
     assert initial_moment(vp, M("u^1*y^1"), table) == b / 2 * Poly.var("y(0)")
+
+
+def test_unknown_variable_is_a_value_error():
+    vp = load("walk")
+    message = "^'q' is not an assigned variable of the program$"
+    with pytest.raises(ValueError, match=message):
+        moment_equation(M("q^1"), vp, MomentTable())
+    with pytest.raises(ValueError, match=message):
+        initial_moment(vp, M("x^1*q^2"), MomentTable())

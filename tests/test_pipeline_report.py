@@ -31,6 +31,7 @@ from loopmoments import (
     solve_all,
 )
 from loopmoments.report import invariant_lines, render_closed_form
+from loopmoments.verifier import SimConfig, VerifierError, simulate
 
 from corpus import CORPUS, THREE_VAR, WALK, counting_fractions, reference_json
 
@@ -493,6 +494,24 @@ def test_symbolic_initials_are_those_the_closed_forms_carry(name):
         if sym.endswith("(0)")
     }
     assert report.symbolic_initials == tuple(sorted(carried))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_validated_program_resolves_every_variable(name):
+    # every variable has one initial value, in program order, and the
+    # symbols are exactly the names a simulation must have bound
+    source, goals = GOLDEN_CASES[name]
+    report = analyze(source, goals)
+    vp = report.analysis.program
+    assert tuple(vp.initial) == vp.variables
+    cfg = SimConfig(bindings={}, iterations=1, trials=2, seed=0)
+    if vp.symbols:
+        with pytest.raises(VerifierError) as err:
+            simulate(vp, cfg, set(report.invariants))
+        assert str(err.value) == f"unbound parameter(s): {', '.join(sorted(vp.symbols))}"
+    else:
+        simulate(vp, cfg, set(report.invariants))
+    assert set(report.symbolic_initials) <= vp.symbols - vp.parameters
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))

@@ -17,7 +17,6 @@ from loopmoments.verifier import (
     VerifierError,
     _compile_poly,
     check,
-    required_bindings,
     simulate,
 )
 
@@ -92,17 +91,22 @@ def test_unbound_parameter_is_reported(source, name):
     with pytest.raises(VerifierError) as err:
         simulate(vp, cfg, {M("x^1")})
     assert str(err.value) == f"unbound parameter(s): {name}"
-    assert required_bindings(vp) == {name}
+    assert vp.symbols == {name}
 
 
 def test_unbound_parameters_are_named_beside_bound_ones():
     vp = load("walk")
-    assert required_bindings(vp) == {"b", "y(0)"}
     for bindings, missing in (({"b": 2}, "y(0)"), ({}, "b, y(0)")):
         cfg = SimConfig(bindings=bindings, iterations=5, trials=10, seed=0)
         with pytest.raises(VerifierError) as err:
             simulate(vp, cfg, {M("y^1")})
         assert str(err.value) == f"unbound parameter(s): {missing}"
+
+
+def test_unknown_target_variable_is_a_verifier_error():
+    cfg = SimConfig(bindings={"b": 2, "y(0)": 0}, iterations=1, trials=10, seed=0)
+    with pytest.raises(VerifierError, match=r"^target E\[q\^1\] mentions unknown q$"):
+        simulate(load("walk"), cfg, {M("x^1"), M("q^1")})
 
 
 def test_probability_binding_outside_unit_interval():
@@ -180,7 +184,7 @@ def test_check_fails_a_closed_form_beyond_float_range():
         closed = {M("v^1"): ExpPoly.const(value)}
         # a zero spread gets no floor here, so neither estimate can pass
         for mean, sd, se in ((1.0, 0.5, 0.1), (math.copysign(1e308, expected), 0.0, 0.0)):
-            estimates = {M("v^1"): MomentEstimate(M("v^1"), mean, sd, se, 10)}
+            estimates = {M("v^1"): MomentEstimate(M("v^1"), mean, sd, se)}
             [entry] = check(closed, estimates, cfg).entries
             assert entry.expected == expected
             assert not entry.passed
@@ -204,7 +208,7 @@ def test_zero_spread_floor_scales_with_the_expected_value():
     value = Fraction(1732085267, 1000)
     closed = {M("v^1"): ExpPoly.const(value)}
     for off, passed in ((1.3e-8, True), (1e-2, False)):
-        estimates = {M("v^1"): MomentEstimate(M("v^1"), float(value) + off, 0.0, 0.0, 10)}
+        estimates = {M("v^1"): MomentEstimate(M("v^1"), float(value) + off, 0.0, 0.0)}
         [entry] = check(closed, estimates, cfg).entries
         assert entry.passed is passed
 
@@ -336,7 +340,7 @@ def test_check_fails_a_non_finite_estimate():
     cfg = SimConfig(bindings={}, iterations=3, trials=10, seed=0)
     closed = {M("v^1"): ExpPoly.const(1)}
     for mean, se in ((math.inf, math.nan), (math.nan, math.nan), (1.0, math.inf)):
-        estimates = {M("v^1"): MomentEstimate(M("v^1"), mean, se, se, 10)}
+        estimates = {M("v^1"): MomentEstimate(M("v^1"), mean, se, se)}
         [entry] = check(closed, estimates, cfg).entries
         assert not entry.passed
 
@@ -400,7 +404,7 @@ def _assert_matches_the_reference(name, iterations, trials):
     # all products of two variables.
     source, bindings = _LEAN_LOOP_CASES[name]
     vp = analyze(source, [1]).analysis.program
-    names = vp.all_variables()
+    names = vp.variables
     targets = {Moment.single(v, k) for v in names for k in (1, 2, 3)}
     targets |= {Moment(((v, 1), (w, 1))) for v in names for w in names if v < w}
     cfg = SimConfig(bindings=bindings, iterations=iterations, trials=trials, seed=11)
