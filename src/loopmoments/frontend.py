@@ -13,10 +13,14 @@ Three sections, one assignment per line: initial values before the loop
 header, random-variable draws at the top of the body, then probabilistic
 updates.  An update line lists branches separated by ``;`` with branch
 probabilities after ``@``; a single branch may omit its probability.
-Expressions are ``+``/``-``/``*`` combinations of names and numeric
-literals (decimals and fractions like ``1/2``, both read exactly).  Names
-never assigned anywhere are parameters.  Lines starting with ``#`` are
-comments, and only the literal header ``while true:`` is accepted.
+Expressions are sums of signed products of names and numerals (decimals
+and fractions like ``1/2``, both read exactly), with no parentheses and no
+powers.  The two lexical rules, what a name and what a numeral is, are
+written once, as :data:`NAME` and :data:`NUMERAL`; the expression reader,
+the assignment targets and the goal monomials all build their patterns
+from them.  Names never assigned anywhere are parameters.  Lines starting
+with ``#`` are comments, and only the literal header ``while true:`` is
+accepted.
 
 :func:`parse_program` builds a :class:`Program`; :func:`validate_program`
 checks the structural restrictions that make moment computation possible
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .symbolic import ONE, Poly
+from .symbolic import ONE, ZERO, Poly
 
 # The loop counter name is reserved so reports stay unambiguous.
 RESERVED_NAMES = frozenset({"n", "RV"})
@@ -222,45 +226,17 @@ class ValidatedProgram:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizing and expression parsing
+# Expression reading
 # ---------------------------------------------------------------------------
 
-_NUM_RE = re.compile(r"\d+\.?\d*(?:/[1-9]\d*)?")
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+# The two lexical rules: a name, and an unsigned numeral (a decimal, or a
+# decimal over a positive integer).
+NAME = r"[A-Za-z][A-Za-z0-9]*"
+NUMERAL = r"\d+\.?\d*(?:/[1-9]\d*)?"
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "name" | "op"
-    text: str
-    col: int
-
-
-def _tokenize(text: str, line: int) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        col = i + 1
-        if ch.isdigit():
-            m = _NUM_RE.match(text, i)
-            assert m is not None
-            tokens.append(_Token("num", m.group(), col))
-            i = m.end()
-        elif ch.isalpha():
-            m = _NAME_RE.match(text, i)
-            assert m is not None
-            tokens.append(_Token("name", m.group(), col))
-            i = m.end()
-        elif ch in "+-*":
-            tokens.append(_Token("op", ch, col))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    return tokens
+# One token of an expression after optional blanks; any other non-blank
+# character is a ``bad`` token, so every character is read by one branch.
+_TOKEN = re.compile(rf"\s*(?:(?P<num>{NUMERAL})|(?P<name>{NAME})|(?P<op>[-+*])|(?P<bad>\S))")
 
 
 def _literal_to_fraction(text: str) -> Fraction:
@@ -271,74 +247,46 @@ def _literal_to_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
-class _ExprParser:
-    """Recursive descent over +, -, * with unary minus; no parentheses,
-    no powers -- exactly the input expression language."""
-
-    def __init__(self, tokens: list[_Token], line: int, end: int):
-        self.tokens = tokens
-        self.line = line
-        self.end = end
-        self.pos = 0
-
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _next(self) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression", self.line, self.end)
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Poly:
-        value = self._sum()
-        tok = self._peek()
-        if tok is not None:
-            raise ParseError(f"unexpected {tok.text!r}", self.line, tok.col)
-        return value
-
-    def _sum(self) -> Poly:
-        value = self._product()
-        while True:
-            tok = self._peek()
-            if tok is None or tok.text not in "+-":
-                return value
-            self._next()
-            rhs = self._product()
-            value = value + rhs if tok.text == "+" else value - rhs
-
-    def _product(self) -> Poly:
-        value = self._factor()
-        while True:
-            tok = self._peek()
-            if tok is None or tok.text != "*":
-                return value
-            self._next()
-            value = value * self._factor()
-
-    def _factor(self) -> Poly:
-        tok = self._next()
-        if tok.kind == "op" and tok.text == "-":
-            return -self._factor()
-        if tok.kind == "num":
-            return Poly.const(_literal_to_fraction(tok.text))
-        if tok.kind == "name":
-            if tok.text in RESERVED_NAMES:
-                raise ParseError(f"{tok.text!r} is a reserved name", self.line, tok.col)
-            return Poly.var(tok.text)
-        raise ParseError(f"unexpected {tok.text!r}", self.line, tok.col)
-
-
 def parse_expression(text: str, line: int = 0) -> Poly:
-    """Parse one expression; error columns are 1-based positions in ``text``,
-    and an expression cut short is reported one past its end (at the
-    separator that ended the piece, or past the end of the line)."""
-    tokens = _tokenize(text, line)
-    end = len(text) + 1
-    if not tokens:
-        raise ParseError("empty expression", line, end)
-    return _ExprParser(tokens, line, end).parse()
+    """Read one expression, a sum of signed products of names and numerals
+    (no parentheses, no powers), in one pass from left to right.
+
+    Error columns are 1-based positions in ``text``.  A bad character is
+    reported wherever it is, before any other error; an expression cut short
+    is reported one past its end (at the separator that ended the piece, or
+    past the end of the line)."""
+    if not text.strip():
+        raise ParseError("empty expression", line, len(text) + 1)
+    # ``product`` carries the sign of the term being read; ``due`` is set
+    # while a factor must come next.
+    total, product, due = ZERO, ONE, True
+    error = None
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        tok, col = m[kind], m.start(kind) + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", line, col)
+        if error is not None:
+            continue
+        if due and tok == "-":
+            product = -product
+        elif due and kind == "num":
+            product, due = product * Poly.const(_literal_to_fraction(tok)), False
+        elif due and kind == "name" and tok in RESERVED_NAMES:
+            error = ParseError(f"{tok!r} is a reserved name", line, col)
+        elif due and kind == "name":
+            product, due = product * Poly.var(tok), False
+        elif not due and kind == "op":
+            due = True
+            if tok != "*":
+                total, product = total + product, ONE if tok == "+" else -ONE
+        else:
+            error = ParseError(f"unexpected {tok!r}", line, col)
+    if error is not None:
+        raise error
+    if due:
+        raise ParseError("unexpected end of expression", line, len(text) + 1)
+    return total + product
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +330,7 @@ def _split_assignment(text: str, line: int) -> tuple[str, str]:
         raise ParseError("expected an assignment 'var = expression'", line)
     lhs, rhs = _split(text, "=", 1)
     var = lhs.strip()
-    if not _NAME_RE.fullmatch(var):
+    if not re.fullmatch(NAME, var):
         raise ParseError(f"bad variable name {var!r}", line)
     if var in RESERVED_NAMES:
         raise ParseError(f"{var!r} is a reserved name", line)

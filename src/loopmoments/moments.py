@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Mapping
 
-from .frontend import DISTRIBUTIONS, Distribution, UpdateAssignment, ValidatedProgram
+from .frontend import DISTRIBUTIONS, NAME, Distribution, UpdateAssignment, ValidatedProgram
 from .symbolic import ONE, ZERO, Mono, Poly, _canonical_mono
 
 
@@ -65,7 +65,7 @@ class Moment(tuple):
     def single(cls, var: str, exp: int = 1) -> "Moment":
         return cls(((var, exp),))
 
-    _TOKEN = re.compile(r"^([A-Za-z][A-Za-z0-9]*(?:\(0\))?)(?:\^(\d+))?$")
+    _TOKEN = re.compile(rf"^({NAME}(?:\(0\))?)(?:\^(\d+))?$")
 
     @classmethod
     def parse(cls, text: str) -> "Moment":

@@ -14,6 +14,7 @@ them.
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence, Union
@@ -63,10 +64,10 @@ def parse_goals(
 ) -> list[Goal]:
     """Turn goal tokens into goals and check them.
 
-    Goal objects are taken as they are, integer tokens (or digit strings)
-    become :class:`AllVarsGoal`, and anything else is parsed as a monomial.
-    Every order must be at least 1; when ``variables`` is given, monomial
-    goals must only mention those names.
+    Goal objects are taken as they are, integer tokens (or strings of an
+    optional ``-`` and digits) become :class:`AllVarsGoal`, and anything
+    else is parsed as a monomial.  Every order must be at least 1; when
+    ``variables`` is given, monomial goals must only mention those names.
     """
     if not raw:
         raise GoalError("at least one goal is required")
@@ -75,7 +76,7 @@ def parse_goals(
     for token in raw:
         if isinstance(token, (AllVarsGoal, MomentGoal)):
             goal = token
-        elif isinstance(token, int) or (isinstance(token, str) and token.strip().lstrip("-").isdigit()):
+        elif isinstance(token, int) or (isinstance(token, str) and re.fullmatch(r"-?\d+", token.strip())):
             goal = AllVarsGoal(int(token))
         else:
             try:

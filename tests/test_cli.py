@@ -72,11 +72,22 @@ def test_non_utf8_file_exits_2(tmp_path, capsys):
     assert str(path) in err and "UTF-8" in err
 
 
-def test_syntax_error_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "source,needle",
+    [
+        ("x=0\nx = x + 1\n", "loop header"),
+        # a letter outside the name rule is a bad character, not a crash
+        ("x=0\nwhile true:\nx = x + é\n", "unexpected character 'é' (line 3, col 9)"),
+    ],
+    ids=["no-header", "non-ascii-letter"],
+)
+def test_syntax_error_exits_2(tmp_path, capsys, source, needle):
     path = tmp_path / "bad"
-    path.write_text("x=0\nx = x + 1\n", encoding="utf-8")
+    path.write_text(source, encoding="utf-8")
     assert main([str(path), "--goal", "1"]) == 2
-    assert "loop header" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert needle in err
 
 
 def test_missing_goal_exits_2(walk_file, capsys):
@@ -84,9 +95,13 @@ def test_missing_goal_exits_2(walk_file, capsys):
     assert "goal" in capsys.readouterr().err
 
 
-def test_bad_goal_exits_2(walk_file, capsys):
-    assert main([walk_file, "--goal", "0"]) == 2
-    assert main([walk_file, "--goal", "q^2"]) == 2
+@pytest.mark.parametrize(
+    "goal", ["--goal=0", "--goal=q^2", "--goal=²", "--goal=--1"], ids=["zero", "unknown-variable", "superscript-two", "double-minus"]
+)
+def test_bad_goal_exits_2(walk_file, capsys, goal):
+    assert main([walk_file, goal]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_zero_exponent_goal_names_the_constructor_rule(walk_file, capsys):

@@ -1,5 +1,6 @@
 """Parsing and structural validation of the input language."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,8 @@ def test_parse_error_carries_line_and_column():
     # an expression cut short names the column just past its end.
     cases = [
         ("x = x + $", 9),
+        ("x = x + é", 9),
+        ("x = x + ²", 9),
         ("x = x ^ 2", 7),
         ("  x = x + 1 @ 1/2; x $ 2 @ 1/2", 22),
         ("u = RV(uniform, 0, #)\nx = x + u", 20),
@@ -125,6 +128,30 @@ def test_parse_error_carries_line_and_column():
         with pytest.raises(ParseError) as err:
             parse_program(f"x=0\nwhile true:\n{body}\n")
         assert (err.value.line, err.value.col) == (3, col), body
+
+
+def test_mutated_programs_raise_only_input_errors():
+    # Seeded insertions and deletions over the corpus, with characters just
+    # outside the lexical rules (a non-ASCII letter, a superscript digit, a
+    # non-ASCII decimal digit): each input is read or rejected with one of
+    # the two input errors, never a crash.
+    rng = random.Random(0)
+    inserts = [*"xyn019/.*+-@;=,() \t#$^", "é", "²", "٣", "RV", "1/2"]
+    sources = [source for source, _, _ in CORPUS.values()]
+    for _ in range(2000):
+        text = rng.choice(sources)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            if rng.random() < 0.5:
+                text = text[:i] + text[i + rng.randint(1, 3) :]
+            else:
+                text = text[:i] + rng.choice(inserts) + text[i:]
+        try:
+            validate_program(parse_program(text))
+        except (ParseError, UnsupportedProgramError):
+            pass
+        except Exception as exc:
+            pytest.fail(f"{text!r} raised {exc!r}")
 
 
 @pytest.mark.parametrize("kind", list(DISTRIBUTIONS))

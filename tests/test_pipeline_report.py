@@ -67,6 +67,10 @@ def test_goal_errors():
     with pytest.raises(GoalError):
         parse_goals(["x^"])
     with pytest.raises(GoalError):
+        parse_goals(["²"])
+    with pytest.raises(GoalError):
+        parse_goals(["--1"])
+    with pytest.raises(GoalError):
         parse_goals(["z^2"], variables=["x", "y"])
 
 
