@@ -26,8 +26,9 @@ accepted.
 checks the structural restrictions that make moment computation possible
 and returns a :class:`ValidatedProgram` for the rest of the pipeline, with
 every variable resolved once: its ``variables``, the ``state`` carried
-between iterations, the ``draws``, each variable's ``initial`` value and
-the ``symbols`` a binding must give.
+between iterations, the ``draws``, each variable's ``initial`` value, the
+``symbols`` a binding must give and the ``draw_schedule`` by which the
+moment equations average the draws out.
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ import math
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Union
 
-from .symbolic import ONE, ZERO, Poly
+from .symbolic import ONE, Mono, Poly, _canonical_mono, _reduced
 
 # The loop counter name is reserved so reports stay unambiguous.
 RESERVED_NAMES = frozenset({"n", "RV"})
@@ -207,6 +207,12 @@ class ValidatedProgram:
     assignment, else its draw's distribution (a measurement sees the latest
     draw), else the symbol ``v(0)``.  ``symbols`` holds every name a binding
     must give: the parameters and those ``v(0)`` symbols.
+
+    ``draw_schedule`` says when the moment equations average each draw out.
+    Entry ``i`` names, sorted, the draws that update ``i`` (in text order)
+    is the first to mention: the reverse walk over the updates eliminates
+    them right after passing it.  One more entry, the last, names the draws
+    that no update mentions, eliminated before the walk.
     """
 
     program: Program
@@ -215,6 +221,7 @@ class ValidatedProgram:
     draws: Mapping[str, Distribution]
     initial: Mapping[str, InitValue]
     symbols: frozenset[str]
+    draw_schedule: tuple[tuple[str, ...], ...]
 
     @property
     def parameters(self) -> frozenset[str]:
@@ -234,59 +241,85 @@ class ValidatedProgram:
 NAME = r"[A-Za-z][A-Za-z0-9]*"
 NUMERAL = r"\d+\.?\d*(?:/[1-9]\d*)?"
 
+_NAME = re.compile(NAME)
+
 # One token of an expression after optional blanks; any other non-blank
 # character is a ``bad`` token, so every character is read by one branch.
 _TOKEN = re.compile(rf"\s*(?:(?P<num>{NUMERAL})|(?P<name>{NAME})|(?P<op>[-+*])|(?P<bad>\S))")
 
 
-def _literal_to_fraction(text: str) -> Fraction:
-    # Decimal part and optional /denominator are both exact.
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(Fraction(num), int(den))
-    return Fraction(text)
+def _numeral(text: str) -> tuple[int, int] | None:
+    """A :data:`NUMERAL`'s exact value as ``(numerator, denominator)``, or
+    ``None`` when one of its digit strings is longer than the interpreter
+    reads as an ``int`` (4300 digits on CPython by default)."""
+    try:
+        if text.isdigit():
+            return int(text), 1
+        decimal, _, den = text.partition("/")
+        whole, _, fraction = decimal.partition(".")
+        return int(whole + fraction), 10 ** len(fraction) * int(den or 1)
+    except ValueError:
+        return None
 
 
 def parse_expression(text: str, line: int = 0) -> Poly:
     """Read one expression, a sum of signed products of names and numerals
     (no parentheses, no powers), in one pass from left to right.
 
-    Error columns are 1-based positions in ``text``.  A bad character is
-    reported wherever it is, before any other error; an expression cut short
-    is reported one past its end (at the separator that ended the piece, or
-    past the end of the line)."""
+    Each product is kept as its integer numerator and denominator and the
+    names it multiplies; the products are collected in one table by
+    monomial, over their common denominator, and the polynomial is built
+    once at the end.  Error columns are 1-based positions in ``text``.  A
+    bad character is reported wherever it is, before any other error; an
+    expression cut short is reported one past its end (at the separator
+    that ended the piece, or past the end of the line)."""
     if not text.strip():
         raise ParseError("empty expression", line, len(text) + 1)
-    # ``product`` carries the sign of the term being read; ``due`` is set
-    # while a factor must come next.
-    total, product, due = ZERO, ONE, True
+    # The product being read is ``num / den`` times ``names``, its sign in
+    # ``num``; ``due`` is set while a factor must come next.
+    products: list[tuple[int, int, list[str]]] = []
+    num, den, names, due = 1, 1, [], True
     error = None
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        tok, col = m[kind], m.start(kind) + 1
+        tok = m[kind]
         if kind == "bad":
-            raise ParseError(f"unexpected character {tok!r}", line, col)
+            raise ParseError(f"unexpected character {tok!r}", line, m.start(kind) + 1)
         if error is not None:
             continue
         if due and tok == "-":
-            product = -product
+            num = -num
         elif due and kind == "num":
-            product, due = product * Poly.const(_literal_to_fraction(tok)), False
+            value = _numeral(tok)
+            if value is None:
+                error = ParseError(
+                    f"numeral too long ({len(tok)} characters)", line, m.start(kind) + 1
+                )
+            else:
+                num, den, due = num * value[0], den * value[1], False
         elif due and kind == "name" and tok in RESERVED_NAMES:
-            error = ParseError(f"{tok!r} is a reserved name", line, col)
+            error = ParseError(f"{tok!r} is a reserved name", line, m.start(kind) + 1)
         elif due and kind == "name":
-            product, due = product * Poly.var(tok), False
+            names.append(tok)
+            due = False
         elif not due and kind == "op":
             due = True
             if tok != "*":
-                total, product = total + product, ONE if tok == "+" else -ONE
+                products.append((num, den, names))
+                num, den, names = (1 if tok == "+" else -1), 1, []
         else:
-            error = ParseError(f"unexpected {tok!r}", line, col)
+            error = ParseError(f"unexpected {tok!r}", line, m.start(kind) + 1)
     if error is not None:
         raise error
     if due:
         raise ParseError("unexpected end of expression", line, len(text) + 1)
-    return total + product
+    products.append((num, den, names))
+    common = math.lcm(*(d for _, d, _ in products))
+    table: dict[Mono, int] = {}
+    for num, den, names in products:
+        mono = ((names[0], 1),) if len(names) == 1 else _canonical_mono((n, 1) for n in names)
+        table[mono] = table.get(mono, 0) + num * (common // den)
+    return _reduced(table, common)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +363,7 @@ def _split_assignment(text: str, line: int) -> tuple[str, str]:
         raise ParseError("expected an assignment 'var = expression'", line)
     lhs, rhs = _split(text, "=", 1)
     var = lhs.strip()
-    if not re.fullmatch(NAME, var):
+    if not _NAME.fullmatch(var):
         raise ParseError(f"bad variable name {var!r}", line)
     if var in RESERVED_NAMES:
         raise ParseError(f"{var!r} is a reserved name", line)
@@ -491,7 +524,7 @@ def validate_program(p: Program) -> ValidatedProgram:
                     u.line,
                 )
             total = total + br.prob
-        if total != Poly.const(1):
+        if total != ONE:
             raise UnsupportedProgramError(
                 "probability-sum",
                 f"branch probabilities of {u.var!r} sum to {total}, not 1",
@@ -500,36 +533,43 @@ def validate_program(p: Program) -> ValidatedProgram:
 
     # Dependency structure: linear in self, polynomial only in variables
     # assigned earlier (random draws, earlier updates, init-only constants).
+    # One pass over each branch's monomials collects the other names of the
+    # terms linear in the variable (its self-coefficient) and the names of
+    # the terms without it; a higher power of the variable is nonlinear.
     visible = set(draws) | set(constants)
     for u in p.update_assignments:
         for br in u.branches:
-            by_power = br.expr.coefficients_by_power(u.var)
-            if any(d > 1 for d in by_power):
+            nonlinear, self_names, rest_names = False, set(), set()
+            for mono in br.expr.monomials():
+                names = {name for name, _ in mono}
+                if u.var not in names:
+                    rest_names |= names
+                elif (u.var, 1) in mono:
+                    self_names |= names - {u.var}
+                else:
+                    nonlinear = True
+            if nonlinear:
                 raise UnsupportedProgramError(
                     "dependency-structure",
                     f"update of {u.var!r} is nonlinear in itself",
                     u.line,
                 )
-            self_coeff = by_power.get(1)
-            if self_coeff is not None:
-                bad = sorted(self_coeff.symbols() & program_vars)
-                if bad:
-                    raise UnsupportedProgramError(
-                        "dependency-structure",
-                        f"self-coefficient of {u.var!r} references program "
-                        f"variable(s) {', '.join(bad)}",
-                        u.line,
-                    )
-            rest = by_power.get(0)
-            if rest is not None:
-                forward = sorted(rest.symbols() & (program_vars - visible))
-                if forward:
-                    raise UnsupportedProgramError(
-                        "dependency-structure",
-                        f"update of {u.var!r} references {', '.join(forward)} "
-                        "before assignment in the body",
-                        u.line,
-                    )
+            bad = sorted(self_names & program_vars)
+            if bad:
+                raise UnsupportedProgramError(
+                    "dependency-structure",
+                    f"self-coefficient of {u.var!r} references program "
+                    f"variable(s) {', '.join(bad)}",
+                    u.line,
+                )
+            forward = sorted(rest_names & (program_vars - visible))
+            if forward:
+                raise UnsupportedProgramError(
+                    "dependency-structure",
+                    f"update of {u.var!r} references {', '.join(forward)} "
+                    "before assignment in the body",
+                    u.line,
+                )
         visible.add(u.var)
 
     # Distribution arguments known exactly meet their kind's rule, whatever
@@ -545,6 +585,17 @@ def validate_program(p: Program) -> ValidatedProgram:
     # An init assignment wins over a draw's distribution, which wins over v(0).
     initial: dict[str, InitValue] = {v: draws.get(v) or Poly.var(f"{v}(0)") for v in variables}
     initial.update((a.var, a.value) for a in p.init_assignments)
+
+    # Each draw is eliminated right after the reverse walk has passed the
+    # earliest update that mentions it: no later step can bring it back.
+    draw_schedule = []
+    unmentioned = set(draws)
+    for u in p.update_assignments:
+        mentioned = set().union(*(br.expr.symbols() for br in u.branches))
+        draw_schedule.append(tuple(sorted(unmentioned & mentioned)))
+        unmentioned -= mentioned
+    draw_schedule.append(tuple(sorted(unmentioned)))
+
     return ValidatedProgram(
         program=p,
         variables=variables,
@@ -552,4 +603,5 @@ def validate_program(p: Program) -> ValidatedProgram:
         draws=draws,
         initial=initial,
         symbols=p.parameters.union(*(value.symbols() for value in initial.values())),
+        draw_schedule=tuple(draw_schedule),
     )

@@ -11,7 +11,8 @@ mixes the branches by their probabilities in the same step; this one step,
 random draw is eliminated as soon as the walk has passed the earliest
 update that mentions it (a draw no update mentions, before the walk): its
 powers are replaced by raw moments of its distribution, since the draw is
-independent of everything else left.  A draw that the polynomial does not
+independent of everything else left; the validated program resolves
+this ``draw_schedule`` once.  A draw that the polynomial does not
 hold yet when that update is substituted enters only through the update's
 image, so it is averaged out inside the image instead, once per power.
 What remains is a polynomial over state variables and parameters, which
@@ -23,9 +24,10 @@ moment:
 with coefficients that are polynomials over parameters.  The demand-driven
 closure in :func:`moment_closure` collects every moment such an equation
 mentions, which is a finite set for validated programs; its cap counts
-every tracked moment, the goals included.  The images and the raw moments
-are memoised in the :class:`MomentTable` of one analysis, so each power of
-each update is built once across all targets.
+every tracked moment, the goals included.  The images, the raw moments
+and the powers of the initial values are memoised in the
+:class:`MomentTable` of one analysis, so each power of each update is
+built once across all targets.
 """
 
 from __future__ import annotations
@@ -36,7 +38,14 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Mapping
 
-from .frontend import DISTRIBUTIONS, NAME, Distribution, UpdateAssignment, ValidatedProgram
+from .frontend import (
+    DISTRIBUTIONS,
+    NAME,
+    Distribution,
+    InitValue,
+    UpdateAssignment,
+    ValidatedProgram,
+)
 from .symbolic import ONE, ZERO, Mono, Poly, _canonical_mono
 
 
@@ -60,6 +69,11 @@ class Moment(tuple):
         if not mono:
             raise ValueError("a tracked moment needs at least one variable")
         return super().__new__(cls, mono)
+
+    @classmethod
+    def _trusted(cls, mono: Mono) -> "Moment":
+        """Wrap a canonical monomial with positive exponents as it is."""
+        return tuple.__new__(cls, mono)
 
     @classmethod
     def single(cls, var: str, exp: int = 1) -> "Moment":
@@ -174,10 +188,15 @@ class MomentTable:
     ``tracked(part)`` returns the one :class:`Moment` of the analysis that
     stands for a canonical monomial, so equal moments across the equations
     are one object.
+
+    ``initial(value, k)`` returns E[X^k] for an initial value X: the raw
+    moment of a distribution, or the power of a polynomial such as ``v(0)``.
     """
 
     def __init__(self):
         self._memo: dict[tuple[Distribution, int], Poly] = {}
+        # initial polynomial value -> its powers v^0, v^1, ... built so far
+        self._powers: dict[Poly, list[Poly]] = {}
         # Keyed by the moment itself, which equals its monomial.
         self._moments: dict[Moment, Moment] = {}
         # (update, draws) -> (powers e_b^j of each branch, images img(a, j))
@@ -215,6 +234,16 @@ class MomentTable:
             self._moments[moment] = moment
         return moment
 
+    def initial(self, value: InitValue, k: int) -> Poly:
+        if isinstance(value, Distribution):
+            return self.moment(value, k)
+        powers = self._powers.get(value)
+        if powers is None:
+            powers = self._powers[value] = [ONE]
+        while len(powers) <= k:
+            powers.append(powers[-1] * value)
+        return powers[k]
+
     def moment(self, dist: Distribution, k: int) -> Poly:
         if k < 0:
             raise ValueError("raw moments need k >= 0")
@@ -244,24 +273,19 @@ def moment_equation(target: Moment, vp: ValidatedProgram, table: MomentTable) ->
     """
     _check_assigned(target, vp)
     draws = vp.draws
-
-    # Each draw is eliminated right after the reverse walk has passed the
-    # earliest update that mentions it: no later step can bring it back.
     updates = vp.update_assignments
-    eliminate_after: list[list[str]] = []
-    unmentioned = set(draws)
-    for assignment in updates:
-        mentioned = {name for b in assignment.branches for name in b.expr.symbols()}
-        eliminate_after.append(sorted(unmentioned & mentioned))
-        unmentioned -= mentioned
+    # Each draw is eliminated right after the reverse walk has passed the
+    # earliest update that mentions it (``draw_schedule[i]``); one that no
+    # update mentions, before the walk (the last entry).
+    schedule = vp.draw_schedule
 
-    def expect_draws(poly: Poly, names: list[str]) -> Poly:
+    def expect_draws(poly: Poly, names: Iterable[str]) -> Poly:
         # A fresh draw is independent of everything else left in ``poly``.
         for name in names:
             poly = poly.substitute(name, partial(table.moment, draws[name]))
         return poly
 
-    poly = expect_draws(target.as_poly(), sorted(unmentioned))
+    poly = expect_draws(target.as_poly(), schedule[-1])
     # Walk updates in reverse textual order: occurrences of a variable seen
     # before its own substitution step denote post-update values, afterwards
     # pre-update values; the ordering restriction (validate_program's
@@ -273,9 +297,9 @@ def moment_equation(target: Moment, vp: ValidatedProgram, table: MomentTable) ->
         # target, or from an update after it in the text) is correlated with
         # the rest, so it is eliminated from the substituted polynomial.
         symbols = poly.symbols()
-        owned = tuple((name, draws[name]) for name in eliminate_after[i] if name not in symbols)
+        owned = tuple((name, draws[name]) for name in schedule[i] if name not in symbols)
         poly = poly.substitute(assignment.var, partial(table.image, assignment, draws=owned))
-        poly = expect_draws(poly, [name for name in eliminate_after[i] if name in symbols])
+        poly = expect_draws(poly, [name for name in schedule[i] if name in symbols])
 
     # Only state variables and parameters are left: split by linearity.
     parts = poly.split(vp.state)
@@ -329,9 +353,5 @@ def initial_moment(vp: ValidatedProgram, target: Moment, table: MomentTable) -> 
     _check_assigned(target, vp)
     total = ONE
     for var, exp in target:
-        desc = vp.initial[var]
-        if isinstance(desc, Distribution):
-            total = total * table.moment(desc, exp)
-        else:
-            total = total * desc**exp
+        total = total * table.initial(vp.initial[var], exp)
     return total

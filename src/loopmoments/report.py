@@ -298,37 +298,27 @@ def _json_float(x: float) -> float | str:
 
 
 def emit_json(report: InvariantReport) -> str:
+    # The keys are plain ASCII, so each one is its own JSON text.  The entries
+    # of the two long lists come as their own JSON text, and the pieces are
+    # joined once, so the long lists are not copied twice.
     terms = _JsonTerms()
-    doc = {
-        "program": report.program_name,
-        "variables": list(report.variables),
-        "parameters": list(report.parameters),
-        "goals": [_goal_to_json(g) for g in report.goals],
-        "invariants": (
-            terms.invariant(moment, form) for moment, form in report.invariants.items()
-        ),
-        "initial_moments": (
-            terms.initial(moment, value) for moment, value in report.initial_moments.items()
-        ),
-        "symbolic_initials": list(report.symbolic_initials),
-        "side_conditions": list(report.side_conditions),
-        "elapsed_seconds": _json_float(report.elapsed_seconds),
-        "verification": _verification_to_json(report.verification),
-    }
-    out = []
-    sep = "{"
-    for key, value in doc.items():
-        out += (sep, _encode(key), ": ")
-        sep = ", "
-        if isinstance(value, Iterator):
-            # the entries of the long lists come as their own JSON text
-            out.append("[")
-            for i, item in enumerate(value):
-                out += (", " if i else "", item)
-            out.append("]")
-        else:
-            out.append(_encode(value))
-    out.append("}\n")
+    out = [
+        f'{{"program": {_encode(report.program_name)}, '
+        f'"variables": {_encode(report.variables)}, '
+        f'"parameters": {_encode(report.parameters)}, '
+        f'"goals": {_encode([_goal_to_json(g) for g in report.goals])}, "invariants": ['
+    ]
+    for i, (moment, form) in enumerate(report.invariants.items()):
+        out += (", " if i else "", terms.invariant(moment, form))
+    out.append('], "initial_moments": [')
+    for i, (moment, value) in enumerate(report.initial_moments.items()):
+        out += (", " if i else "", terms.initial(moment, value))
+    out.append(
+        f'], "symbolic_initials": {_encode(report.symbolic_initials)}, '
+        f'"side_conditions": {_encode(report.side_conditions)}, '
+        f'"elapsed_seconds": {_encode(_json_float(report.elapsed_seconds))}, '
+        f'"verification": {_encode(_verification_to_json(report.verification))}}}\n'
+    )
     return "".join(out)
 
 

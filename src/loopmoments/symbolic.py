@@ -258,7 +258,7 @@ class Poly:
     def const(cls, value: Scalar) -> "Poly":
         if type(value) is int:
             return cls._trusted({_ONE_MONO: value} if value else {})
-        q = Fraction(value)
+        q = value if type(value) is Fraction else Fraction(value)
         return cls._trusted({_ONE_MONO: q.numerator} if q else {}, q.denominator)
 
     @classmethod
@@ -292,6 +292,10 @@ class Poly:
 
     def symbols(self) -> set[str]:
         return {name for mono in self._terms for name, _ in mono}
+
+    def monomials(self) -> Iterable[Mono]:
+        """The monomials of the nonzero terms, without their coefficients."""
+        return self._terms.keys()
 
     def terms(self) -> Iterator[tuple[Mono, Fraction]]:
         den = self._den
@@ -377,10 +381,9 @@ class Poly:
         # Exact division by a nonzero rational only; polynomial divisors go
         # through exact_div so callers must handle failure explicitly.
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q:
+            if not other:
                 raise ZeroDivisionError("division of polynomial by zero")
-            return self._scaled(q.denominator, q.numerator)
+            return self._scaled(other.denominator, other.numerator)
         return NotImplemented
 
     def __pow__(self, k: int) -> "Poly":

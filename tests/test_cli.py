@@ -78,8 +78,10 @@ def test_non_utf8_file_exits_2(tmp_path, capsys):
         ("x=0\nx = x + 1\n", "loop header"),
         # a letter outside the name rule is a bad character, not a crash
         ("x=0\nwhile true:\nx = x + é\n", "unexpected character 'é' (line 3, col 9)"),
+        # a numeral longer than the interpreter reads as an int
+        ("x=0\nwhile true:\nx = x + " + "1" * 5000 + "\n", "(line 3, col 9)"),
     ],
-    ids=["no-header", "non-ascii-letter"],
+    ids=["no-header", "non-ascii-letter", "long-numeral"],
 )
 def test_syntax_error_exits_2(tmp_path, capsys, source, needle):
     path = tmp_path / "bad"
@@ -96,7 +98,9 @@ def test_missing_goal_exits_2(walk_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "goal", ["--goal=0", "--goal=q^2", "--goal=²", "--goal=--1"], ids=["zero", "unknown-variable", "superscript-two", "double-minus"]
+    "goal",
+    ["--goal=0", "--goal=q^2", "--goal=²", "--goal=--1", "--goal=" + "1" * 5000],
+    ids=["zero", "unknown-variable", "superscript-two", "double-minus", "long-integer"],
 )
 def test_bad_goal_exits_2(walk_file, capsys, goal):
     assert main([walk_file, goal]) == 2

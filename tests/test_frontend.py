@@ -12,10 +12,10 @@ from loopmoments import (
     parse_program,
     validate_program,
 )
-from loopmoments.frontend import DISTRIBUTIONS, Distribution
+from loopmoments.frontend import DISTRIBUTIONS, Distribution, parse_expression
 from loopmoments.symbolic import ONE
 
-from corpus import CORPUS, WALK
+from corpus import CORPUS, WALK, assert_normal_poly
 
 
 def test_walk_program_structure():
@@ -123,6 +123,8 @@ def test_parse_error_carries_line_and_column():
         ("  x = ", 7),
         ("  x = x +", 10),
         ("u = RV(uniform, 0, )\nx = x + u", 20),
+        # a numeral longer than the interpreter reads as an int
+        ("x = x + " + "1" * 5000, 9),
     ]
     for body, col in cases:
         with pytest.raises(ParseError) as err:
@@ -130,14 +132,30 @@ def test_parse_error_carries_line_and_column():
         assert (err.value.line, err.value.col) == (3, col), body
 
 
+def _schedule_per_call(vp):
+    """The draw schedule as ``moment_equation`` used to derive it on every
+    call: per update in text order, the draws it is the first to mention,
+    then the draws that no update mentions."""
+    eliminate_after, unmentioned = [], set(vp.draws)
+    for assignment in vp.update_assignments:
+        mentioned = {name for b in assignment.branches for name in b.expr.symbols()}
+        eliminate_after.append(tuple(sorted(unmentioned & mentioned)))
+        unmentioned -= mentioned
+    return (*eliminate_after, tuple(sorted(unmentioned)))
+
+
 def test_mutated_programs_raise_only_input_errors():
     # Seeded insertions and deletions over the corpus, with characters just
     # outside the lexical rules (a non-ASCII letter, a superscript digit, a
     # non-ASCII decimal digit): each input is read or rejected with one of
-    # the two input errors, never a crash.
+    # the two input errors, never a crash.  A program that passes, the
+    # corpus itself included, carries the draw schedule of the per-call rule.
     rng = random.Random(0)
     inserts = [*"xyn019/.*+-@;=,() \t#$^", "é", "²", "٣", "RV", "1/2"]
     sources = [source for source, _, _ in CORPUS.values()]
+    for source in sources:
+        vp = validate_program(parse_program(source))
+        assert vp.draw_schedule == _schedule_per_call(vp), source
     for _ in range(2000):
         text = rng.choice(sources)
         for _ in range(rng.randint(1, 3)):
@@ -147,11 +165,55 @@ def test_mutated_programs_raise_only_input_errors():
             else:
                 text = text[:i] + rng.choice(inserts) + text[i:]
         try:
-            validate_program(parse_program(text))
+            vp = validate_program(parse_program(text))
         except (ParseError, UnsupportedProgramError):
-            pass
+            continue
         except Exception as exc:
             pytest.fail(f"{text!r} raised {exc!r}")
+        assert vp.draw_schedule == _schedule_per_call(vp), text
+
+
+def _reference_literal(text):
+    # a numeral read the way the reader once did: through Fraction's parser
+    num, _, den = text.partition("/")
+    return Fraction(num) / int(den or 1)
+
+
+def test_reader_matches_poly_arithmetic():
+    # Seeded expressions, each read once by the reader and once by Poly
+    # arithmetic over the same tokens: the two agree term for term and in
+    # the denominator.  Numerals include decimals, fractions, leading
+    # zeros and non-ASCII decimal digits; names repeat within a product,
+    # and a product is sometimes followed by its own negation, so terms
+    # cancel.
+    rng = random.Random(24)
+    numerals = ["0", "1", "2", "007", "10", "0.5", "1.", "2.25", "1/3", "22/7", "0.75/12",
+                "٣", "1٣", "٣.5/1٣"]
+    names = ["x", "y", "b", "y0"]
+    for _ in range(2500):
+        products = []
+        for _ in range(rng.randint(1, 5)):
+            factors = [
+                rng.choice(numerals) if rng.random() < 0.4 else rng.choice(names)
+                for _ in range(rng.randint(1, 4))
+            ]
+            products.append((rng.choice(["", "-", "--"]), factors))
+            if rng.random() < 0.2:
+                products.append(("-" + products[-1][0], products[-1][1]))
+        text, want = "", Poly()
+        for i, (signs, factors) in enumerate(products):
+            value = Poly.const(-1 if signs.count("-") % 2 else 1)
+            for factor in factors:
+                if factor in names:
+                    value = value * Poly.var(factor)
+                else:
+                    value = value * Poly.const(_reference_literal(factor))
+            op = rng.choice([" + ", "+", " - "]) if i else ""
+            want = want - value if op.strip() == "-" else want + value
+            text += op + signs + rng.choice(["*", " * "]).join(factors)
+        got = parse_expression(text)
+        assert_normal_poly(got)
+        assert (got._terms, got._den) == (want._terms, want._den), text
 
 
 @pytest.mark.parametrize("kind", list(DISTRIBUTIONS))

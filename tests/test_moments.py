@@ -88,6 +88,11 @@ def test_moment_table_memoizes():
     d = Distribution("uniform", Poly.const(0), b)
     first = table.moment(d, 5)
     assert table.moment(d, 5) is first
+    # the powers of an initial polynomial value, as of a draw's raw moments
+    y0 = Poly.var("y(0)") + b
+    fifth = table.initial(y0, 5)
+    assert fifth == y0**5 and table.initial(Poly.var("y(0)") + b, 5) is fifth
+    assert table.initial(y0, 2) == y0**2 and table.initial(d, 5) is first
 
 
 # -- one-step equations ---------------------------------------------------------

@@ -70,6 +70,8 @@ def test_goal_errors():
         parse_goals(["²"])
     with pytest.raises(GoalError):
         parse_goals(["--1"])
+    with pytest.raises(GoalError):  # longer than the interpreter reads as an int
+        parse_goals(["1" * 5000])
     with pytest.raises(GoalError):
         parse_goals(["z^2"], variables=["x", "y"])
 
