@@ -39,7 +39,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
-from .symbolic import ONE, Mono, Poly, _canonical_mono, _reduced
+from .symbolic import ONE, Poly
 
 # The loop counter name is reserved so reports stay unambiguous.
 RESERVED_NAMES = frozenset({"n", "RV"})
@@ -250,14 +250,14 @@ _TOKEN = re.compile(rf"\s*(?:(?P<num>{NUMERAL})|(?P<name>{NAME})|(?P<op>[-+*])|(
 
 def _numeral(text: str) -> tuple[int, int] | None:
     """A :data:`NUMERAL`'s exact value as ``(numerator, denominator)``, or
-    ``None`` when one of its digit strings is longer than the interpreter
-    reads as an ``int`` (4300 digits on CPython by default)."""
+    ``None`` when one of its digit strings (before the ``.``, after it, or
+    the denominator) is longer than the interpreter reads as an ``int``
+    (4300 digits on CPython by default)."""
+    decimal, _, den = text.partition("/")
+    whole, _, fraction = decimal.partition(".")
+    scale = 10 ** len(fraction)
     try:
-        if text.isdigit():
-            return int(text), 1
-        decimal, _, den = text.partition("/")
-        whole, _, fraction = decimal.partition(".")
-        return int(whole + fraction), 10 ** len(fraction) * int(den or 1)
+        return int(whole) * scale + int(fraction or 0), scale * int(den or 1)
     except ValueError:
         return None
 
@@ -267,12 +267,11 @@ def parse_expression(text: str, line: int = 0) -> Poly:
     (no parentheses, no powers), in one pass from left to right.
 
     Each product is kept as its integer numerator and denominator and the
-    names it multiplies; the products are collected in one table by
-    monomial, over their common denominator, and the polynomial is built
-    once at the end.  Error columns are 1-based positions in ``text``.  A
-    bad character is reported wherever it is, before any other error; an
-    expression cut short is reported one past its end (at the separator
-    that ended the piece, or past the end of the line)."""
+    names it multiplies, and :meth:`Poly.sum_of_products` builds the
+    polynomial once at the end.  Error columns are 1-based positions in
+    ``text``.  A bad character is reported wherever it is, before any other
+    error; an expression cut short is reported one past its end (at the
+    separator that ended the piece, or past the end of the line)."""
     if not text.strip():
         raise ParseError("empty expression", line, len(text) + 1)
     # The product being read is ``num / den`` times ``names``, its sign in
@@ -314,12 +313,7 @@ def parse_expression(text: str, line: int = 0) -> Poly:
     if due:
         raise ParseError("unexpected end of expression", line, len(text) + 1)
     products.append((num, den, names))
-    common = math.lcm(*(d for _, d, _ in products))
-    table: dict[Mono, int] = {}
-    for num, den, names in products:
-        mono = ((names[0], 1),) if len(names) == 1 else _canonical_mono((n, 1) for n in names)
-        table[mono] = table.get(mono, 0) + num * (common // den)
-    return _reduced(table, common)
+    return Poly.sum_of_products(products)
 
 
 # ---------------------------------------------------------------------------
@@ -533,28 +527,17 @@ def validate_program(p: Program) -> ValidatedProgram:
 
     # Dependency structure: linear in self, polynomial only in variables
     # assigned earlier (random draws, earlier updates, init-only constants).
-    # One pass over each branch's monomials collects the other names of the
-    # terms linear in the variable (its self-coefficient) and the names of
-    # the terms without it; a higher power of the variable is nonlinear.
     visible = set(draws) | set(constants)
     for u in p.update_assignments:
         for br in u.branches:
-            nonlinear, self_names, rest_names = False, set(), set()
-            for mono in br.expr.monomials():
-                names = {name for name, _ in mono}
-                if u.var not in names:
-                    rest_names |= names
-                elif (u.var, 1) in mono:
-                    self_names |= names - {u.var}
-                else:
-                    nonlinear = True
-            if nonlinear:
+            by_power = br.expr.symbols_by_power(u.var)
+            if any(d > 1 for d in by_power):
                 raise UnsupportedProgramError(
                     "dependency-structure",
                     f"update of {u.var!r} is nonlinear in itself",
                     u.line,
                 )
-            bad = sorted(self_names & program_vars)
+            bad = sorted(by_power.get(1, set()) & program_vars)
             if bad:
                 raise UnsupportedProgramError(
                     "dependency-structure",
@@ -562,7 +545,7 @@ def validate_program(p: Program) -> ValidatedProgram:
                     f"variable(s) {', '.join(bad)}",
                     u.line,
                 )
-            forward = sorted(rest_names & (program_vars - visible))
+            forward = sorted(by_power.get(0, set()) & (program_vars - visible))
             if forward:
                 raise UnsupportedProgramError(
                     "dependency-structure",

@@ -71,11 +71,6 @@ class Moment(tuple):
         return super().__new__(cls, mono)
 
     @classmethod
-    def _trusted(cls, mono: Mono) -> "Moment":
-        """Wrap a canonical monomial with positive exponents as it is."""
-        return tuple.__new__(cls, mono)
-
-    @classmethod
     def single(cls, var: str, exp: int = 1) -> "Moment":
         return cls(((var, exp),))
 

@@ -34,13 +34,9 @@ from .symbolic import ExpPoly, Poly
 
 @dataclass(frozen=True)
 class AllVarsGoal:
-    """The k-th moment of every assigned variable, for an order ``k >= 1``."""
+    """The k-th moment of every assigned variable."""
 
     k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise GoalError(f"moment order must be >= 1, got {self.k}")
 
     def __str__(self) -> str:
         return str(self.k)
@@ -70,9 +66,8 @@ def parse_goals(
 
     Goal objects are taken as they are, integer tokens (or strings of an
     optional ``-`` and digits) become :class:`AllVarsGoal`, and anything
-    else is parsed as a monomial.  Every order must be at least 1 (an
-    :class:`AllVarsGoal` checks its own); when ``variables`` is given,
-    monomial goals must only mention those names.
+    else is parsed as a monomial.  Every order must be at least 1; when
+    ``variables`` is given, monomial goals must only mention those names.
     """
     if not raw:
         raise GoalError("at least one goal is required")
@@ -93,7 +88,10 @@ def parse_goals(
                 goal = MomentGoal(Moment.parse(str(token)))
             except ValueError as exc:
                 raise GoalError(str(exc)) from None
-        if isinstance(goal, MomentGoal) and known is not None:
+        if isinstance(goal, AllVarsGoal):
+            if goal.k < 1:
+                raise GoalError(f"moment order must be >= 1, got {goal.k}")
+        elif known is not None:
             unknown = sorted(set(goal.moment.variables()) - known)
             if unknown:
                 raise GoalError(
@@ -108,7 +106,8 @@ def goal_moments(goals: Sequence[Goal], vp: ValidatedProgram) -> set[Moment]:
     wanted: set[Moment] = set()
     for goal in goals:
         if isinstance(goal, AllVarsGoal):
-            wanted.update(Moment._trusted(((var, goal.k),)) for var in vp.variables)
+            for var in vp.variables:
+                wanted.add(Moment.single(var, goal.k))
         else:
             wanted.add(goal.moment)
     return wanted
@@ -186,13 +185,10 @@ class InvariantReport:
     analysis: Analysis | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        # The two maps of an analysis hold the same moments: one sort orders both.
-        invariants, initial = self.invariants, self.initial_moments
-        order = sorted(invariants, key=Moment.sort_key)
-        object.__setattr__(self, "invariants", {m: invariants[m] for m in order})
-        if initial.keys() != invariants.keys():
-            order = sorted(initial, key=Moment.sort_key)
-        object.__setattr__(self, "initial_moments", {m: initial[m] for m in order})
+        for name in ("invariants", "initial_moments"):
+            moments = getattr(self, name)
+            ordered = {m: moments[m] for m in sorted(moments, key=Moment.sort_key)}
+            object.__setattr__(self, name, ordered)
 
     @property
     def validated(self) -> ValidatedProgram | None:

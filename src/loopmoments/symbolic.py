@@ -53,8 +53,9 @@ texts for ``(base, degree, coeff)`` triples, ``ExpPoly.sorted_terms()`` or
 texts for its entries.  A memo of the factor texts is shared by the sums of
 one report.
 
-Only the public constructors ``Poly(...)`` and ``ExpPoly(...)`` validate
-(canonicalising monomials, summing coefficients and dropping zeros).  Every
+Only the public constructors ``Poly(...)``, ``Poly.sum_of_products`` (the
+expression reader's: integer products of names) and ``ExpPoly(...)``
+canonicalise monomials, sum coefficients and drop zeros.  Every
 operation builds its result through the private ``_trusted`` constructors,
 which store an already canonical value as it is, or through ``_reduced``,
 which drops cancelled numerators and divides out their common factor.
@@ -274,6 +275,20 @@ class Poly:
             acc.add(a, b)
         return acc.poly()
 
+    @staticmethod
+    def sum_of_products(products: Iterable[tuple[int, int, Iterable[str]]]) -> "Poly":
+        """``sum num/den * name_1 * ... * name_m`` over the ``(num, den,
+        names)`` of ``products``, each ``den`` positive; a repeated name is a
+        power.  The numerators are added over one common denominator and
+        reduced once."""
+        products = list(products)
+        common = math.lcm(*(den for _, den, _ in products))
+        nums: dict[Mono, int] = {}
+        for num, den, names in products:
+            mono = _canonical_mono((name, 1) for name in names)
+            nums[mono] = nums.get(mono, 0) + num * (common // den)
+        return _reduced(nums, common)
+
     # -- predicates and views ----------------------------------------------
 
     def is_zero(self) -> bool:
@@ -292,10 +307,6 @@ class Poly:
 
     def symbols(self) -> set[str]:
         return {name for mono in self._terms for name, _ in mono}
-
-    def monomials(self) -> Iterable[Mono]:
-        """The monomials of the nonzero terms, without their coefficients."""
-        return self._terms.keys()
 
     def terms(self) -> Iterator[tuple[Mono, Fraction]]:
         den = self._den
@@ -318,6 +329,20 @@ class Poly:
         return {
             part[0][1] if part else 0: coeff for part, coeff in self.split({name}).items()
         }
+
+    def symbols_by_power(self, name: str) -> dict[int, set[str]]:
+        """``{d: symbols}``, the symbols of ``coefficients_by_power(name)[d]``
+        for each power ``d``, without building the coefficients."""
+        out: dict[int, set[str]] = {}
+        for mono in self._terms:
+            power, others = 0, set()
+            for var, exp in mono:
+                if var == name:
+                    power = exp
+                else:
+                    others.add(var)
+            out.setdefault(power, set()).update(others)
+        return out
 
     # -- arithmetic ---------------------------------------------------------
 

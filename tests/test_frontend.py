@@ -214,6 +214,10 @@ def test_reader_matches_poly_arithmetic():
         got = parse_expression(text)
         assert_normal_poly(got)
         assert (got._terms, got._den) == (want._terms, want._den), text
+    # The digits before the point, after it and of the denominator are each
+    # held to the interpreter's int-string limit on their own, not together.
+    long = "1" * 3000 + "." + "2" * 3000 + "/" + "3" * 3000
+    assert parse_expression(long) == Poly.const(_reference_literal(long))
 
 
 @pytest.mark.parametrize("kind", list(DISTRIBUTIONS))

@@ -190,6 +190,9 @@ def test_kernel_results_stay_in_normal_form():
         results = [p + q, p - q, -p, p * q, p / Fraction(-3, 7), p**3]
         results += [p.substitute("x", q.__pow__), p.substitute("y", (q * r).__pow__)]
         results += p.coefficients_by_power("y").values()
+        assert p.symbols_by_power("y") == {
+            d: c.symbols() for d, c in p.coefficients_by_power("y").items()
+        }
         results.append(p.exact_div(Poly.var("y") + 1))
         if not q.is_zero():
             results += [p.exact_div(q), (p * q).exact_div(q)]
