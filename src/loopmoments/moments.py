@@ -46,7 +46,7 @@ from .frontend import (
     UpdateAssignment,
     ValidatedProgram,
 )
-from .symbolic import ONE, ZERO, Mono, Poly, _canonical_mono
+from .symbolic import ONE, ZERO, Mono, Poly, canonical_mono
 
 
 class Moment(tuple):
@@ -65,7 +65,7 @@ class Moment(tuple):
         pairs = tuple(powers)
         if any(e < 1 for _, e in pairs):
             raise ValueError("moment exponents must be positive")
-        mono = _canonical_mono(pairs)
+        mono = canonical_mono(pairs)
         if not mono:
             raise ValueError("a tracked moment needs at least one variable")
         return super().__new__(cls, mono)
@@ -98,7 +98,7 @@ class Moment(tuple):
         return tuple(v for v, _ in self)
 
     def as_poly(self) -> Poly:
-        return Poly._trusted({self.powers: 1})
+        return Poly.monomial(self)
 
     def sort_key(self) -> tuple:
         return (self.degree(), self)

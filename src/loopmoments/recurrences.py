@@ -11,8 +11,8 @@ higher when the base equals ``c``), and the homogeneous term absorbs the
 initial value.  The resulting triangular systems are solved top-down over
 exact polynomial coefficients.
 
-Every closed form is verified symbolically before it is returned:
-``f(n+1) - c*f(n) - inhom(n)``, summed in one exact pass over the terms,
+Every closed form is verified symbolically before it is returned: the
+kernel's residual ``f(n+1) - c*f(n) - inhom(n)`` (:meth:`ExpPoly.residual`)
 must vanish and ``f(0)`` must equal the initial moment.  A failure of that
 check is a bug, never an approximation.
 """
@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping
 
 from .moments import Moment, MomentEquation
-from .symbolic import _ONE_MONO, ONE, ExpPoly, Poly, _Acc, _fold, _reduced
+from .symbolic import ONE, ExpPoly, Poly
 
 
 class SolverError(Exception):
@@ -136,26 +135,6 @@ def build_recurrence(
     )
 
 
-def _divide(acc: _Acc, divisor: Poly) -> Poly:
-    """The sum ``acc`` divided exactly in the coefficient ring, which uses
-    ``acc`` up: a constant divisor scales its numerators, reduced once with
-    the sum; a quotient that would leave the ring raises
-    :class:`UnresolvedBaseError`."""
-    if divisor.is_zero():
-        raise SolverError("internal: division by zero while matching coefficients")
-    if divisor.is_const():
-        num, den = divisor._den, divisor._terms[_ONE_MONO]
-        if den < 0:
-            num, den = -num, -den
-        nums = acc.nums if num == 1 else {m: n * num for m, n in acc.nums.items()}
-        return _reduced(nums, acc.den * den)
-    numerator = acc.poly()
-    quotient = numerator.exact_div(divisor)
-    if quotient is None:
-        raise UnresolvedBaseError(numerator, divisor)
-    return quotient
-
-
 def solve_first_order(rec: Recurrence, side_conditions: list[str] | None = None) -> ExpPoly:
     """Exact closed form of a first-order constant-coefficient recurrence.
 
@@ -198,53 +177,39 @@ def solve_first_order(rec: Recurrence, side_conditions: list[str] | None = None)
         # coefficient of n^m gives (base - c)*q_m + base*sum_{j>m} C(j,m)*q_j
         # = P_m, solved top-down.  At resonance the first term vanishes, so
         # every q is offset by one: base*(m+1)*q_{m+1} is the leading term.
-        # Each right-hand side is one exact sum, reduced once.
+        # Each row is one exact quotient of a sum, reduced once.
         shift = 1 if resonant else 0
         q: dict[int, Poly] = {}
         for m in range(degree, -1, -1):
-            acc = _Acc()
-            if m in parts:
-                acc.add(ONE, parts[m])
+            row = [(1, ONE, parts[m])] if m in parts else []
             for j in range(m + shift + 1, degree + shift + 1):
-                acc.add(q[j], base, -math.comb(j, m))
-            divisor = base._scaled(m + 1) if resonant else delta
-            q[m + shift] = _divide(acc, divisor)
-        # Distinct bases give distinct keys, so nothing here sums.
+                row.append((-math.comb(j, m), q[j], base))
+            divisor, times = (base, m + 1) if resonant else (delta, 1)
+            quotient = Poly.quotient(row, divisor, times)
+            if quotient is None:
+                raise UnresolvedBaseError(Poly.quotient(row, ONE), divisor * times)
+            q[m + shift] = quotient
+        # Distinct bases give distinct keys, so nothing here sums; ExpPoly
+        # drops the zero coefficients.
         for j, qj in q.items():
-            if not qj.is_zero():
-                particular[(base, j)] = qj
+            particular[(base, j)] = qj
 
-    alpha = rec.init - ExpPoly._trusted(particular).value_at_zero()
+    at_zero = [(ONE, qj) for (_, j), qj in particular.items() if j == 0]
+    alpha = rec.init - Poly.linear_combination(at_zero)
     # At resonance q starts at n^1, so (c, 0) is no key of the particular part.
-    if not alpha.is_zero():
-        particular[(c, 0)] = alpha
-    closed = ExpPoly._trusted(particular)
+    particular[(c, 0)] = alpha
+    closed = ExpPoly(particular)
     _check_closed_form(rec, closed)
     return closed
 
 
 def _check_closed_form(rec: Recurrence, closed: ExpPoly) -> None:
-    """Raise unless ``closed`` meets the recurrence and the initial value.
-    ``coeff*base**(n+1)*(n+1)**d - c*coeff*base**n*n**d`` expands binomially
-    to ``base*C(d, j)*coeff`` at each degree ``j < d`` and one product
-    ``(base - c)*coeff`` at degree ``d`` (``0**(n+1) == 0`` makes that
-    ``-c*coeff`` for base 0); the residual is zero exactly when all the
-    numerators of its sums are."""
-    c = rec.self_coeff
-    accs: defaultdict[tuple[Poly, int], _Acc] = defaultdict(_Acc)
-    deltas: dict[Poly, Poly] = {}
-    for (base, degree), coeff in closed._terms.items():
-        delta = deltas.get(base)
-        if delta is None:
-            delta = deltas[base] = base - c
-        for j in range(degree):
-            accs[(base, j)].add(base, coeff, math.comb(degree, j))
-        accs[(base, degree)].add(delta, coeff)
-    _fold(accs, rec.inhom._terms, -1, 1)
-    if any(any(acc.nums.values()) for acc in accs.values()):
+    """Raise unless ``closed`` meets the recurrence and the initial value."""
+    residual = closed.residual(rec.self_coeff, rec.inhom)
+    if not residual.is_zero():
         raise SolverError(
             f"internal: closed form for E[{rec.target}] failed its defining "
-            f"identity (residual {ExpPoly._summed(accs)})"
+            f"identity (residual {residual})"
         )
     start = closed.value_at_zero()
     if start != rec.init:

@@ -271,7 +271,7 @@ def _exp_poly_from_json(data: list[dict[str, Any]], bases: dict[_Ratios, Poly]) 
         key = (base, int(entry["degree"]))
         coeff = _poly_from_json(entry["coeff"])
         terms[key] = terms[key] + coeff if key in terms else coeff
-    return ExpPoly._trusted({key: c for key, c in terms.items() if not c.is_zero()})
+    return ExpPoly(terms)  # without the coefficients that summed to zero
 
 
 def _goal_to_json(goal: Goal) -> dict[str, Any]:

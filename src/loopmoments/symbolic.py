@@ -25,24 +25,24 @@ Normal form, the invariant every value holds:
   polynomials.
 
 So structural equality is algebraic equality, and equal values hash alike.
-:class:`~fractions.Fraction` values appear only at the public surface: the
-constructors and scalar operands that accept them, and the views
-(``Poly.terms()``, ``const_value()``, ``evaluate()``) that give them in
-lowest terms.  The kernel itself does plain ``int`` arithmetic: ``_fold`` is
-its one loop that adds exact products into sums over a common denominator,
-for ``_Acc`` (one sum: ``+``, ``-``, ``*``, ``Poly.linear_combination``) and
-for the keyed sums of ``ExpPoly.linear_combination``.  It runs once per
-contribution, not per term: a constant operand, on either side, is one
-integer multiplier over the other operand's terms, and an empty sum is
-started in one dict build, with the product's denominator as it is.  Each
-sum is reduced by one gcd at the end.  The sum or difference of two
-constants needs no sum: it is two integer products over the product of the
-denominators, reduced once.  ``Poly.substitute`` folds straight from its own
-numerators: one pass groups them by the power of the replaced symbol, and
-every group goes into one sum with that power's value.  Monomial products
-are memoised like the graded-lex sort keys, since one analysis multiplies
-the same few monomials over and over.  Constant bases are put in print order
-by their numerators over the bases' common denominator.
+No other module reads a value's numerators: the others go through the
+public constructors, operations and views.  :class:`~fractions.Fraction`
+values appear only at the public surface: the constructors and scalar
+operands that accept them, and the views (``Poly.terms()``,
+``const_value()``, ``evaluate()``) that give them in lowest terms.  The
+kernel does plain ``int`` arithmetic.  Its public sums are the
+``linear_combination`` of each family, its quotient is ``Poly.quotient``
+(a sum of products divided exactly: the solver's rows) and its residual is
+``ExpPoly.residual`` (the solver's self-check).
+``_fold`` is the one loop that adds exact products into sums over a common
+denominator, for ``_Acc`` (one sum) and for the keyed sums of ``ExpPoly``.
+It runs once per contribution, not per term: a constant operand, on either
+side, is one integer multiplier over the other operand's terms, and an
+empty sum is started in one dict build, with the product's denominator as
+it is.  Each sum is reduced by one gcd at the end; ``_scaled_sum`` is the
+one scaling by a constant, of a value or of a sum.  The sum or difference
+of two constants is two integer products over the product of the
+denominators, reduced once.
 
 Both families print through :func:`render_terms`, the one per-term
 formatter: it reads a coefficient's numerators in graded-lex order and makes,
@@ -53,12 +53,12 @@ texts for ``(base, degree, coeff)`` triples, ``ExpPoly.sorted_terms()`` or
 texts for its entries.  A memo of the factor texts is shared by the sums of
 one report.
 
-Only the public constructors ``Poly(...)``, ``Poly.sum_of_products`` (the
-expression reader's: integer products of names) and ``ExpPoly(...)``
-canonicalise monomials, sum coefficients and drop zeros.  Every
-operation builds its result through the private ``_trusted`` constructors,
-which store an already canonical value as it is, or through ``_reduced``,
-which drops cancelled numerators and divides out their common factor.
+Only the public constructors (``Poly(...)``, ``Poly.monomial``, the
+expression reader's ``Poly.sum_of_products`` and ``ExpPoly(...)``)
+canonicalise monomials, sum coefficients and drop zeros.  Every operation
+builds its result through the private ``_trusted`` constructors, which
+store an already canonical value as it is, or through ``_reduced``, which
+drops cancelled numerators and divides out their common factor.
 """
 
 from __future__ import annotations
@@ -106,7 +106,8 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(sorted(merged.items()))
 
 
-def _canonical_mono(mono: Iterable[tuple[str, int]]) -> Mono:
+def canonical_mono(mono: Iterable[tuple[str, int]]) -> Mono:
+    """``mono`` sorted by name, repeats merged and zero exponents dropped."""
     merged: dict[str, int] = {}
     for name, exp in mono:
         if exp < 0:
@@ -119,7 +120,7 @@ def _reduced(nums: dict[Mono, int], den: int) -> "Poly":
     """The polynomial ``nums / den`` for a positive ``den``: cancelled (zero)
     numerators are dropped and the common factor of ``den`` and the
     numerators divided out.  ``nums`` may become the result's own dict, so
-    the caller hands over one that nothing else holds."""
+    the caller hands over one that nothing writes to later."""
     if 0 in nums.values():
         nums = {mono: num for mono, num in nums.items() if num}
     if den != 1:
@@ -128,6 +129,16 @@ def _reduced(nums: dict[Mono, int], den: int) -> "Poly":
             den //= g
             nums = {mono: num // g for mono, num in nums.items()}
     return Poly._trusted(nums, den)
+
+
+def _scaled_sum(nums: dict[Mono, int], den: int, num: int, div: int) -> "Poly":
+    """The polynomial ``nums/den * num/div`` for nonzero integers ``num`` and
+    ``div``, reduced once; ``nums`` is handed over as to :func:`_reduced`."""
+    if div < 0:
+        num, div = -num, -div
+    if num != 1:
+        nums = {m: n * num for m, n in nums.items()}
+    return _reduced(nums, den * div)
 
 
 def _fold(accs: Mapping, terms: Mapping, num: int, den: int, mono: Mono = _ONE_MONO) -> None:
@@ -233,7 +244,7 @@ class Poly:
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for mono, coeff in items:
-                key = _canonical_mono(mono)
+                key = canonical_mono(mono)
                 q = coeff if type(coeff) is Fraction else Fraction(coeff)
                 clean[key] = clean[key] + q if key in clean else q
         clean = {mono: q for mono, q in clean.items() if q}
@@ -276,6 +287,49 @@ class Poly:
         return acc.poly()
 
     @staticmethod
+    def quotient(
+        products: Iterable[tuple[int, "Poly", "Poly"]], divisor: "Poly", times: int = 1
+    ) -> "Poly | None":
+        """``sum k*a*b / (times*divisor)`` over the ``(k, a, b)`` of
+        ``products`` (``times`` a positive integer), or None when the division
+        has a remainder.  The products are summed over one common denominator;
+        a constant divisor scales the sum, reduced once, and any other goes
+        through long division against the graded-lex leading term."""
+        if divisor.is_zero():
+            raise ZeroDivisionError("division of polynomial by zero")
+        acc = _Acc()
+        for k, a, b in products:
+            acc.add(a, b, k)
+        if divisor.is_const():
+            return _scaled_sum(acc.nums, acc.den, divisor._den, divisor._terms[_ONE_MONO] * times)
+        divisor = divisor._scaled(times)
+
+        def leading(p: Poly) -> tuple[Mono, Fraction]:
+            mono = min(p._terms, key=_grlex_key)
+            return mono, Fraction(p._terms[mono], p._den)
+
+        result = ZERO
+        rem = acc.poly()
+        lead_d, coeff_d = leading(divisor)
+        d_exps = dict(lead_d)
+        while not rem.is_zero():
+            lead_r, coeff_r = leading(rem)
+            r_exps = dict(lead_r)
+            exps = {s: r_exps.get(s, 0) - d_exps.get(s, 0) for s in set(r_exps) | set(d_exps)}
+            if any(e < 0 for e in exps.values()):
+                return None
+            q = coeff_r / coeff_d
+            factor = Poly._trusted({canonical_mono(exps.items()): q.numerator}, q.denominator)
+            result = result + factor
+            rem = rem - factor * divisor
+        return result
+
+    @classmethod
+    def monomial(cls, mono: Iterable[tuple[str, int]]) -> "Poly":
+        """The monomial of ``(name, exponent)`` pairs (see :func:`canonical_mono`)."""
+        return cls._trusted({canonical_mono(mono): 1})
+
+    @staticmethod
     def sum_of_products(products: Iterable[tuple[int, int, Iterable[str]]]) -> "Poly":
         """``sum num/den * name_1 * ... * name_m`` over the ``(num, den,
         names)`` of ``products``, each ``den`` positive; a repeated name is a
@@ -285,7 +339,7 @@ class Poly:
         common = math.lcm(*(den for _, den, _ in products))
         nums: dict[Mono, int] = {}
         for num, den, names in products:
-            mono = _canonical_mono((name, 1) for name in names)
+            mono = canonical_mono((name, 1) for name in names)
             nums[mono] = nums.get(mono, 0) + num * (common // den)
         return _reduced(nums, common)
 
@@ -324,15 +378,9 @@ class Poly:
             buckets.setdefault(tuple(part), {})[tuple(rest)] = num
         return {part: _reduced(nums, self._den) for part, nums in buckets.items()}
 
-    def coefficients_by_power(self, name: str) -> dict[int, "Poly"]:
-        """Split into { d : poly } with self == sum poly_d * name**d."""
-        return {
-            part[0][1] if part else 0: coeff for part, coeff in self.split({name}).items()
-        }
-
     def symbols_by_power(self, name: str) -> dict[int, set[str]]:
-        """``{d: symbols}``, the symbols of ``coefficients_by_power(name)[d]``
-        for each power ``d``, without building the coefficients."""
+        """``{d: symbols}``, the symbols of the coefficient of ``name**d`` in
+        ``self`` for each power ``d``, without building the coefficients."""
         out: dict[int, set[str]] = {}
         for mono in self._terms:
             power, others = 0, set()
@@ -396,11 +444,7 @@ class Poly:
 
     def _scaled(self, num: int, den: int = 1) -> "Poly":
         """``self * num/den`` for nonzero integers ``num`` and ``den``."""
-        if den < 0:
-            num, den = -num, -den
-        if num == den:
-            return self
-        return _reduced({m: n * num for m, n in self._terms.items()}, self._den * den)
+        return self if num == den else _scaled_sum(self._terms, self._den, num, den)
 
     def __truediv__(self, other) -> "Poly":
         # Exact division by a nonzero rational only; polynomial divisors go
@@ -475,35 +519,8 @@ class Poly:
         return total / self._den
 
     def exact_div(self, divisor: "Poly") -> "Poly | None":
-        """Exact polynomial quotient, or None when the division has a remainder.
-
-        A constant divisor scales the numerators; any other divisor goes
-        through multivariate long division against the graded-lex leading term.
-        """
-        if divisor.is_zero():
-            raise ZeroDivisionError("division of polynomial by zero")
-        if divisor.is_const():
-            return self._scaled(divisor._den, divisor._terms[_ONE_MONO])
-
-        def leading(p: Poly) -> tuple[Mono, Fraction]:
-            mono = min(p._terms, key=_grlex_key)
-            return mono, Fraction(p._terms[mono], p._den)
-
-        quotient = Poly()
-        rem = self
-        lead_d, coeff_d = leading(divisor)
-        d_exps = dict(lead_d)
-        while not rem.is_zero():
-            lead_r, coeff_r = leading(rem)
-            r_exps = dict(lead_r)
-            exps = {s: r_exps.get(s, 0) - d_exps.get(s, 0) for s in set(r_exps) | set(d_exps)}
-            if any(e < 0 for e in exps.values()):
-                return None
-            q = coeff_r / coeff_d
-            factor = Poly._trusted({_canonical_mono(exps.items()): q.numerator}, q.denominator)
-            quotient = quotient + factor
-            rem = rem - factor * divisor
-        return quotient
+        """Exact polynomial quotient, or None when the division has a remainder."""
+        return Poly.quotient([(1, ONE, self)], divisor)
 
     # -- rendering -----------------------------------------------------------
 
@@ -532,12 +549,10 @@ class ExpPoly:
     _terms: dict[tuple[Poly, int], Poly]
 
     def __init__(self, terms: Mapping[tuple[Poly, int], Poly] | None = None):
-        clean: dict[tuple[Poly, int], Poly] = {}
-        if terms:
-            for (base, degree), coeff in terms.items():
-                if not coeff.is_zero():
-                    clean[(base, degree)] = coeff
-        self._terms = clean
+        # A copy keeps the keys' hashes; only the zero coefficients are dropped.
+        self._terms = dict(terms or {})
+        for key in [key for key, coeff in self._terms.items() if coeff.is_zero()]:
+            del self._terms[key]
 
     @classmethod
     def _trusted(cls, terms: dict[tuple[Poly, int], Poly]) -> "ExpPoly":
@@ -566,6 +581,26 @@ class ExpPoly:
             if coeff._terms:
                 terms[key] = coeff
         return cls._trusted(terms)
+
+    def residual(self, c: Poly, inhom: "ExpPoly") -> "ExpPoly":
+        """``f(n+1) - c*f(n) - inhom(n)`` for ``f = self`` in one exact pass,
+        the zero value without reducing a sum when all numerators cancel.
+        ``coeff*base**(n+1)*(n+1)**d - c*coeff*base**n*n**d`` is
+        ``base*C(d, j)*coeff`` at each degree ``j < d`` and ``(base -
+        c)*coeff`` at ``d`` (``-c*coeff`` for base 0: ``0**(n+1) == 0``)."""
+        accs: defaultdict[tuple[Poly, int], _Acc] = defaultdict(_Acc)
+        deltas: dict[Poly, Poly] = {}
+        for (base, degree), coeff in self._terms.items():
+            delta = deltas.get(base)
+            if delta is None:
+                delta = deltas[base] = base - c
+            for j in range(degree):
+                accs[(base, j)].add(base, coeff, math.comb(degree, j))
+            accs[(base, degree)].add(delta, coeff)
+        _fold(accs, inhom._terms, -1, 1)
+        if any(any(acc.nums.values()) for acc in accs.values()):
+            return ExpPoly._summed(accs)
+        return ExpPoly._trusted({})
 
     # -- constructors --------------------------------------------------------
 

@@ -581,6 +581,16 @@ def test_public_names_resolve():
     assert {"analyze", "emit", "report_from_json", "ExpPoly"} <= set(namespace)
 
 
+def test_readme_example_output_is_in_report_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Example output for the program above", 1)[1].split("```")[1]
+    shown = [line for line in block.splitlines() if line.startswith("E[")]
+    assert len(shown) == 3
+    lines = iter(emit_txt(analyze(WALK, [1, 2])).splitlines())
+    # each shown line appears after the one before it
+    assert all(line in lines for line in shown), shown
+
+
 def test_benchmark_trace_hooks_resolve(monkeypatch):
     # bench/tracing.py wraps these functions by name and only warns about a
     # missing one, so a renamed stage would silently leave its layer empty

@@ -20,7 +20,7 @@ from loopmoments import (
     topo_order,
 )
 from loopmoments import recurrences
-from loopmoments.symbolic import ONE, ZERO, _Acc
+from loopmoments.symbolic import ONE, ZERO
 
 from corpus import CORPUS, assert_normal_poly, counting_fractions
 
@@ -262,9 +262,9 @@ def test_random_recurrences_match_exact_iteration():
 
 
 def test_self_check_rejects_a_wrong_closed_form(monkeypatch):
-    exact = recurrences._divide
+    exact = Poly.quotient
     monkeypatch.setattr(
-        recurrences, "_divide", lambda acc, divisor: exact(acc, divisor) + 1
+        Poly, "quotient", staticmethod(lambda *args: exact(*args) + 1)
     )
     with pytest.raises(SolverError, match="failed its defining identity"):
         solve_first_order(rec("x^1", Fraction(1, 2), ExpPoly.const(1), 0))
@@ -352,13 +352,10 @@ def test_self_check_rejects_a_wrong_one_point_correction():
     )
 
 
-def _sum(*pairs) -> _Acc:
-    """A fresh sum of ``a * b`` over the pairs, as a coefficient row of the
-    solver is built; its denominator need not be in lowest terms."""
-    acc = _Acc()
-    for a, b in pairs:
-        acc.add(a, b)
-    return acc
+def _row(*pairs) -> list:
+    """A coefficient row of the solver: the products ``1 * a * b`` of the
+    pairs, whose sum need not be in lowest terms."""
+    return [(1, a, b) for a, b in pairs]
 
 
 def test_divide_by_a_constant_matches_fraction_division():
@@ -376,11 +373,11 @@ def test_divide_by_a_constant_matches_fraction_division():
     ]
     values = (Fraction(-3), Fraction(-7, 4), Fraction(-1), Fraction(2, 9), Fraction(5), Fraction(1))
     for pairs in rows:
-        numerator = _sum(*pairs).poly()
+        numerator = Poly.linear_combination(pairs)
         for value in values:
-            acc, divisor = _sum(*pairs), Poly.const(value)
+            row, divisor = _row(*pairs), Poly.const(value)
             with counting_fractions() as count:
-                got = recurrences._divide(acc, divisor)
+                got = Poly.quotient(row, divisor)
             assert count == [0], value
             assert dict(got.terms()) == {mono: c / value for mono, c in numerator.terms()}
             assert got == numerator / value
@@ -391,32 +388,45 @@ def test_divide_by_a_resonant_divisor():
     # at resonance the coefficient of n^(m+1) is divided by base*(m+1)
     p = Poly.var("p")
     pairs = ((Poly.const(Fraction(1, 6)), p**2 - 1), (Poly.const(Fraction(1, 10)), p))
-    numerator = _sum(*pairs).poly()
+    numerator = Poly.linear_combination(pairs)
     for base in (Fraction(1, 2), Fraction(-1, 3), Fraction(1), Fraction(-2), Fraction(5, 4)):
         for m in range(4):
-            divisor = Poly.const(base)._scaled(m + 1)
-            got = recurrences._divide(_sum(*pairs), divisor)
+            with counting_fractions() as count:
+                got = Poly.quotient(_row(*pairs), Poly.const(base), m + 1)
+            assert count == [0], (base, m)
             value = base * (m + 1)
             assert dict(got.terms()) == {mono: c / value for mono, c in numerator.terms()}
+            assert got == Poly.quotient(_row(*pairs), Poly.const(value))
             assert_normal_poly(got)
 
 
 def test_divide_by_a_parameterized_divisor():
     p = Poly.var("p")
-    assert recurrences._divide(_sum((ONE, p * p - 1)), p - 1) == p + 1
+    assert Poly.quotient(_row((ONE, p * p - 1)), p - 1) == p + 1
     third = Poly.const(Fraction(1, 3))
-    assert recurrences._divide(_sum((third, p), (third, -ONE)), 2 * p - 2) == Poly.const(
+    assert Poly.quotient(_row((third, p), (third, -ONE)), 2 * p - 2) == Poly.const(
         Fraction(1, 6)
     )
+    # integer weights scale their products; times scales the divisor
+    assert Poly.quotient([(3, p, p), (-3, ONE, ONE)], p - 1) == 3 * p + 3
+    assert Poly.quotient([(3, p, p), (-3, ONE, ONE)], p - 1, 3) == p + 1
+    assert Poly.quotient(_row((ONE, p)), p, 2) == Poly.const(Fraction(1, 2))
+    assert Poly.quotient(_row((ONE, p), (ONE, Poly.const(2))), p - 1) is None
+    # f(n+1) = f(n) + (p + 2)*p^n: the row of p^n divides p + 2 by p - 1
     with pytest.raises(UnresolvedBaseError) as err:
-        recurrences._divide(_sum((ONE, p), (ONE, Poly.const(2))), p - 1)
+        solve_first_order(rec("v^1", 1, ExpPoly({(p, 0): p + 2}), 0))
     assert str(err.value) == (
         "cannot divide p + 2 exactly by the parameterized quantity p - 1; "
         "closed-form coefficients would leave the polynomial ring"
     )
     assert (err.value.numerator, err.value.divisor) == (p + 2, p - 1)
-    with pytest.raises(SolverError, match="division by zero"):
-        recurrences._divide(_sum((ONE, p)), Poly())
+    # f(n+1) = p*f(n) + n*p^n is resonant: its top row divides 1 by 2*p
+    with pytest.raises(UnresolvedBaseError) as err:
+        solve_first_order(rec("v^1", p, ExpPoly({(p, 1): ONE}), 0))
+    assert (err.value.numerator, err.value.divisor) == (ONE, 2 * p)
+    assert "cannot divide 1 exactly by the parameterized quantity 2*p;" in str(err.value)
+    with pytest.raises(ZeroDivisionError):
+        Poly.quotient(_row((ONE, p)), Poly())
 
 
 def test_solver_failures_name_the_moment():

@@ -1,7 +1,9 @@
 """Polynomial and exponential-polynomial algebra."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -113,7 +115,7 @@ def test_substitute_matches_the_sum_over_powers():
         for power in (q.__pow__, values.__getitem__):
             got = p.substitute("x", power)
             want = Poly.linear_combination(
-                (c, power(k)) for k, c in p.coefficients_by_power("x").items()
+                (c, power(part[0][1] if part else 0)) for part, c in p.split({"x"}).items()
             )
             assert_normal_poly(got)
             _assert_same_value(got, want)
@@ -189,10 +191,9 @@ def test_kernel_results_stay_in_normal_form():
         p, q, r = (_random_poly(rng, symbols="xyz") for _ in range(3))
         results = [p + q, p - q, -p, p * q, p / Fraction(-3, 7), p**3]
         results += [p.substitute("x", q.__pow__), p.substitute("y", (q * r).__pow__)]
-        results += p.coefficients_by_power("y").values()
-        assert p.symbols_by_power("y") == {
-            d: c.symbols() for d, c in p.coefficients_by_power("y").items()
-        }
+        by_power = {part[0][1] if part else 0: c for part, c in p.split({"y"}).items()}
+        results += by_power.values()
+        assert p.symbols_by_power("y") == {d: c.symbols() for d, c in by_power.items()}
         results.append(p.exact_div(Poly.var("y") + 1))
         if not q.is_zero():
             results += [p.exact_div(q), (p * q).exact_div(q)]
@@ -435,17 +436,44 @@ def test_exact_division():
         x.exact_div(Poly())
 
 
-def test_coefficients_by_power():
+def test_split_by_the_powers_of_one_name():
     p = 2 * x**2 * y + x * b - y + 5
-    split = p.coefficients_by_power("x")
-    assert split[2] == 2 * y
-    assert split[1] == b
-    assert split[0] == -y + 5
-    recombined = sum((c * x**d for d, c in split.items()), Poly())
+    split = p.split({"x"})
+    assert split[(("x", 2),)] == 2 * y
+    assert split[(("x", 1),)] == b
+    assert split[()] == -y + 5
+    recombined = sum((c * Poly.monomial(part) for part, c in split.items()), Poly())
     assert recombined == p
 
 
+def test_monomial_is_canonical():
+    assert Poly.monomial((("y", 1), ("x", 2), ("y", 1), ("b", 0))) == x**2 * y**2
+    assert Poly.monomial(()) == ONE
+    with pytest.raises(ValueError, match="negative exponent"):
+        Poly.monomial((("x", -1),))
+
+
 # -- exponential polynomials -------------------------------------------------
+
+
+def test_only_the_kernel_reads_the_number_format():
+    # Poly's integer numerators over one denominator belong to symbolic.py:
+    # every other module builds and reads values through public names.
+    private = {"_terms", "_den", "_trusted", "_scaled"}
+    found = []
+    for path in sorted(Path(symbolic.__file__).parent.glob("*.py")):
+        if path.name == "symbolic.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("symbolic"):
+                found += [
+                    f"{path.name}:{node.lineno} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+            elif isinstance(node, ast.Attribute) and node.attr in private:
+                found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+    assert found == []
 
 
 def test_exp_poly_evaluation_examples():
@@ -487,6 +515,35 @@ def test_shift_agrees_with_pointwise_evaluation():
         for n in range(0, 11):
             expected = f.evaluate(n + 1) - c * f.evaluate(n)
             assert residual.evaluate(n) == expected
+
+
+def test_residual_agrees_with_pointwise_evaluation():
+    # f(n+1) - c*f(n) - inhom(n) over constant, base-0, resonant (base == c)
+    # and parameterised bases, with c itself constant or parameterised
+    rng = random.Random(2525)
+    p = Poly.var("p")
+    points = ({"p": Fraction(3)}, {"p": Fraction(-2, 5)})
+    for _ in range(150):
+        c = rng.choice((Poly.const(Fraction(1, 2)), Poly.const(2), ZERO, ONE, p, p + 1))
+        bases = (c, ZERO, ONE, Poly.const(Fraction(-1, 3)), p, 2 * p - 1)
+
+        def random_f():
+            pairs = []
+            for _ in range(rng.randint(0, 4)):
+                coeff = _random_const(rng) * (p if rng.random() < 0.3 else ONE)
+                pairs.append((coeff, ExpPoly({(rng.choice(bases), rng.randint(0, 3)): ONE})))
+            return ExpPoly.linear_combination(pairs)
+
+        f, inhom = random_f(), random_f()
+        residual = f.residual(c, inhom)
+        _assert_normal_exp_poly(residual)
+        for point in points:
+            cv = c.evaluate(point)
+            for n in range(6):
+                want = f.evaluate(n + 1, point) - cv * f.evaluate(n, point)
+                assert residual.evaluate(n, point) == want - inhom.evaluate(n, point)
+        # f solves the recurrence whose inhomogeneity is its own left side
+        assert f.residual(c, f.residual(c, ExpPoly())).is_zero()
 
 
 def _fraction_sorted_terms(f: ExpPoly) -> list[tuple[Poly, int, Poly]]:
