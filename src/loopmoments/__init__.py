@@ -26,14 +26,10 @@ from .moments import (
     moment_equation,
 )
 from .pipeline import (
-    AllVarsGoal,
     Analysis,
     Goal,
     GoalError,
     InvariantReport,
-    MomentGoal,
-    VerifyEntry,
-    VerifyReport,
     analyze,
     goal_moments,
     parse_goals,
@@ -49,6 +45,14 @@ from .recurrences import (
 )
 from .report import emit, emit_json, emit_tex, emit_txt, report_from_json
 from .symbolic import ExpPoly, Poly, UnboundSymbolError
-from .verifier import MomentEstimate, SimConfig, VerifierError, check, simulate
+from .verifier import (
+    MomentEstimate,
+    SimConfig,
+    VerifierError,
+    VerifyEntry,
+    VerifyReport,
+    check,
+    simulate,
+)
 
 __version__ = "0.1.0"

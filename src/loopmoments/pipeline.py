@@ -1,13 +1,16 @@
 """End-to-end analysis: from loop source text to closed-form moments.
 
-A goal is either "the k-th moments of every program variable" (every name
-in the validated program's ``variables``, written as a bare integer) or one
-specific monomial moment (written like ``x^2`` or ``x^2*y``).
+A goal is a plain value: an ``int`` k for "the k-th moments of every
+program variable" (every name in the validated program's ``variables``) or
+the :class:`Moment` of one specific monomial (written like ``x^2`` or
+``x^2*y``).
 :func:`analyze` runs the whole pipeline -- parse, validate, collect the
 needed moments, order and solve their recurrences -- records every stage's
 output in one :class:`Analysis`, and returns the :class:`InvariantReport`
 built from it, whose symbolic initials are the symbols of unspecified
-initial values that the initial moments hold.  The stage functions are
+initial values that the initial moments hold.  The side conditions are the
+list that ``solve_all`` returns, and a report's verification is the
+verifier's ``VerifyReport``.  The stage functions are
 looked up in this module's namespace at call time, so a caller can wrap
 them.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Iterable, Mapping, Sequence, Union
 
 from .frontend import ValidatedProgram, parse_program, validate_program
@@ -30,29 +34,11 @@ from .moments import (
 )
 from .recurrences import solve_all, topo_order
 from .symbolic import ExpPoly, Poly
+from .verifier import VerifyReport
 
 
-@dataclass(frozen=True)
-class AllVarsGoal:
-    """The k-th moment of every assigned variable."""
-
-    k: int
-
-    def __str__(self) -> str:
-        return str(self.k)
-
-
-@dataclass(frozen=True)
-class MomentGoal:
-    """One specific monomial moment."""
-
-    moment: Moment
-
-    def __str__(self) -> str:
-        return str(self.moment)
-
-
-Goal = Union[AllVarsGoal, MomentGoal]
+# A goal: the k-th moments of every variable, or one moment.
+Goal = Union[int, Moment]
 
 
 class GoalError(ValueError):
@@ -60,39 +46,38 @@ class GoalError(ValueError):
 
 
 def parse_goals(
-    raw: Sequence[Union[Goal, str, int]], variables: Iterable[str] | None = None
+    raw: Sequence[Union[Goal, str]], variables: Iterable[str] | None = None
 ) -> list[Goal]:
     """Turn goal tokens into goals and check them.
 
-    Goal objects are taken as they are, integer tokens (or strings of an
-    optional ``-`` and digits) become :class:`AllVarsGoal`, and anything
-    else is parsed as a monomial.  Every order must be at least 1; when
-    ``variables`` is given, monomial goals must only mention those names.
+    A :class:`Moment` is taken as it is, an integer token (or a string of an
+    optional ``-`` and digits) becomes a plain ``int``, and anything else is
+    parsed as a monomial.  Every order must be at least 1; when
+    ``variables`` is given, moment goals must only mention those names.
     """
     if not raw:
         raise GoalError("at least one goal is required")
     known = set(variables) if variables is not None else None
     goals: list[Goal] = []
     for token in raw:
-        if isinstance(token, (AllVarsGoal, MomentGoal)):
+        if isinstance(token, Moment):
             goal = token
-        elif isinstance(token, int) or (isinstance(token, str) and re.fullmatch(r"-?\d+", token.strip())):
+        elif isinstance(token, Integral) or (isinstance(token, str) and re.fullmatch(r"-?\d+", token.strip())):
             try:
-                order = int(token)
+                goal = int(token)
             except ValueError:  # more digits than the interpreter reads as an int
                 length = len(token.strip())
                 raise GoalError(f"moment order too long ({length} characters)") from None
-            goal = AllVarsGoal(order)
         else:
             try:
-                goal = MomentGoal(Moment.parse(str(token)))
+                goal = Moment.parse(str(token))
             except ValueError as exc:
                 raise GoalError(str(exc)) from None
-        if isinstance(goal, AllVarsGoal):
-            if goal.k < 1:
-                raise GoalError(f"moment order must be >= 1, got {goal.k}")
+        if isinstance(goal, int):
+            if goal < 1:
+                raise GoalError(f"moment order must be >= 1, got {goal}")
         elif known is not None:
-            unknown = sorted(set(goal.moment.variables()) - known)
+            unknown = sorted(set(goal.variables()) - known)
             if unknown:
                 raise GoalError(
                     f"goal {str(token)!r} mentions unknown variable(s): {', '.join(unknown)}"
@@ -105,39 +90,12 @@ def goal_moments(goals: Sequence[Goal], vp: ValidatedProgram) -> set[Moment]:
     """The concrete moments a goal list asks for."""
     wanted: set[Moment] = set()
     for goal in goals:
-        if isinstance(goal, AllVarsGoal):
+        if isinstance(goal, int):
             for var in vp.variables:
-                wanted.add(Moment.single(var, goal.k))
+                wanted.add(Moment.single(var, goal))
         else:
-            wanted.add(goal.moment)
+            wanted.add(goal)
     return wanted
-
-
-@dataclass(frozen=True)
-class VerifyEntry:
-    """Comparison of one closed form against its simulation estimate."""
-
-    moment: Moment
-    expected: float
-    mean: float
-    sd: float
-    se: float
-    margin: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    iterations: int
-    trials: int
-    seed: int
-    z: float
-    bindings: tuple[tuple[str, str], ...]  # parameter -> exact rational, as text
-    entries: tuple[VerifyEntry, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
 
 
 @dataclass(frozen=True)
@@ -201,7 +159,7 @@ class InvariantReport:
 
 def analyze(
     source_text: str,
-    goals: Sequence[Union[Goal, str, int]],
+    goals: Sequence[Union[Goal, str]],
     *,
     name: str = "<input>",
     max_closure: int = CLOSURE_CAP,

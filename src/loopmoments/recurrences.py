@@ -9,7 +9,9 @@ recurrences are solved exactly by undetermined coefficients: every base of
 the inhomogeneity contributes an ansatz polynomial of matching degree (one
 higher when the base equals ``c``), and the homogeneous term absorbs the
 initial value.  The resulting triangular systems are solved top-down over
-exact polynomial coefficients.
+exact polynomial coefficients.  What a closed form assumes about its
+parameters is :meth:`Recurrence.side_conditions`; :func:`solve_all` owns
+the side-condition list, merging every moment's in solve order.
 
 Every closed form is verified symbolically before it is returned: the
 kernel's residual ``f(n+1) - c*f(n) - inhom(n)`` (:meth:`ExpPoly.residual`)
@@ -37,15 +39,16 @@ class UnresolvedBaseError(SolverError):
 
     Raised when deciding whether a base equals the self-coefficient -- or
     dividing by their difference -- would require reasoning about parameter
-    values.  The honest outcome is an error naming both quantities, not a
-    guess.
+    values.  The honest outcome is an error naming the moment and both
+    quantities, not a guess.
     """
 
-    def __init__(self, numerator: Poly, divisor: Poly):
+    def __init__(self, moment: Moment, numerator: Poly, divisor: Poly):
         super().__init__(
-            f"cannot divide {numerator} exactly by the parameterized quantity "
-            f"{divisor}; closed-form coefficients would leave the polynomial ring"
+            f"E[{moment}]: cannot divide {numerator} exactly by the parameterized "
+            f"quantity {divisor}; closed-form coefficients would leave the polynomial ring"
         )
+        self.moment = moment
         self.numerator = numerator
         self.divisor = divisor
 
@@ -59,6 +62,18 @@ class Recurrence:
     self_coeff: Poly
     inhom: ExpPoly
     init: Poly
+
+    def side_conditions(self) -> list[str]:
+        """What the closed form assumes: each inhomogeneity base whose
+        difference from ``self_coeff`` is not constant is assumed distinct
+        from it, as ``"base != c"``, with the bases in the closed form's
+        print order."""
+        c = self.self_coeff
+        bases = {base for base, _, _ in self.inhom.terms()}
+        # For a constant c, base - c is constant exactly when base is.
+        assumed = {b for b in bases if not (b.is_const() if c.is_const() else (b - c).is_const())}
+        # Only an assumed base needs the print order, which costs a sort.
+        return [f"{b} != {c}" for b in self.inhom.by_base() if b in assumed] if assumed else []
 
 
 def topo_order(equations: Mapping[Moment, MomentEquation]) -> list[Moment]:
@@ -135,7 +150,7 @@ def build_recurrence(
     )
 
 
-def solve_first_order(rec: Recurrence, side_conditions: list[str] | None = None) -> ExpPoly:
+def solve_first_order(rec: Recurrence) -> ExpPoly:
     """Exact closed form of a first-order constant-coefficient recurrence.
 
     Per inhomogeneity base rho with polynomial part P of degree d, the
@@ -150,13 +165,9 @@ def solve_first_order(rec: Recurrence, side_conditions: list[str] | None = None)
     term in the result (0^n with 0^0 == 1) carries a one-point correction
     at n = 0; base-0 resonance (c == 0 meeting a base-0 inhomogeneity)
     would need a correction at n = 1, which this representation cannot
-    express, so it is reported as an error.
-
-    Each parameterized base assumed distinct from ``c`` is appended to
-    ``side_conditions`` as ``"base != c"``, once, with the bases taken in
-    the closed form's print order.
+    express, so it is reported as an error.  What it assumes about the
+    parameters is :meth:`Recurrence.side_conditions`.
     """
-    sides = side_conditions if side_conditions is not None else []
     c = rec.self_coeff
     particular: dict[tuple[Poly, int], Poly] = {}
 
@@ -169,10 +180,6 @@ def solve_first_order(rec: Recurrence, side_conditions: list[str] | None = None)
                 f"E[{rec.target}]: inhomogeneity active only at n = 0 with no "
                 "self-term; the transient at n = 1 has no closed form here"
             )
-        if not delta.is_const():
-            note = f"{base} != {c}"
-            if note not in sides:
-                sides.append(note)
         # Q(n) = sum_j q_j n^j with base*Q(n+1) - c*Q(n) = P(n); the
         # coefficient of n^m gives (base - c)*q_m + base*sum_{j>m} C(j,m)*q_j
         # = P_m, solved top-down.  At resonance the first term vanishes, so
@@ -187,7 +194,7 @@ def solve_first_order(rec: Recurrence, side_conditions: list[str] | None = None)
             divisor, times = (base, m + 1) if resonant else (delta, 1)
             quotient = Poly.quotient(row, divisor, times)
             if quotient is None:
-                raise UnresolvedBaseError(Poly.quotient(row, ONE), divisor * times)
+                raise UnresolvedBaseError(rec.target, Poly.quotient(row, ONE), divisor * times)
             q[m + shift] = quotient
         # Distinct bases give distinct keys, so nothing here sums; ExpPoly
         # drops the zero coefficients.
@@ -226,17 +233,14 @@ def solve_all(
 ) -> tuple[dict[Moment, ExpPoly], list[str]]:
     """Closed forms for every moment along a dependency order.
 
-    Returns the solution map and the side conditions assumed while solving
-    (parameterized bases treated as distinct from self-coefficients).
+    Returns the solution map and the side conditions assumed while solving:
+    every moment's :meth:`Recurrence.side_conditions` in solve order, each
+    kept at its first occurrence.
     """
     solved: dict[Moment, ExpPoly] = {}
-    sides: list[str] = []
+    notes: list[str] = []
     for moment in order:
         rec = build_recurrence(equations[moment], solved, init_moments)
-        try:
-            solved[moment] = solve_first_order(rec, sides)
-        except SolverError as exc:
-            if f"E[{moment}]" not in str(exc):
-                exc.args = (f"E[{moment}]: {exc.args[0]}",)
-            raise
-    return solved, sides
+        solved[moment] = solve_first_order(rec)
+        notes += rec.side_conditions()
+    return solved, list(dict.fromkeys(notes))

@@ -33,14 +33,7 @@ from fractions import Fraction
 from typing import Any, Iterator
 
 from .moments import Moment
-from .pipeline import (
-    AllVarsGoal,
-    Goal,
-    InvariantReport,
-    MomentGoal,
-    VerifyEntry,
-    VerifyReport,
-)
+from .pipeline import Goal, InvariantReport
 from .symbolic import (
     ONE,
     TEX,
@@ -53,6 +46,7 @@ from .symbolic import (
     render_sum,
     render_terms,
 )
+from .verifier import VerifyEntry, VerifyReport
 
 FORMATS = ("txt", "tex", "json")
 
@@ -275,15 +269,15 @@ def _exp_poly_from_json(data: list[dict[str, Any]], bases: dict[_Ratios, Poly]) 
 
 
 def _goal_to_json(goal: Goal) -> dict[str, Any]:
-    if isinstance(goal, AllVarsGoal):
-        return {"kind": "all", "k": goal.k}
-    return {"kind": "moment", "moment": str(goal.moment)}
+    if isinstance(goal, int):
+        return {"kind": "all", "k": goal}
+    return {"kind": "moment", "moment": str(goal)}
 
 
 def _goal_from_json(data: dict[str, Any]) -> Goal:
     if data["kind"] == "all":
-        return AllVarsGoal(int(data["k"]))
-    return MomentGoal(Moment.parse(data["moment"]))
+        return int(data["k"])
+    return Moment.parse(data["moment"])
 
 
 # Standard JSON has no Infinity or NaN: a value that needs one is a bug.

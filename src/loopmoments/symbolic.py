@@ -448,7 +448,7 @@ class Poly:
 
     def __truediv__(self, other) -> "Poly":
         # Exact division by a nonzero rational only; polynomial divisors go
-        # through exact_div so callers must handle failure explicitly.
+        # through quotient so callers must handle failure explicitly.
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division of polynomial by zero")
@@ -517,10 +517,6 @@ class Poly:
                 value *= Fraction(bindings[sym]) ** exp
             total += value
         return total / self._den
-
-    def exact_div(self, divisor: "Poly") -> "Poly | None":
-        """Exact polynomial quotient, or None when the division has a remainder."""
-        return Poly.quotient([(1, ONE, self)], divisor)
 
     # -- rendering -----------------------------------------------------------
 

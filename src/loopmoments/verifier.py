@@ -5,7 +5,9 @@ the program's ``symbols`` (its parameters and ``v(0)`` initial values),
 starting each trial from its ``initial`` table and sampling its ``draws``
 every iteration.  It estimates the target moments at iteration ``n`` from
 independent trials and compares each estimate against the exact closed
-form with a z-score rule.  The symbolic side is exact, so the whole
+form with a z-score rule: :func:`check` builds the verdict, a
+:class:`VerifyReport` of one :class:`VerifyEntry` per target, and the
+report only carries it.  The symbolic side is exact, so the whole
 tolerance budget is statistical.  The standard error is the *sample* one,
 so a correct closed form of a skewed moment can FAIL: most samples miss the
 rare paths that carry its mean, and the estimate runs low with too small a
@@ -32,7 +34,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .frontend import DISTRIBUTIONS, Distribution, ValidatedProgram
-from .pipeline import VerifyEntry, VerifyReport
 from .moments import Moment
 from .symbolic import ExpPoly, Poly, UnboundSymbolError
 
@@ -70,6 +71,36 @@ class SimConfig:
             raise VerifierError("at least two trials are needed for a standard error")
         if self.seed < 0:
             raise VerifierError("seed must be >= 0")
+
+
+@dataclass(frozen=True)
+class VerifyEntry:
+    """Comparison of one closed form against its simulation estimate."""
+
+    moment: Moment
+    expected: float
+    mean: float
+    sd: float
+    se: float
+    margin: float
+    passed: bool
+
+
+@dataclass(frozen=True)
+class VerifyReport:
+    """The verdict of :func:`check`: the run's configuration and one entry
+    per target moment; it passes when every entry does."""
+
+    iterations: int
+    trials: int
+    seed: int
+    z: float
+    bindings: tuple[tuple[str, str], ...]  # parameter -> exact rational, as text
+    entries: tuple[VerifyEntry, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(e.passed for e in self.entries)
 
 
 @dataclass(frozen=True)

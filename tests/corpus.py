@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from loopmoments import (
-    AllVarsGoal,
     ExpPoly,
     InvariantReport,
     Moment,
@@ -236,9 +235,7 @@ def reference_json(report: InvariantReport) -> str:
         "variables": list(report.variables),
         "parameters": list(report.parameters),
         "goals": [
-            {"kind": "all", "k": g.k}
-            if isinstance(g, AllVarsGoal)
-            else {"kind": "moment", "moment": str(g.moment)}
+            {"kind": "all", "k": g} if isinstance(g, int) else {"kind": "moment", "moment": str(g)}
             for g in report.goals
         ],
         "invariants": [

@@ -131,6 +131,19 @@ def test_walk_second_moment_of_y():
     assert eq.constant == b**2 / 3 + 1
 
 
+def test_equation_text_on_the_walk():
+    analysis = analyze(WALK, [2]).analysis
+    assert [str(analysis.equations[m]) for m in analysis.order] == [
+        "E[g^2]' = 1",
+        "E[u^2]' = b^2/3",
+        "E[x^2]' = E[x^2] + b^2/3",
+        "E[x^1*y^1]' = E[x^1*y^1] + E[x^2] + b^2/3",
+        "E[y^2]' = (2)*E[x^1*y^1] + E[x^2] + E[y^2] + b^2/3 + 1",
+    ]
+    # an equation with no terms at all still shows its constant
+    assert str(MomentEquation(M("v^1"), {}, Poly())) == "E[v^1]' = 0"
+
+
 def test_identity_update_equation():
     vp = validate_program(parse_program("v=0\nwhile true:\nv = v\n"))
     eq = moment_equation(M("v^1"), vp, MomentTable())

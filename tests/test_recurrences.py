@@ -209,6 +209,28 @@ def test_parameterized_base_with_exact_division_records_side_condition():
         assert solved[M("w^1")].evaluate(n, {"p": 3}) == Fraction(3) ** (n + 1) - 3
 
 
+def test_solve_all_merges_side_conditions_in_solve_order():
+    def per_moment(analysis) -> list[str]:
+        notes = []
+        for moment in analysis.order:
+            equation = analysis.equations[moment]
+            rec = build_recurrence(equation, analysis.solved, analysis.initial_moments)
+            notes += rec.side_conditions()
+        return notes
+
+    # w and u both sum p^n: each recurrence assumes p != 1, and the merged
+    # list names it once
+    source = "v = p - 1\nw = 0\nu = 0\nwhile true:\nv = p*v\nw = w + v\nu = u + v\n"
+    twice = analyze(source, ["w", "u"]).analysis
+    assert per_moment(twice) == ["p != 1", "p != 1"]
+    assert twice.side_conditions == ("p != 1",)
+    # a longer list keeps each note at its first occurrence, in solve order
+    three = corpus_analysis("three_bases")
+    notes = per_moment(three)
+    assert notes[:2] == ["q != r", "p != r"]
+    assert three.side_conditions == tuple(dict.fromkeys(notes))
+
+
 def test_side_condition_order_ignores_term_insertion_order():
     # the same inhomogeneity built in two insertion orders: the side
     # conditions follow the closed form's print order either way
@@ -216,12 +238,19 @@ def test_side_condition_order_ignores_term_insertion_order():
     pq = ExpPoly({(p, 0): p - r, (q, 0): q - r})
     qp = ExpPoly({(q, 0): q - r, (p, 0): p - r})
     assert pq == qp
-    sides_pq: list[str] = []
-    sides_qp: list[str] = []
-    f_pq = solve_first_order(rec("z^1", r, pq, 0), sides_pq)
-    f_qp = solve_first_order(rec("z^1", r, qp, 0), sides_qp)
-    assert f_pq == f_qp
-    assert sides_pq == sides_qp == ["q != r", "p != r"]
+    rec_pq, rec_qp = rec("z^1", r, pq, 0), rec("z^1", r, qp, 0)
+    assert solve_first_order(rec_pq) == solve_first_order(rec_qp)
+    assert rec_pq.side_conditions() == rec_qp.side_conditions() == ["q != r", "p != r"]
+
+
+def test_side_conditions_name_each_base_not_a_constant_away_from_c():
+    p, q = Poly.var("p"), Poly.var("q")
+    inhom = ExpPoly({(p + 1, 0): ONE, (q, 1): ONE, (ONE, 0): ONE, (Poly.const(2), 0): ONE})
+    # c = p: p + 1 is a constant away, while q and the constants are not
+    assert rec("v^1", p, inhom, 0).side_conditions() == ["q != p", "2 != p", "1 != p"]
+    # a constant c: exactly the parameterized bases
+    assert rec("v^1", 1, inhom, 0).side_conditions() == ["q != 1", "p + 1 != 1"]
+    assert rec("v^1", 1, ExpPoly.const(1), 0).side_conditions() == []
 
 
 def test_negative_base_stays_symbolic():
@@ -416,10 +445,10 @@ def test_divide_by_a_parameterized_divisor():
     with pytest.raises(UnresolvedBaseError) as err:
         solve_first_order(rec("v^1", 1, ExpPoly({(p, 0): p + 2}), 0))
     assert str(err.value) == (
-        "cannot divide p + 2 exactly by the parameterized quantity p - 1; "
+        "E[v^1]: cannot divide p + 2 exactly by the parameterized quantity p - 1; "
         "closed-form coefficients would leave the polynomial ring"
     )
-    assert (err.value.numerator, err.value.divisor) == (p + 2, p - 1)
+    assert (err.value.moment, err.value.numerator, err.value.divisor) == (M("v^1"), p + 2, p - 1)
     # f(n+1) = p*f(n) + n*p^n is resonant: its top row divides 1 by 2*p
     with pytest.raises(UnresolvedBaseError) as err:
         solve_first_order(rec("v^1", p, ExpPoly({(p, 1): ONE}), 0))

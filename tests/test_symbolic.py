@@ -194,9 +194,9 @@ def test_kernel_results_stay_in_normal_form():
         by_power = {part[0][1] if part else 0: c for part, c in p.split({"y"}).items()}
         results += by_power.values()
         assert p.symbols_by_power("y") == {d: c.symbols() for d, c in by_power.items()}
-        results.append(p.exact_div(Poly.var("y") + 1))
+        results.append(Poly.quotient([(1, ONE, p)], Poly.var("y") + 1))
         if not q.is_zero():
-            results += [p.exact_div(q), (p * q).exact_div(q)]
+            results += [Poly.quotient([(1, ONE, p)], q), Poly.quotient([(1, ONE, p * q)], q)]
         for res in results:
             if res is not None:
                 assert_normal_poly(res)
@@ -421,19 +421,19 @@ def test_exact_division():
     for k in range(1, 7):
         numerator = b_ ** (k + 1) - a_ ** (k + 1)
         telescoped = sum((a_**i * b_ ** (k - i) for i in range(k + 1)), Poly())
-        assert numerator.exact_div(b_ - a_) == telescoped
-    assert (x**2 + 1).exact_div(x + 1) is None
-    assert (x * 6).exact_div(Poly.const(3)) == 2 * x
+        assert Poly.quotient([(1, ONE, numerator)], b_ - a_) == telescoped
+    assert Poly.quotient([(1, ONE, x**2 + 1)], x + 1) is None
+    assert Poly.quotient([(1, ONE, x * 6)], Poly.const(3)) == 2 * x
     # a constant divisor scales the integer numerators: no Fraction is built
     p = x**2 / 3 - 2 * x * y + Fraction(5, 7)
     for value in (Fraction(-3), Fraction(-7, 4), Fraction(2, 9)):
         divisor = Poly.const(value)
         with counting_fractions() as count:
-            quotient = p.exact_div(divisor)
+            quotient = Poly.quotient([(1, ONE, p)], divisor)
         assert count == [0], value
         assert quotient == p / value
     with pytest.raises(ZeroDivisionError):
-        x.exact_div(Poly())
+        Poly.quotient([(1, ONE, x)], Poly())
 
 
 def test_split_by_the_powers_of_one_name():
