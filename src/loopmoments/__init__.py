@@ -1,9 +1,10 @@
 """Exact closed-form moments for probabilistic loop programs.
 
 The public surface: :func:`analyze` runs source text through the whole
-pipeline and returns an :class:`InvariantReport`, whose ``analysis`` is the
-:class:`Analysis` record of every stage's output; the frontend, moment,
-recurrence, report, and verifier modules expose the individual stages.
+pipeline and returns an :class:`InvariantReport`, the one record of every
+stage's output (``validated``, ``equations``, ``order`` and the closed forms
+in ``invariants``); the frontend, moment, recurrence, report, and verifier
+modules expose the individual stages.
 """
 
 from .frontend import (
@@ -26,7 +27,6 @@ from .moments import (
     moment_equation,
 )
 from .pipeline import (
-    Analysis,
     Goal,
     GoalError,
     InvariantReport,

@@ -8,7 +8,8 @@ Usage::
                  --iters 20 --trials 100000 --seed 0]
 
 Exit codes: 0 success, 1 verification or configuration failure, 2 parse
-error (including unreadable or non-UTF-8 input and bad goals), 3
+error (including unreadable or non-UTF-8 input, bad goals and bad flags
+such as a ``--max-closure`` below 1), 3
 unsupported program structure, 4 solver failure or moment-set blowup.
 Diagnostics go to stderr; the report goes to stdout and, when requested,
 to a file: one that cannot be written exits 2 after the report is printed.
@@ -99,7 +100,10 @@ def _parse_bindings(pairs: Sequence[str]) -> dict[str, Fraction]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.max_closure < 1:
+        parser.error(f"argument --max-closure: must be at least 1, got {args.max_closure}")
     code = EXIT_OK
     try:
         if not args.goal:
@@ -112,7 +116,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             cfg = SimConfig(
                 bindings=bindings, iterations=args.iters, trials=args.trials, seed=args.seed
             )
-            estimates = simulate(report.analysis.program, cfg, set(report.invariants))
+            estimates = simulate(report.validated, cfg, set(report.invariants))
             report = report.with_verification(check(report.invariants, estimates, cfg))
             if not report.verification.passed:
                 code = EXIT_FAILURE

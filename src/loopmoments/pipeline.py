@@ -5,12 +5,13 @@ program variable" (every name in the validated program's ``variables``) or
 the :class:`Moment` of one specific monomial (written like ``x^2`` or
 ``x^2*y``).
 :func:`analyze` runs the whole pipeline -- parse, validate, collect the
-needed moments, order and solve their recurrences -- records every stage's
-output in one :class:`Analysis`, and returns the :class:`InvariantReport`
-built from it, whose symbolic initials are the symbols of unspecified
-initial values that the initial moments hold.  The side conditions are the
-list that ``solve_all`` returns, and a report's verification is the
-verifier's ``VerifyReport``.  The stage functions are
+needed moments, order and solve their recurrences -- and returns one
+:class:`InvariantReport` that holds every stage's output once: the closed
+forms and what a renderer prints, plus the validated program, the moment
+equations and their solve order as working state.  Its symbolic initials
+are the symbols of unspecified initial values that the initial moments
+hold, its side conditions are the list that ``solve_all`` returns, and its
+verification is the verifier's ``VerifyReport``.  The stage functions are
 looked up in this module's namespace at call time, so a caller can wrap
 them.
 """
@@ -99,35 +100,21 @@ def goal_moments(goals: Sequence[Goal], vp: ValidatedProgram) -> set[Moment]:
 
 
 @dataclass(frozen=True)
-class Analysis:
-    """Every stage's output of one :func:`analyze` run, in stage order.
-
-    ``program`` is the validated program, ``goals`` the parsed goals,
-    ``equations`` the one-step equation of every moment in the closure,
-    ``order`` the dependency order they are solved in, ``initial_moments``
-    their values at ``n = 0``, ``solved`` the closed form of every one, and
-    ``side_conditions`` what the solver assumed.
-    """
-
-    program: ValidatedProgram
-    goals: tuple[Goal, ...]
-    equations: Mapping[Moment, MomentEquation]
-    order: tuple[Moment, ...]
-    initial_moments: Mapping[Moment, Poly]
-    solved: Mapping[Moment, ExpPoly]
-    side_conditions: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class InvariantReport:
-    """Everything the analysis produced, ready for rendering.
+    """Every stage's output of one :func:`analyze` run, ready for rendering.
 
-    ``invariants`` and ``initial_moments`` are copied in canonical moment
-    order (:meth:`Moment.sort_key`), the order every renderer prints.
-    ``analysis`` is the working state behind the report, for follow-up
-    stages such as the simulation verifier; it is ``None`` on a report read
-    back from JSON and excluded from equality, so reports survive
-    serialization round-trips.
+    ``goals`` are the parsed goals, ``invariants`` the closed form of every
+    moment in the closure, ``initial_moments`` their values at ``n = 0`` and
+    ``side_conditions`` what the solver assumed.  ``invariants`` and
+    ``initial_moments`` are kept in canonical moment order
+    (:meth:`Moment.sort_key`), the order every renderer prints.
+
+    ``validated`` (the validated program), ``equations`` (the one-step
+    equation of every moment in the closure) and ``order`` (the dependency
+    order they are solved in) are the working state, for follow-up stages
+    such as the simulation verifier.  They are ``None`` on a report read
+    back from JSON and excluded from equality and ``repr``, so reports
+    survive serialization round-trips.
     """
 
     program_name: str
@@ -140,18 +127,17 @@ class InvariantReport:
     side_conditions: tuple[str, ...]
     elapsed_seconds: float
     verification: VerifyReport | None = None
-    analysis: Analysis | None = field(default=None, compare=False, repr=False)
+    validated: ValidatedProgram | None = field(default=None, compare=False, repr=False)
+    equations: Mapping[Moment, MomentEquation] | None = field(
+        default=None, compare=False, repr=False
+    )
+    order: tuple[Moment, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("invariants", "initial_moments"):
             moments = getattr(self, name)
             ordered = {m: moments[m] for m in sorted(moments, key=Moment.sort_key)}
             object.__setattr__(self, name, ordered)
-
-    @property
-    def validated(self) -> ValidatedProgram | None:
-        """The validated program, or ``None`` when there is no analysis."""
-        return self.analysis.program if self.analysis is not None else None
 
     def with_verification(self, verification: VerifyReport) -> "InvariantReport":
         return replace(self, verification=verification)
@@ -173,15 +159,6 @@ def analyze(
     order = topo_order(equations)
     init_moments = {m: initial_moment(vp, m, table) for m in equations}
     solved, side_conditions = solve_all(order, equations, init_moments)
-    analysis = Analysis(
-        program=vp,
-        goals=parsed_goals,
-        equations=equations,
-        order=tuple(order),
-        initial_moments=init_moments,
-        solved=solved,
-        side_conditions=tuple(side_conditions),
-    )
 
     # The self-check makes every closed form equal its initial moment at
     # n = 0, and an initial value enters a closed form only through one, so
@@ -194,11 +171,13 @@ def analyze(
         program_name=name,
         variables=vp.variables,
         parameters=tuple(sorted(vp.parameters)),
-        goals=analysis.goals,
-        invariants=analysis.solved,
-        initial_moments=analysis.initial_moments,
+        goals=parsed_goals,
+        invariants=solved,
+        initial_moments=init_moments,
         symbolic_initials=tuple(sorted(carried - vp.parameters)),
-        side_conditions=analysis.side_conditions,
+        side_conditions=tuple(side_conditions),
         elapsed_seconds=elapsed,
-        analysis=analysis,
+        validated=vp,
+        equations=equations,
+        order=tuple(order),
     )

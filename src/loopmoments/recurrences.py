@@ -24,6 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .moments import Moment, MomentEquation
@@ -63,17 +64,28 @@ class Recurrence:
     inhom: ExpPoly
     init: Poly
 
+    @cached_property
+    def by_base(self) -> dict[Poly, tuple[Poly, dict[int, Poly]]]:
+        """``{base: (base - self_coeff, {degree: coeff})}`` over the
+        inhomogeneity, with the bases in print order, so what is derived
+        base by base does not depend on the order the terms were built in.
+        The solver and :meth:`side_conditions` both read it."""
+        c = self.self_coeff
+        table: dict[Poly, tuple[Poly, dict[int, Poly]]] = {}
+        for base, degree, coeff in self.inhom.sorted_terms():
+            entry = table.get(base)
+            if entry is None:
+                entry = table[base] = (base - c, {})
+            entry[1][degree] = coeff
+        return table
+
     def side_conditions(self) -> list[str]:
         """What the closed form assumes: each inhomogeneity base whose
-        difference from ``self_coeff`` is not constant is assumed distinct
-        from it, as ``"base != c"``, with the bases in the closed form's
-        print order."""
+        difference from ``self_coeff`` (the solver's divisor) is not
+        constant is assumed distinct from it, as ``"base != c"``, in the
+        closed form's print order."""
         c = self.self_coeff
-        bases = {base for base, _, _ in self.inhom.terms()}
-        # For a constant c, base - c is constant exactly when base is.
-        assumed = {b for b in bases if not (b.is_const() if c.is_const() else (b - c).is_const())}
-        # Only an assumed base needs the print order, which costs a sort.
-        return [f"{b} != {c}" for b in self.inhom.by_base() if b in assumed] if assumed else []
+        return [f"{b} != {c}" for b, (delta, _) in self.by_base.items() if not delta.is_const()]
 
 
 def topo_order(equations: Mapping[Moment, MomentEquation]) -> list[Moment]:
@@ -171,9 +183,8 @@ def solve_first_order(rec: Recurrence) -> ExpPoly:
     c = rec.self_coeff
     particular: dict[tuple[Poly, int], Poly] = {}
 
-    for base, parts in rec.inhom.by_base().items():
+    for base, (delta, parts) in rec.by_base.items():
         degree = max(parts)
-        delta = base - c
         resonant = delta.is_zero()
         if resonant and base.is_zero():
             raise SolverError(

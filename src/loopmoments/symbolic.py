@@ -645,15 +645,6 @@ class ExpPoly:
             out += [(base, degree, coeff) for degree, coeff in group]
         return out
 
-    def by_base(self) -> dict[Poly, dict[int, Poly]]:
-        """``{base: {degree: coeff}}`` with the bases in print order, so what
-        is derived base by base (the side conditions) does not depend on the
-        order in which the terms were built."""
-        grouped: dict[Poly, dict[int, Poly]] = {}
-        for base, degree, coeff in self.sorted_terms():
-            grouped.setdefault(base, {})[degree] = coeff
-        return grouped
-
     def value_at_zero(self) -> Poly:
         """f(0) as a polynomial; every base contributes via base**0 == 1."""
         return Poly.linear_combination(

@@ -239,6 +239,7 @@ def simulate(
 
     inits = [(var, _sampler(value, bindings, var)) for var, value in vp.initial.items()]
     draws = [(var, _sampler(dist, bindings, var)) for var, dist in vp.draws.items()]
+    monomials = [_compile_poly(t.as_poly(), bindings, state_names, f"E[{t}]") for t in target_list]
 
     # Per target and block: the sum of the values, and the first two sums of
     # the values shifted by the first one simulated.  The shift keeps the
@@ -264,11 +265,8 @@ def simulate(
                             values = np.where(u >= threshold, evaluate(state, size), values)
                     state[var] = values
             sums = []
-            for t in target_list:
-                values = None
-                for var, exp in t.powers:
-                    power = state[var] if exp == 1 else state[var] ** exp
-                    values = power if values is None else values * power
+            for t, monomial in zip(target_list, monomials):
+                values = monomial(state, size)
                 shifted = values - shifts.setdefault(t, float(values[0]))
                 sums.append((float(values.sum()), float(shifted.sum()), float(shifted.dot(shifted))))
         return sums

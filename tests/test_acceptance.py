@@ -68,7 +68,7 @@ def test_criterion_1_running_example_equations():
             b**2 / 3 + 1,
         ),
     }
-    equations = report.analysis.equations
+    equations = report.equations
     assert set(equations) == set(expected), "exactly the nine equations"
     for moment, (linear, constant) in expected.items():
         assert equations[moment] == MomentEquation(moment, linear, constant), str(moment)
@@ -109,11 +109,11 @@ def test_criterion_3_symbolic_self_check_across_corpus():
     checked = 0
     for name in sorted(CORPUS):
         source, goals, _ = CORPUS[name]
-        analysis = analyze(source, goals, name=name).analysis
+        report = analyze(source, goals, name=name)
         solved = {}
-        for moment in analysis.order:
+        for moment in report.order:
             recurrence = build_recurrence(
-                analysis.equations[moment], solved, analysis.initial_moments
+                report.equations[moment], solved, report.initial_moments
             )
             form = solve_first_order(recurrence)
             solved[moment] = form
@@ -151,7 +151,7 @@ def test_criterion_4_iteration_oracle():
     for name in sorted(CORPUS):
         source, goals, example = CORPUS[name]
         report = analyze(source, goals, name=name)
-        equations = report.analysis.equations
+        equations = report.equations
         needed = set()
         for form in report.invariants.values():
             for base, _, coeff in form.terms():
@@ -244,7 +244,7 @@ def test_criterion_6_monte_carlo_agreement():
         seed=2026,
     )
     targets = {M("x^1"), M("x^2"), M("y^1"), M("x^1*y^1"), M("y^2")}
-    estimates = simulate(report.analysis.program, cfg, targets)
+    estimates = simulate(report.validated, cfg, targets)
     result = check(report.invariants, estimates, cfg)
     assert result.z == 5.0
     by_moment = {str(e.moment): e for e in result.entries}
@@ -270,7 +270,7 @@ def test_criterion_7_third_moments_complete_quickly():
     # spot-check the run numerically rather than trusting speed alone
     bindings = {"b": Fraction(2), "y(0)": Fraction(0)}
     history = iterate_equations(
-        report.analysis.equations, report.initial_moments, bindings, 10
+        report.equations, report.initial_moments, bindings, 10
     )
     for moment, form in report.invariants.items():
         assert form.evaluate(10, bindings) == history[10][moment]

@@ -145,13 +145,24 @@ def test_closure_cap_exits_4(walk_file, capsys):
     assert "moments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cap", ["1", "0", "-3"])
+@pytest.mark.parametrize("cap", ["1"])
 def test_closure_cap_counts_the_goals_and_exits_4(tmp_path, capsys, cap):
     path = tmp_path / "ident.loop"
     path.write_text("while true:\na = a\nb = b\nc = c\n", encoding="utf-8")
     assert main([str(path), "--goal", "1", "--max-closure", cap]) == 4
     assert "the closure cap" in capsys.readouterr().err
     assert main([str(path), "--goal", "1", "--max-closure", "3"]) == 0
+
+
+@pytest.mark.parametrize("cap", ["0", "-3", "abc"])
+def test_closure_cap_below_one_is_a_usage_error(walk_file, capsys, cap):
+    # a cap that no goal can meet, like one that is no integer, is a bad flag
+    # (exit 2), not a solver failure
+    with pytest.raises(SystemExit) as exc:
+        main([walk_file, "--goal", "1", "--max-closure", cap])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --max-closure" in err and "closure cap" not in err
 
 
 def test_verify_happy_path(walk_file, capsys):

@@ -132,8 +132,8 @@ def test_walk_second_moment_of_y():
 
 
 def test_equation_text_on_the_walk():
-    analysis = analyze(WALK, [2]).analysis
-    assert [str(analysis.equations[m]) for m in analysis.order] == [
+    report = analyze(WALK, [2])
+    assert [str(report.equations[m]) for m in report.order] == [
         "E[g^2]' = 1",
         "E[u^2]' = b^2/3",
         "E[x^2]' = E[x^2] + b^2/3",
@@ -287,9 +287,9 @@ EQUIVALENCE_CASES = {
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
 def test_closure_matches_the_naive_reference(case):
     source, goals = EQUIVALENCE_CASES[case]
-    analysis = analyze(source, goals).analysis
-    for target, eq in analysis.equations.items():
-        assert eq == naive_moment_equation(target, analysis.program, MomentTable()), target
+    report = analyze(source, goals)
+    for target, eq in report.equations.items():
+        assert eq == naive_moment_equation(target, report.validated, MomentTable()), target
 
 
 def test_analysis_shares_one_moment_per_monomial():
@@ -297,7 +297,7 @@ def test_analysis_shares_one_moment_per_monomial():
     # a reference, not a copy: memory stays flat in the number of links.
     shared: dict[Moment, Moment] = {}
     links = 0
-    for eq in analyze(THREE_VAR, [3]).analysis.equations.values():
+    for eq in analyze(THREE_VAR, [3]).equations.values():
         for m in eq.linear:
             links += 1
             assert shared.setdefault(m, m) is m, m
@@ -314,12 +314,12 @@ def test_shared_table_matches_fresh_tables():
         "x = 0\nwhile true:\nu = RV(gauss, 1, 2)\nx = x + u\n",
         "x = 0\ny = 1\nwhile true:\nu = RV(uniform, 0, 1)\ny = 1/2*y + 1\nx = x + u\n",
     ]
-    analyses = [analyze(source, [3, "u^1*x^2"]).analysis for source in sources]
+    reports = [analyze(source, [3, "u^1*x^2"]) for source in sources]
     shared = MomentTable()
-    for analysis in analyses:
-        targets = goal_moments(analysis.goals, analysis.program)
-        assert moment_closure(targets, analysis.program, shared) == analysis.equations
-    first, _, _, last = (a.program.update_assignments[-1] for a in analyses)
+    for report in reports:
+        targets = goal_moments(report.goals, report.validated)
+        assert moment_closure(targets, report.validated, shared) == report.equations
+    first, _, _, last = (r.validated.update_assignments[-1] for r in reports)
     assert first.line != last.line
     assert shared.image(first, 3) is shared.image(last, 3)
 

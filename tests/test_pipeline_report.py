@@ -231,7 +231,7 @@ def verified_walk_report() -> InvariantReport:
         trials=2000,
         seed=11,
     )
-    estimates = simulate(report.analysis.program, cfg, set(report.invariants))
+    estimates = simulate(report.validated, cfg, set(report.invariants))
     return report.with_verification(check(report.invariants, estimates, cfg))
 
 
@@ -250,7 +250,7 @@ def overflowed_report() -> InvariantReport:
 
     report = analyze("x = -2\nwhile true:\nx = 1000*x\n", [1, 39, 40], name="overflow")
     cfg = SimConfig(bindings={}, iterations=5, trials=100, seed=0)
-    estimates = simulate(report.analysis.program, cfg, set(report.invariants))
+    estimates = simulate(report.validated, cfg, set(report.invariants))
     verification = check(report.invariants, estimates, cfg)
     first, *rest = verification.entries
     failed = replace(first, expected=first.expected + 1, passed=False)
@@ -365,7 +365,7 @@ from dataclasses import replace
 from loopmoments import analyze, emit_json
 report = analyze(sys.stdin.read(), [3])
 text = emit_json(replace(report, elapsed_seconds=0.0))
-json.dump([text, [str(m) for m in report.analysis.equations]], sys.stdout)
+json.dump([text, [str(m) for m in report.equations]], sys.stdout)
 """
 
 
@@ -396,7 +396,7 @@ def test_fifth_moments_verify_against_exact_iteration():
 
     report = analyze(WALK, [5])
     bindings = {"b": Fraction(3), "y(0)": Fraction(-1, 2)}
-    history = iterate_equations(report.analysis.equations, report.initial_moments, bindings, 15)
+    history = iterate_equations(report.equations, report.initial_moments, bindings, 15)
     for moment, form in report.invariants.items():
         for n in (0, 7, 15):
             assert form.evaluate(n, bindings) == history[n][moment], (str(moment), n)
@@ -417,7 +417,7 @@ def test_coupled_polynomial_chain():
 
     report = analyze(source, [2])
     assert max(m.degree() for m in report.invariants) >= 4
-    history = iterate_equations(report.analysis.equations, report.initial_moments, {}, 12)
+    history = iterate_equations(report.equations, report.initial_moments, {}, 12)
     for moment, form in report.invariants.items():
         assert form.evaluate(12, {}) == history[12][moment], str(moment)
 
@@ -511,7 +511,7 @@ def test_validated_program_resolves_every_variable(name):
     # symbols are exactly the names a simulation must have bound
     source, goals = GOLDEN_CASES[name]
     report = analyze(source, goals)
-    vp = report.analysis.program
+    vp = report.validated
     assert tuple(vp.initial) == vp.variables
     cfg = SimConfig(bindings={}, iterations=1, trials=2, seed=0)
     if vp.symbols:
@@ -530,19 +530,17 @@ def test_emit_json_matches_the_document_tree(name):
     text = emit_json(report)
     assert text == reference_json(report)
     restored = report_from_json(text)
-    assert restored == report and restored.analysis is None
-    # the report is built from its analysis record, which holds the full
-    # solved map and solves along a dependency order
-    analysis = report.analysis
-    assert analysis.solved == report.invariants
-    assert analysis.initial_moments == report.initial_moments
-    assert analysis.side_conditions == report.side_conditions
-    assert analysis.goals == report.goals
-    assert sorted(analysis.order, key=Moment.sort_key) == sorted(
-        analysis.equations, key=Moment.sort_key
-    )
-    position = {m: i for i, m in enumerate(analysis.order)}
-    for moment, equation in analysis.equations.items():
+    # the working state is not serialized, and equality ignores it
+    assert restored == report
+    assert (restored.validated, restored.equations, restored.order) == (None, None, None)
+    assert "validated=" not in repr(report) and "equations=" not in repr(report)
+    # the report holds the full solved map, one closed form per equation,
+    # solved along a dependency order
+    assert list(report.invariants) == sorted(report.equations, key=Moment.sort_key)
+    assert list(report.initial_moments) == list(report.invariants)
+    assert sorted(report.order, key=Moment.sort_key) == list(report.invariants)
+    position = {m: i for i, m in enumerate(report.order)}
+    for moment, equation in report.equations.items():
         assert all(position[d] < position[moment] for d in equation.dependencies()), moment
 
 
@@ -559,15 +557,14 @@ def test_emit_json_matches_the_document_tree_on_large_and_verified_reports():
 def test_solve_and_report_build_no_fractions():
     # the solver and the emitters work on the kernel's integer numerators
     report = analyze(THREE_VAR, [3])
-    analysis = report.analysis
     with counting_fractions() as count:
         Fraction(1, 3)  # the counter sees a construction
     assert count == [1]
     with counting_fractions() as count:
-        solved, sides = solve_all(analysis.order, analysis.equations, analysis.initial_moments)
+        solved, sides = solve_all(report.order, report.equations, report.initial_moments)
     assert count == [0]
-    assert solved == analysis.solved == report.invariants
-    assert tuple(sides) == analysis.side_conditions == report.side_conditions
+    assert solved == report.invariants
+    assert tuple(sides) == report.side_conditions
     for fmt in ("txt", "json"):
         with counting_fractions() as count:
             emit(report, fmt)
@@ -618,3 +615,19 @@ def test_benchmark_trace_hooks_resolve(monkeypatch):
     # must exist and be one the pipeline calls, or its count reads 0
     counts = tracing.kernel_profile(lambda: analyze(WALK, [2]))
     assert counts and all(value > 0 for value in counts.values()), counts
+
+
+@pytest.mark.parametrize("workload, goals", [("walk-ladder", (2,)), ("walk-verify", (1, 2))])
+def test_benchmark_job_reads_the_report(monkeypatch, workload, goals):
+    # bench/job.py runs the analysis, the verifier and both emitters, then
+    # checks the outputs through the report's fields and report_from_json:
+    # a renamed field would fail the benchmark, not tier-1
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("bench_job", bench / "job.py")
+    job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(job)
+    work = job.WORKLOADS[workload]
+    assert goals in work.goal_lists
+    report, txt, js = job.run_job(work, goals, 1, job._Untraced())
+    assert job.check_job(work, goals, report, txt, js) == []

@@ -35,18 +35,18 @@ def const_eq(target, value: Poly) -> MomentEquation:
     return MomentEquation(M(target), {}, value)
 
 
-def corpus_analysis(name: str):
+def corpus_report(name: str):
     source, goals, _ = CORPUS[name]
-    return analyze(source, goals, name=name).analysis
+    return analyze(source, goals, name=name)
 
 
 # -- ordering --------------------------------------------------------------------
 
 
 def test_walk_order_respects_dependencies():
-    analysis = corpus_analysis("walk")
-    order = topo_order(analysis.equations)
-    assert tuple(order) == analysis.order
+    walk = corpus_report("walk")
+    order = topo_order(walk.equations)
+    assert tuple(order) == walk.order
     pos = {m: i for i, m in enumerate(order)}
     assert pos[M("x^1")] < pos[M("x^1*y^1")]
     assert pos[M("x^2")] < pos[M("x^1*y^1")]
@@ -90,7 +90,7 @@ def test_order_requires_a_closed_set():
 
 
 def test_build_recurrence_for_x_squared():
-    walk = corpus_analysis("walk")
+    walk = corpus_report("walk")
     rec = build_recurrence(walk.equations[M("x^2")], {}, walk.initial_moments)
     assert rec.self_coeff == Poly.const(1)
     assert rec.inhom == ExpPoly.const(b**2 / 3)
@@ -98,7 +98,7 @@ def test_build_recurrence_for_x_squared():
 
 
 def test_build_recurrence_folds_solved_dependencies():
-    walk = corpus_analysis("walk")
+    walk = corpus_report("walk")
     solved = {M("x^2"): ExpPoly({(ONE, 1): b**2 / 3})}  # (b^2/3) n
     rec = build_recurrence(walk.equations[M("x^1*y^1")], solved, walk.initial_moments)
     assert rec.self_coeff == Poly.const(1)
@@ -107,7 +107,7 @@ def test_build_recurrence_folds_solved_dependencies():
 
 
 def test_build_recurrence_reports_missing_dependency():
-    walk = corpus_analysis("walk")
+    walk = corpus_report("walk")
     with pytest.raises(SolverError):
         build_recurrence(walk.equations[M("x^1*y^1")], {}, walk.initial_moments)
 
@@ -201,7 +201,7 @@ def test_parameterized_base_with_exact_division_records_side_condition():
         assert f.evaluate(n, {"p": Fraction(3)}) == Fraction(3) ** n - 1
 
     # w sums the post-update v, so E[w](n) = p^(n+1) - p
-    chain = corpus_analysis("geometric_chain")
+    chain = corpus_report("geometric_chain")
     solved, notes = solve_all(chain.order, chain.equations, chain.initial_moments)
     assert notes == ["p != 1"]
     assert solved[M("w^1")] == ExpPoly({(p, 0): p, (ONE, 0): -p})
@@ -210,22 +210,22 @@ def test_parameterized_base_with_exact_division_records_side_condition():
 
 
 def test_solve_all_merges_side_conditions_in_solve_order():
-    def per_moment(analysis) -> list[str]:
+    def per_moment(report) -> list[str]:
         notes = []
-        for moment in analysis.order:
-            equation = analysis.equations[moment]
-            rec = build_recurrence(equation, analysis.solved, analysis.initial_moments)
+        for moment in report.order:
+            equation = report.equations[moment]
+            rec = build_recurrence(equation, report.invariants, report.initial_moments)
             notes += rec.side_conditions()
         return notes
 
     # w and u both sum p^n: each recurrence assumes p != 1, and the merged
     # list names it once
     source = "v = p - 1\nw = 0\nu = 0\nwhile true:\nv = p*v\nw = w + v\nu = u + v\n"
-    twice = analyze(source, ["w", "u"]).analysis
+    twice = analyze(source, ["w", "u"])
     assert per_moment(twice) == ["p != 1", "p != 1"]
     assert twice.side_conditions == ("p != 1",)
     # a longer list keeps each note at its first occurrence, in solve order
-    three = corpus_analysis("three_bases")
+    three = corpus_report("three_bases")
     notes = per_moment(three)
     assert notes[:2] == ["q != r", "p != r"]
     assert three.side_conditions == tuple(dict.fromkeys(notes))
@@ -470,7 +470,7 @@ def test_solver_failures_name_the_moment():
 
 
 def test_solve_all_walks_the_whole_corpus_entry():
-    walk = corpus_analysis("walk")
+    walk = corpus_report("walk")
     solved, notes = solve_all(walk.order, walk.equations, walk.initial_moments)
     assert notes == []
     assert solved[M("x^2")] == ExpPoly({(ONE, 1): b**2 / 3})
@@ -481,7 +481,7 @@ def test_solve_all_walks_the_whole_corpus_entry():
 def test_solutions_are_deterministic():
     results = []
     for _ in range(2):
-        walk = corpus_analysis("walk")
+        walk = corpus_report("walk")
         solved, _ = solve_all(walk.order, walk.equations, walk.initial_moments)
         results.append({str(m): str(f) for m, f in solved.items()})
     assert results[0] == results[1]

@@ -110,7 +110,7 @@ def test_unknown_target_variable_is_a_verifier_error():
 
 
 def test_probability_binding_outside_unit_interval():
-    vp = analyze("v=0\nwhile true:\nv = v + 1 @ p; v @ 1 - p\n", [1]).analysis.program
+    vp = analyze("v=0\nwhile true:\nv = v + 1 @ p; v @ 1 - p\n", [1]).validated
     cfg = SimConfig(bindings={"p": Fraction(3, 2)}, iterations=3, trials=10, seed=0)
     with pytest.raises(VerifierError, match="outside"):
         simulate(vp, cfg, {M("v^1")})
@@ -132,7 +132,7 @@ def test_negative_seed_is_a_verifier_error():
 def test_check_passes_on_matching_estimates():
     report = analyze(WALK, [1, 2])
     cfg = SimConfig(bindings={"b": 2, "y(0)": 0}, iterations=12, trials=20_000, seed=5)
-    estimates = simulate(report.analysis.program, cfg, set(report.invariants))
+    estimates = simulate(report.validated, cfg, set(report.invariants))
     result = check(report.invariants, estimates, cfg)
     assert result.passed
     assert {str(e.moment) for e in result.entries} == {str(m) for m in report.invariants}
@@ -142,7 +142,7 @@ def test_check_passes_on_matching_estimates():
 def test_check_detects_a_perturbed_closed_form():
     report = analyze(WALK, ["x^2"])
     cfg = SimConfig(bindings={"b": 2, "y(0)": 0}, iterations=20, trials=100_000, seed=9)
-    estimates = simulate(report.analysis.program, cfg, {M("x^2")})
+    estimates = simulate(report.validated, cfg, {M("x^2")})
     # se of E[x^2] at this budget is about 0.1, so a +1 shift must fail at z=5
     assert estimates[M("x^2")].se < 0.2
     perturbed = {
@@ -162,7 +162,7 @@ def test_large_offset_keeps_the_spread():
     source = "x = 0\nwhile true:\nu = RV(uniform, 0, 1)\nx = x + 100000000 + u\n"
     report = analyze(source, ["x^1"])
     cfg = SimConfig(bindings={}, iterations=20, trials=100_000, seed=0)
-    estimates = simulate(report.analysis.program, cfg, {M("x^1")})
+    estimates = simulate(report.validated, cfg, {M("x^1")})
     assert estimates[M("x^1")].sd == pytest.approx(math.sqrt(20 / 12), rel=0.02)
     assert check(report.invariants, estimates, cfg).passed
 
@@ -173,7 +173,7 @@ def test_deterministic_fractions_keep_a_zero_spread():
     source = "x = 1/10\nwhile true:\nx = x + 1/10\n"
     report = analyze(source, ["x^1"])
     cfg = SimConfig(bindings={}, iterations=3, trials=100_000, seed=0)
-    estimates = simulate(report.analysis.program, cfg, {M("x^1")})
+    estimates = simulate(report.validated, cfg, {M("x^1")})
     assert estimates[M("x^1")].sd == 0.0
     assert check(report.invariants, estimates, cfg).passed
 
@@ -235,7 +235,7 @@ def test_closed_forms_equal_exact_enumeration(name):
     source, goals, bindings = CORPUS[name]
     report = analyze(source, goals, name=name)
     targets = sorted(report.invariants, key=Moment.sort_key)
-    history = enumerate_moments(report.analysis.program, bindings, targets, steps=5)
+    history = enumerate_moments(report.validated, bindings, targets, steps=5)
     for n in range(6):
         for t in targets:
             assert report.invariants[t].evaluate(n, bindings) == history[n][t], (
@@ -265,7 +265,7 @@ def test_statistical_soundness_across_seeds():
     failures = 0
     for seed in range(20):
         cfg = SimConfig(bindings={"b": 2, "y(0)": 0}, iterations=20, trials=8000, seed=seed)
-        estimates = simulate(report.analysis.program, cfg, {M("x^2")})
+        estimates = simulate(report.validated, cfg, {M("x^2")})
         if not check(report.invariants, estimates, cfg).passed:
             failures += 1
     assert failures == 0
@@ -277,7 +277,7 @@ def test_mixed_draw_state_moment_matches_simulation():
     source = "x = 0\nwhile true:\nu = RV(uniform, 0, 1)\nx = x + u\n"
     report = analyze(source, ["x^1", "u^1*x^1"])
     cfg = SimConfig(bindings={}, iterations=12, trials=40_000, seed=77)
-    estimates = simulate(report.analysis.program, cfg, set(report.invariants))
+    estimates = simulate(report.validated, cfg, set(report.invariants))
     result = check(report.invariants, estimates, cfg)
     assert result.passed
     joint = report.invariants[M("u^1*x^1")]
@@ -288,7 +288,7 @@ def test_gaussian_program_matches_closed_forms():
     source, goals, bindings = CORPUS["gauss_sum"]
     report = analyze(source, goals)
     cfg = SimConfig(bindings=bindings, iterations=15, trials=30_000, seed=21)
-    estimates = simulate(report.analysis.program, cfg, set(report.invariants))
+    estimates = simulate(report.validated, cfg, set(report.invariants))
     assert check(report.invariants, estimates, cfg).passed
 
 
@@ -301,7 +301,7 @@ def test_gaussian_program_matches_closed_forms():
     ],
 )
 def test_parameter_beyond_float_range_is_a_verifier_error(source, what):
-    vp = analyze(source, [1]).analysis.program
+    vp = analyze(source, [1]).validated
     cfg = SimConfig(bindings={"c": Fraction(10) ** 400}, iterations=2, trials=10, seed=0)
     with pytest.raises(VerifierError, match=r"beyond float range \(parameter c\)") as info:
         simulate(vp, cfg, {M("x^1")})
@@ -309,7 +309,7 @@ def test_parameter_beyond_float_range_is_a_verifier_error(source, what):
 
 
 def test_negative_gauss_variance_is_a_verifier_error():
-    vp = analyze("x = 0\nwhile true:\ng = RV(gauss, 0, v)\nx = x + g\n", [1]).analysis.program
+    vp = analyze("x = 0\nwhile true:\ng = RV(gauss, 0, v)\nx = x + g\n", [1]).validated
     cfg = SimConfig(bindings={"v": Fraction(-1, 2)}, iterations=2, trials=10, seed=0)
     with pytest.raises(VerifierError, match="gauss variance evaluates to the negative value -0.5"):
         simulate(vp, cfg, {M("x^1")})
@@ -342,7 +342,7 @@ def test_distribution_sampler_matches_its_raw_moments(kind):
 
 def test_uniform_width_beyond_float_range_is_a_verifier_error():
     source = "x = 0\nwhile true:\nu = RV(uniform, -c, c)\nx = x + u\n"
-    vp = analyze(source, [1]).analysis.program
+    vp = analyze(source, [1]).validated
     cfg = SimConfig(bindings={"c": Fraction(10) ** 308}, iterations=2, trials=10, seed=0)
     with pytest.raises(
         VerifierError,
@@ -418,7 +418,7 @@ def _assert_matches_the_reference(name, iterations, trials):
     # Every mean and sd agrees to the last bit, for all powers up to 3 and
     # all products of two variables.
     source, bindings = _LEAN_LOOP_CASES[name]
-    vp = analyze(source, [1]).analysis.program
+    vp = analyze(source, [1]).validated
     names = vp.variables
     targets = {Moment.single(v, k) for v in names for k in (1, 2, 3)}
     targets |= {Moment(((v, 1), (w, 1))) for v in names for w in names if v < w}
