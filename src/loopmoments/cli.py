@@ -110,7 +110,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise GoalError("at least one goal is required (use --goal)")
         bindings = _parse_bindings(args.param)
         with open(args.program, "r", encoding="utf-8") as handle:
-            source = handle.read()
+            # A leading byte-order mark is dropped after decoding, so a
+            # decoding error's byte offset still counts from the file's start.
+            source = handle.read().removeprefix("\ufeff")
         report = analyze(source, args.goal, name=args.program, max_closure=args.max_closure)
         if args.verify:
             cfg = SimConfig(

@@ -530,7 +530,10 @@ def validate_program(p: Program) -> ValidatedProgram:
     visible = set(draws) | set(constants)
     for u in p.update_assignments:
         for br in u.branches:
-            by_power = br.expr.symbols_by_power(u.var)
+            by_power = {
+                part[0][1] if part else 0: coeff.symbols()
+                for part, coeff in br.expr.split({u.var}).items()
+            }
             if any(d > 1 for d in by_power):
                 raise UnsupportedProgramError(
                     "dependency-structure",

@@ -227,42 +227,25 @@ class _JsonTerms:
         return f'{{"moment": {_encode(str(moment))}, "value": {self.poly(value)}}}'
 
 
-# Each term of a polynomial's JSON as (monomial, numerator, denominator).
-_Ratios = tuple[tuple[Mono, int, int], ...]
-
-
-def _ratios_from_json(data: list[dict[str, Any]]) -> _Ratios:
-    out = []
+def _poly_from_json(data: list[dict[str, Any]]) -> Poly:
+    # File input: the public constructor canonicalises the monomials and
+    # sums repeated ones.
+    terms = []
     for entry in data:
         den = int(entry["den"])
         if den == 0:
             raise ValueError(f"coefficient with denominator 0 in {entry!r}")
         mono = tuple((str(n), int(e)) for n, e in entry["powers"])
-        out.append((mono, int(entry["num"]), den))
-    return tuple(out)
+        terms.append((mono, Fraction(int(entry["num"]), den)))
+    return Poly(terms)
 
 
-def _poly_from_ratios(ratios: _Ratios) -> Poly:
-    # File input: the public constructor canonicalises the monomials and
-    # sums repeated ones.
-    return Poly([(mono, Fraction(num, den)) for mono, num, den in ratios])
-
-
-def _poly_from_json(data: list[dict[str, Any]]) -> Poly:
-    return _poly_from_ratios(_ratios_from_json(data))
-
-
-def _exp_poly_from_json(data: list[dict[str, Any]], bases: dict[_Ratios, Poly]) -> ExpPoly:
+def _exp_poly_from_json(data: list[dict[str, Any]]) -> ExpPoly:
     """A closed form from its terms, summing repeated ``(base, degree)``
-    keys.  ``bases`` memoises the bases by their content: a report has few
-    distinct ones, shared by many terms."""
+    keys."""
     terms: dict[tuple[Poly, int], Poly] = {}
     for entry in data:
-        ratios = _ratios_from_json(entry["base"])
-        base = bases.get(ratios)
-        if base is None:
-            base = bases[ratios] = _poly_from_ratios(ratios)
-        key = (base, int(entry["degree"]))
+        key = (_poly_from_json(entry["base"]), int(entry["degree"]))
         coeff = _poly_from_json(entry["coeff"])
         terms[key] = terms[key] + coeff if key in terms else coeff
     return ExpPoly(terms)  # without the coefficients that summed to zero
@@ -368,14 +351,13 @@ def _verification_from_json(data: dict[str, Any] | None) -> VerifyReport | None:
 def report_from_json(text: str) -> InvariantReport:
     """Rebuild a report emitted by :func:`emit_json`."""
     doc = json.loads(text)
-    bases: dict[_Ratios, Poly] = {}
     return InvariantReport(
         program_name=doc["program"],
         variables=tuple(doc["variables"]),
         parameters=tuple(doc["parameters"]),
         goals=tuple(_goal_from_json(g) for g in doc["goals"]),
         invariants={
-            Moment.parse(entry["moment"]): _exp_poly_from_json(entry["closed_form"], bases)
+            Moment.parse(entry["moment"]): _exp_poly_from_json(entry["closed_form"])
             for entry in doc["invariants"]
         },
         initial_moments={

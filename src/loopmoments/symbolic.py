@@ -378,20 +378,6 @@ class Poly:
             buckets.setdefault(tuple(part), {})[tuple(rest)] = num
         return {part: _reduced(nums, self._den) for part, nums in buckets.items()}
 
-    def symbols_by_power(self, name: str) -> dict[int, set[str]]:
-        """``{d: symbols}``, the symbols of the coefficient of ``name**d`` in
-        ``self`` for each power ``d``, without building the coefficients."""
-        out: dict[int, set[str]] = {}
-        for mono in self._terms:
-            power, others = 0, set()
-            for var, exp in mono:
-                if var == name:
-                    power = exp
-                else:
-                    others.add(var)
-            out.setdefault(power, set()).update(others)
-        return out
-
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other) -> "Poly | None":

@@ -73,6 +73,33 @@ def test_non_utf8_file_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "source",
+    [b"x = 0\nwhile true:\n  x = x + 1\n", b"# a comment\nx = 0\nwhile true:\n  x = x + 1\n"],
+    ids=["assignment-first", "comment-first"],
+)
+def test_utf8_file_with_byte_order_mark_reads_as_without(tmp_path, capsys, source):
+    # Editors that save "UTF-8 with BOM" start the file with EF BB BF.
+    def report(path):
+        assert main([str(path), "--goal", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return [line for line in lines if not line.startswith(("program:", "elapsed:"))]
+
+    plain, marked = tmp_path / "plain.loop", tmp_path / "marked.loop"
+    plain.write_bytes(source)
+    marked.write_bytes(b"\xef\xbb\xbf" + source)
+    assert report(marked) == report(plain)
+
+
+def test_non_utf8_file_with_byte_order_mark_names_the_byte_in_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.loop"
+    path.write_bytes(b"\xef\xbb\xbfx = 0\nwhile true:\n  x = x + 1 # caf\xe9\n")
+    assert main([str(path), "--goal", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path} is not UTF-8 text: invalid continuation byte at byte 38\n"
+    )
+
+
+@pytest.mark.parametrize(
     "source,needle",
     [
         ("x=0\nx = x + 1\n", "loop header"),

@@ -278,6 +278,35 @@ def test_restriction_violations(source, restriction, fragment):
 
 
 @pytest.mark.parametrize(
+    "source,message",
+    [
+        ("x=0\nwhile true:\nx = x*x\n",
+         "dependency-structure: update of 'x' is nonlinear in itself (line 3)"),
+        ("x=0\ny=0\nwhile true:\nx = y*x + 1\ny = y\n",
+         "dependency-structure: self-coefficient of 'x' references program variable(s) y (line 4)"),
+        ("x=0\ny=0\nwhile true:\nx = y + 1\ny = y\n",
+         "dependency-structure: update of 'x' references y before assignment in the body (line 4)"),
+        # a draw in the self-coefficient
+        ("x=0\nwhile true:\nu = RV(uniform, 0, 1)\nx = u*x\n",
+         "dependency-structure: self-coefficient of 'x' references program variable(s) u (line 4)"),
+        # every program variable beside x is named, sorted
+        ("x=0\ny=0\nz=0\nwhile true:\nx = z*y*x + 1\ny = y\nz = z\n",
+         "dependency-structure: self-coefficient of 'x' references program variable(s) y, z (line 5)"),
+    ],
+)
+def test_dependency_structure_messages(source, message):
+    with pytest.raises(UnsupportedProgramError) as err:
+        validate_program(parse_program(source))
+    assert str(err.value) == message
+
+
+def test_parameter_in_self_coefficient_is_accepted():
+    vp = validate_program(parse_program("x=0\nwhile true:\nx = p*x + 1\n"))
+    assert vp.variables == ("x",)
+    assert vp.symbols == frozenset({"p"})
+
+
+@pytest.mark.parametrize(
     "source",
     [
         # a symbolic argument is checked where it is bound (the verifier)

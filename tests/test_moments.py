@@ -95,6 +95,11 @@ def test_moment_table_memoizes():
     assert table.initial(y0, 2) == y0**2 and table.initial(d, 5) is first
 
 
+def test_negative_raw_moment_order_is_rejected():
+    with pytest.raises(ValueError, match=r"^raw moments need k >= 0$"):
+        MomentTable().moment(Distribution("uniform", Poly.const(0), b), -1)
+
+
 # -- one-step equations ---------------------------------------------------------
 
 

@@ -112,6 +112,12 @@ def test_build_recurrence_reports_missing_dependency():
         build_recurrence(walk.equations[M("x^1*y^1")], {}, walk.initial_moments)
 
 
+def test_build_recurrence_reports_missing_initial_moment():
+    walk = corpus_report("walk")
+    with pytest.raises(SolverError, match=r"^missing initial moment for E\[x\^2\]$"):
+        build_recurrence(walk.equations[M("x^2")], {}, {})
+
+
 def rec(target: str, c, inhom: ExpPoly, init) -> Recurrence:
     coeff = c if isinstance(c, Poly) else Poly.const(c)
     start = init if isinstance(init, Poly) else Poly.const(init)

@@ -191,9 +191,7 @@ def test_kernel_results_stay_in_normal_form():
         p, q, r = (_random_poly(rng, symbols="xyz") for _ in range(3))
         results = [p + q, p - q, -p, p * q, p / Fraction(-3, 7), p**3]
         results += [p.substitute("x", q.__pow__), p.substitute("y", (q * r).__pow__)]
-        by_power = {part[0][1] if part else 0: c for part, c in p.split({"y"}).items()}
-        results += by_power.values()
-        assert p.symbols_by_power("y") == {d: c.symbols() for d, c in by_power.items()}
+        results += p.split({"y"}).values()
         results.append(Poly.quotient([(1, ONE, p)], Poly.var("y") + 1))
         if not q.is_zero():
             results += [Poly.quotient([(1, ONE, p)], q), Poly.quotient([(1, ONE, p * q)], q)]
@@ -414,6 +412,23 @@ def test_evaluate_and_unbound_error():
     assert p.evaluate({"b": 2, "x": 5}) == Fraction(20, 3)
     with pytest.raises(UnboundSymbolError):
         p.evaluate({"b": 2})
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: (x + 1).const_value(), symbolic.SymbolicError, "x + 1 is not a constant"),
+        (lambda: x / 0, ZeroDivisionError, "division of polynomial by zero"),
+        (lambda: x / Fraction(0), ZeroDivisionError, "division of polynomial by zero"),
+        (lambda: ExpPoly.const(ONE).evaluate(-1), ValueError, "the loop counter is nonnegative"),
+    ],
+    ids=["const-value-of-non-constant", "divide-by-int-zero", "divide-by-fraction-zero",
+         "evaluate-at-negative-n"],
+)
+def test_public_guards_raise(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_exact_division():

@@ -109,6 +109,23 @@ def test_unknown_target_variable_is_a_verifier_error():
         simulate(load("walk"), cfg, {M("x^1"), M("q^1")})
 
 
+@pytest.mark.parametrize(
+    "closed,message",
+    [
+        ({}, "no closed form supplied for E[v^1]"),
+        ({M("v^1"): ExpPoly.const(Poly.var("p"))},
+         "parameter 'p' of the closed form for E[v^1] is unbound"),
+    ],
+    ids=["no-closed-form", "unbound-parameter"],
+)
+def test_check_rejects_estimates_it_cannot_compare(closed, message):
+    cfg = SimConfig(bindings={}, iterations=3, trials=10, seed=0)
+    estimates = {M("v^1"): MomentEstimate(M("v^1"), 1.0, 0.0, 0.0)}
+    with pytest.raises(VerifierError) as err:
+        check(closed, estimates, cfg)
+    assert str(err.value) == message
+
+
 def test_probability_binding_outside_unit_interval():
     vp = analyze("v=0\nwhile true:\nv = v + 1 @ p; v @ 1 - p\n", [1]).validated
     cfg = SimConfig(bindings={"p": Fraction(3, 2)}, iterations=3, trials=10, seed=0)
