@@ -34,15 +34,15 @@ kernel does plain ``int`` arithmetic.  Its public sums are the
 ``linear_combination`` of each family, its quotient is ``Poly.quotient``
 (a sum of products divided exactly: the solver's rows) and its residual is
 ``ExpPoly.residual`` (the solver's self-check).
-``_fold`` is the one loop that adds exact products into sums over a common
-denominator, for ``_Acc`` (one sum) and for the keyed sums of ``ExpPoly``.
-It runs once per contribution, not per term: a constant operand, on either
-side, is one integer multiplier over the other operand's terms, and an
-empty sum is started in one dict build, with the product's denominator as
-it is.  Each sum is reduced by one gcd at the end; ``_scaled_sum`` is the
-one scaling by a constant, of a value or of a sum.  The sum or difference
-of two constants is two integer products over the product of the
-denominators, reduced once.
+Every exact sum is an ``_Acc``, and ``_Acc.fold`` is the one loop that adds
+a product into one over a common denominator; the keyed sums of ``ExpPoly``
+are one ``_Acc`` per key.  A product of two polynomials is folded once per
+term of its shorter operand, so a constant operand, on either side, is one
+integer multiplier over the other operand's terms, and an empty sum is
+started in one dict build, with the product's denominator as it is.  Each
+sum is reduced by one gcd at the end, and a scaling by a constant is one
+fold into an empty sum.  The sum or difference of two constants is two
+integer products over the product of the denominators, reduced once.
 
 Both families print through :func:`render_terms`, the one per-term
 formatter: it reads a coefficient's numerators in graded-lex order and makes,
@@ -131,46 +131,44 @@ def _reduced(nums: dict[Mono, int], den: int) -> "Poly":
     return Poly._trusted(nums, den)
 
 
-def _scaled_sum(nums: dict[Mono, int], den: int, num: int, div: int) -> "Poly":
-    """The polynomial ``nums/den * num/div`` for nonzero integers ``num`` and
-    ``div``, reduced once; ``nums`` is handed over as to :func:`_reduced`."""
-    if div < 0:
-        num, div = -num, -div
-    if num != 1:
-        nums = {m: n * num for m, n in nums.items()}
-    return _reduced(nums, den * div)
+class _Acc:
+    """A running sum of exact products, kept as integer numerators over one
+    common denominator: :meth:`fold` is the one loop that adds a product,
+    :meth:`add` folds ``k*a*b`` once per term of the shorter of ``a`` and
+    ``b``, and :meth:`poly` reduces once at the end."""
 
+    __slots__ = ("nums", "den")
 
-def _fold(accs: Mapping, terms: Mapping, num: int, den: int, mono: Mono = _ONE_MONO) -> None:
-    """``accs[key] += num/den * mono * c`` for each ``key: c`` of ``terms``,
-    a mapping to polynomials: the one loop that brings a sum of products to
-    a common denominator and adds the numerators.  An empty sum is started
-    in one dict build with the product's denominator as it is; the dict is
-    its own, a copy when the product is ``c`` itself, since later adds write
-    to it.  Otherwise the sum's denominator grows to the lcm of the two and
-    the product is scaled up to it."""
-    for key, c in terms.items():
-        acc = accs[key]
-        nums = acc.nums
+    def __init__(self):
+        self.nums: dict[Mono, int] = {}
+        self.den = 1
+
+    def fold(self, c: "Poly", num: int, den: int, mono: Mono = _ONE_MONO) -> None:
+        """``self += num/den * mono * c`` for a positive ``den``.  An empty
+        sum is started in one dict build with the product's denominator as
+        it is; the dict is its own, a copy when the product is ``c`` itself,
+        since later folds write to it.  Otherwise the sum's denominator grows
+        to the lcm of the two and the product is scaled up to it."""
+        nums = self.nums
         d = c._den * den
         k = num
         if not nums:
-            acc.den = d
+            self.den = d
             if mono:
-                acc.nums = {_mono_mul(mono, m): k * n for m, n in c._terms.items()}
+                self.nums = {_mono_mul(mono, m): k * n for m, n in c._terms.items()}
             elif k == 1:
-                acc.nums = c._terms.copy()
+                self.nums = c._terms.copy()
             else:
-                acc.nums = {m: k * n for m, n in c._terms.items()}
-            continue
-        if d != acc.den:
-            q, r = divmod(acc.den, d)
+                self.nums = {m: k * n for m, n in c._terms.items()}
+            return
+        if d != self.den:
+            q, r = divmod(self.den, d)
             if r:
-                lcm = math.lcm(acc.den, d)
-                grow = lcm // acc.den
+                lcm = math.lcm(self.den, d)
+                grow = lcm // self.den
                 for m in nums:
                     nums[m] *= grow
-                acc.den = lcm
+                self.den = lcm
                 q = lcm // d
             k *= q
         get = nums.get
@@ -182,26 +180,11 @@ def _fold(accs: Mapping, terms: Mapping, num: int, den: int, mono: Mono = _ONE_M
             for m, n in c._terms.items():
                 nums[m] = get(m, 0) + k * n
 
-
-class _Acc:
-    """A running sum of exact products ``k*a*b`` of polynomials, kept as
-    integer numerators over one common denominator (see :func:`_fold`);
-    :meth:`poly` reduces once at the end.  A product is folded in once per
-    term of its shorter operand, so a constant operand, on either side, is
-    one integer multiplier over the other's terms."""
-
-    __slots__ = ("nums", "den")
-
-    def __init__(self):
-        self.nums: dict[Mono, int] = {}
-        self.den = 1
-
     def add(self, a: "Poly", b: "Poly", k: int = 1) -> None:
         if len(b._terms) < len(a._terms):
             a, b = b, a
-        accs, terms = {None: self}, {None: b}
         for mono, num in a._terms.items():
-            _fold(accs, terms, k * num, a._den, mono)
+            self.fold(b, k * num, a._den, mono)
 
     def poly(self) -> "Poly":
         return _reduced(self.nums, self.den)
@@ -293,15 +276,23 @@ class Poly:
         """``sum k*a*b / (times*divisor)`` over the ``(k, a, b)`` of
         ``products`` (``times`` a positive integer), or None when the division
         has a remainder.  The products are summed over one common denominator;
-        a constant divisor scales the sum, reduced once, and any other goes
-        through long division against the graded-lex leading term."""
+        a constant divisor is taken into that sum, reduced once, and any other
+        goes through long division against the graded-lex leading term."""
         if divisor.is_zero():
             raise ZeroDivisionError("division of polynomial by zero")
+        # For a constant divisor, times*divisor = d/e: each product is folded
+        # in times e, with the sign of d, and the sum's denominator is then
+        # multiplied by |d|.
+        num, den = 1, 1
+        if divisor.is_const():
+            den = divisor._terms[_ONE_MONO] * times
+            num = divisor._den if den > 0 else -divisor._den
         acc = _Acc()
         for k, a, b in products:
-            acc.add(a, b, k)
+            acc.add(a, b, k * num)
         if divisor.is_const():
-            return _scaled_sum(acc.nums, acc.den, divisor._den, divisor._terms[_ONE_MONO] * times)
+            acc.den *= abs(den)
+            return acc.poly()
         divisor = divisor._scaled(times)
 
         def leading(p: Poly) -> tuple[Mono, Fraction]:
@@ -430,7 +421,11 @@ class Poly:
 
     def _scaled(self, num: int, den: int = 1) -> "Poly":
         """``self * num/den`` for nonzero integers ``num`` and ``den``."""
-        return self if num == den else _scaled_sum(self._terms, self._den, num, den)
+        if num == den:
+            return self
+        acc = _Acc()
+        acc.fold(self, num if den > 0 else -num, abs(den))
+        return acc.poly()
 
     def __truediv__(self, other) -> "Poly":
         # Exact division by a nonzero rational only; polynomial divisors go
@@ -551,7 +546,8 @@ class ExpPoly:
         accs: defaultdict[tuple[Poly, int], _Acc] = defaultdict(_Acc)
         for coeff, f in pairs:
             for mono, num in coeff._terms.items():
-                _fold(accs, f._terms, num, coeff._den, mono)
+                for key, c in f._terms.items():
+                    accs[key].fold(c, num, coeff._den, mono)
         return ExpPoly._summed(accs)
 
     @classmethod
@@ -579,7 +575,8 @@ class ExpPoly:
             for j in range(degree):
                 accs[(base, j)].add(base, coeff, math.comb(degree, j))
             accs[(base, degree)].add(delta, coeff)
-        _fold(accs, inhom._terms, -1, 1)
+        for key, c in inhom._terms.items():
+            accs[key].fold(c, -1, 1)
         if any(any(acc.nums.values()) for acc in accs.values()):
             return ExpPoly._summed(accs)
         return ExpPoly._trusted({})

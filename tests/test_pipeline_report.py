@@ -363,26 +363,42 @@ _HASH_SEED_RUN = """
 import json, sys
 from dataclasses import replace
 from loopmoments import analyze, emit_json
-report = analyze(sys.stdin.read(), [3])
+report = analyze(sys.stdin.read(), [int(sys.argv[1])])
 text = emit_json(replace(report, elapsed_seconds=0.0))
 json.dump([text, [str(m) for m in report.equations]], sys.stdout)
 """
 
 
-def test_analysis_does_not_depend_on_the_hash_seed():
-    # Set and dict orders of moments follow the string hashes, which change
-    # with the seed; the report and the closure's equation order must not.
+def _runs_under_two_hash_seeds(source: str, goal: int) -> list:
     src = str(Path(__file__).parents[1] / "src")
     runs = []
     for seed in ("0", "1"):
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
         proc = subprocess.run(
-            [sys.executable, "-c", _HASH_SEED_RUN],
-            input=THREE_VAR, env=env, capture_output=True, text=True, timeout=120,
+            [sys.executable, "-c", _HASH_SEED_RUN, str(goal)],
+            input=source, env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         runs.append(json.loads(proc.stdout))
+    return runs
+
+
+def test_analysis_does_not_depend_on_the_hash_seed():
+    # Set and dict orders of moments follow the string hashes, which change
+    # with the seed; the report and the closure's equation order must not.
+    runs = _runs_under_two_hash_seeds(THREE_VAR, 3)
     assert runs[0] == runs[1]
+
+
+def test_symbolic_bases_do_not_depend_on_the_hash_seed():
+    # THREE_VAR has constant bases only; here the bases are the polynomials
+    # q^2, p*q and p^2, which the report sorts by their text, and the side
+    # conditions compare them pairwise.
+    source = "x = 0\nwhile true:\ny = q*y\nx = p*x + p*y - q*y\n"
+    runs = _runs_under_two_hash_seeds(source, 2)
+    assert runs[0] == runs[1]
+    report = json.loads(runs[0][0])
+    assert report["side_conditions"] == ["q^2 != p*q", "q^2 != p^2", "p*q != p^2"]
 
 
 def test_symbolic_initials_are_reported():
