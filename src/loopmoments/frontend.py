@@ -37,7 +37,7 @@ import math
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .symbolic import ONE, Poly
 
@@ -96,10 +96,13 @@ class Distribution:
         return self.arg1.symbols() | self.arg2.symbols()
 
 
-def _uniform_raw_moment(a: Poly, b: Poly, k: int) -> Poly:
+def _uniform_raw_moment(a: Poly, b: Poly, k: int, lower: Callable[[int], Poly]) -> Poly:
     # E[X^k] = (b^(k+1) - a^(k+1)) / ((k+1)(b-a)) expands to the polynomial
-    # sum_{i<=k} a^i b^(k-i) / (k+1), which also covers the point mass a == b.
-    return Poly.linear_combination((a**i, b ** (k - i)) for i in range(k + 1)) / (k + 1)
+    # sum_{i<=k} a^i b^(k-i) / (k+1), which also covers the point mass a == b;
+    # k*b times the sum for k-1 holds every term of it but a^k.
+    if k == 0:
+        return ONE
+    return (k * b * lower(k - 1) + a**k) / (k + 1)
 
 
 def _uniform_sampler(a: float, b: float):
@@ -115,14 +118,11 @@ def _uniform_sampler(a: float, b: float):
     return lambda rng, size: lo + (hi - lo) * rng.random(size)
 
 
-def _gauss_raw_moment(mean: Poly, variance: Poly, k: int) -> Poly:
+def _gauss_raw_moment(mean: Poly, variance: Poly, k: int, lower: Callable[[int], Poly]) -> Poly:
     # m_0 = 1, m_1 = mean, m_k = mean*m_{k-1} + (k-1)*variance*m_{k-2}.
-    m_prev, m_cur = ONE, mean
-    if k == 0:
-        return m_prev
-    for i in range(2, k + 1):
-        m_prev, m_cur = m_cur, mean * m_cur + (i - 1) * variance * m_prev
-    return m_cur
+    if k < 2:
+        return mean if k else ONE
+    return mean * lower(k - 1) + (k - 1) * variance * lower(k - 2)
 
 
 def _gauss_check(mean, variance) -> str | None:
@@ -138,9 +138,11 @@ def _gauss_sampler(mean: float, variance: float):
     return lambda rng, size: mean + sd * rng.standard_normal(size)
 
 
-# Each kind of ``RV(kind, arg1, arg2)``: E[X^k] as a polynomial in the
-# arguments; why exact or float arguments (None for one with parameters) make
-# no distribution, or None; and for float arguments that do,
+# Each kind of ``RV(kind, arg1, arg2)``: ``raw_moment(arg1, arg2, k, lower)``,
+# E[X^k] as a polynomial in the arguments, one step from ``lower(j)``, the
+# kind's E[X^j] for j < k (the caller builds the orders bottom-up, so no step
+# recurses further); why exact or float arguments (None for one with
+# parameters) make no distribution, or None; and for float arguments that do,
 # ``sample(rng, size)`` (OverflowError names what is beyond float range).
 DistributionKind = namedtuple("DistributionKind", "raw_moment check sampler")
 DISTRIBUTIONS = {

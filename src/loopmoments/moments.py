@@ -24,10 +24,9 @@ moment:
 with coefficients that are polynomials over parameters.  The demand-driven
 closure in :func:`moment_closure` collects every moment such an equation
 mentions, which is a finite set for validated programs; its cap counts
-every tracked moment, the goals included.  The images, the raw moments
-and the powers of the initial values are memoised in the
-:class:`MomentTable` of one analysis, so each power of each update is
-built once across all targets.
+every tracked moment, the goals included.  The :class:`MomentTable` of
+one analysis memoises the images, the powers of every polynomial and the
+raw moments, each built from the order below, once across all targets.
 """
 
 from __future__ import annotations
@@ -164,21 +163,28 @@ class MomentEquation:
 class MomentTable:
     """Memoised one-step building blocks of the moment equations.
 
+    ``power(p, k)`` returns ``p^k`` from one list of powers per polynomial,
+    so an update branch and an initial value that are equal share it.
+
     ``moment(d, k)`` returns E[X^k] for X drawn from ``d`` as a polynomial
-    over the distribution's parameters; :func:`moment_equation` uses it to
-    eliminate each draw once the reverse walk has passed the earliest
-    update that mentions the draw.  Subclasses may override :meth:`_compute`
-    to swap in other distributions (the test suite uses finite two-point
+    over the distribution's parameters.  It builds the missing orders
+    bottom-up, each one step from the orders below it, so no call recurses
+    more than one order.  Subclasses may override :meth:`_compute` to swap
+    in other distributions (the test suite uses finite two-point
     distributions this way).
+
+    ``expect(poly, draws)`` averages each ``(name, dist)`` of ``draws`` out
+    of ``poly`` by replacing each power of ``name`` with its raw moment;
+    :func:`moment_equation` uses it to eliminate each draw once the reverse
+    walk has passed the earliest update that mentions the draw.
 
     ``image(a, k, draws)`` returns the branch-mixed power
     ``sum_b p_b * e_b^k`` of an update ``a`` with the given draws averaged
-    out, built incrementally from one list of powers per branch.  It is
-    keyed on the update's value (variable and branches, not its line) and
-    on the draws with their distributions, so a table shared by programs
-    that update one variable differently, or draw from another distribution,
-    stays correct.  A table lives as long as one analysis, and so does its
-    memo.
+    out.  It is keyed on the update's value (variable and branches, not its
+    line) and on the draws with their distributions, so a table shared by
+    programs that update one variable differently, or draw from another
+    distribution, stays correct.  A table lives as long as one analysis,
+    and so does its memo.
 
     ``tracked(part)`` returns the one :class:`Moment` of the analysis that
     stands for a canonical monomial, so equal moments across the equations
@@ -189,15 +195,25 @@ class MomentTable:
     """
 
     def __init__(self):
-        self._memo: dict[tuple[Distribution, int], Poly] = {}
-        # initial polynomial value -> its powers v^0, v^1, ... built so far
+        # distribution -> its raw moments E[X^0], E[X^1], ... built so far
+        self._memo: dict[Distribution, list[Poly]] = {}
+        # polynomial -> its powers p^0, p^1, ... built so far
         self._powers: dict[Poly, list[Poly]] = {}
         # Keyed by the moment itself, which equals its monomial.
         self._moments: dict[Moment, Moment] = {}
-        # (update, draws) -> (powers e_b^j of each branch, images img(a, j))
-        self._images: dict[
-            tuple[UpdateAssignment, Draws], tuple[list[list[Poly]], list[Poly]]
-        ] = {}
+        # (update, draws) -> its images img(a, 0), img(a, 1), ... built so far
+        self._images: dict[tuple[UpdateAssignment, Draws], list[Poly]] = {}
+
+    def power(self, p: Poly, k: int) -> Poly:
+        powers = self._powers.setdefault(p, [ONE])
+        while len(powers) <= k:
+            powers.append(powers[-1] * p)
+        return powers[k]
+
+    def expect(self, poly: Poly, draws: Iterable[tuple[str, Distribution]]) -> Poly:
+        for name, dist in draws:
+            poly = poly.substitute(name, partial(self.moment, dist))
+        return poly
 
     def image(self, update: UpdateAssignment, k: int, draws: Draws = ()) -> Poly:
         """``sum_b p_b * e_b^k`` over the update's branches ``(e_b, p_b)``:
@@ -205,21 +221,13 @@ class MomentTable:
         branch choice averaged out.  Each ``(name, dist)`` of ``draws`` is
         averaged out too, which is sound only for a draw that nothing else
         in the polynomial being rewritten mentions."""
-        key = (update, draws)
-        entry = self._images.get(key)
-        if entry is None:
-            entry = self._images[key] = ([[ONE] for _ in update.branches], [ONE])
-        powers, images = entry
+        images = self._images.setdefault((update, draws), [ONE])
         while len(images) <= k:
-            for branch, branch_powers in zip(update.branches, powers):
-                branch_powers.append(branch_powers[-1] * branch.expr)
-            image = Poly.linear_combination(
-                (branch.prob, branch_powers[-1])
-                for branch, branch_powers in zip(update.branches, powers)
+            j = len(images)
+            mixed = Poly.linear_combination(
+                (branch.prob, self.power(branch.expr, j)) for branch in update.branches
             )
-            for name, dist in draws:
-                image = image.substitute(name, partial(self.moment, dist))
-            images.append(image)
+            images.append(self.expect(mixed, draws))
         return images[k]
 
     def tracked(self, part: Mono) -> Moment:
@@ -230,25 +238,19 @@ class MomentTable:
         return moment
 
     def initial(self, value: InitValue, k: int) -> Poly:
-        if isinstance(value, Distribution):
-            return self.moment(value, k)
-        powers = self._powers.get(value)
-        if powers is None:
-            powers = self._powers[value] = [ONE]
-        while len(powers) <= k:
-            powers.append(powers[-1] * value)
-        return powers[k]
+        return self.moment(value, k) if isinstance(value, Distribution) else self.power(value, k)
 
     def moment(self, dist: Distribution, k: int) -> Poly:
         if k < 0:
             raise ValueError("raw moments need k >= 0")
-        key = (dist, k)
-        if key not in self._memo:
-            self._memo[key] = self._compute(dist, k)
-        return self._memo[key]
+        moments = self._memo.setdefault(dist, [])
+        while len(moments) <= k:
+            moments.append(self._compute(dist, len(moments)))
+        return moments[k]
 
     def _compute(self, dist: Distribution, k: int) -> Poly:
-        return DISTRIBUTIONS[dist.kind].raw_moment(dist.arg1, dist.arg2, k)
+        lower = partial(self.moment, dist)
+        return DISTRIBUTIONS[dist.kind].raw_moment(dist.arg1, dist.arg2, k, lower)
 
 
 def _check_assigned(target: Moment, vp: ValidatedProgram) -> None:
@@ -273,14 +275,8 @@ def moment_equation(target: Moment, vp: ValidatedProgram, table: MomentTable) ->
     # earliest update that mentions it (``draw_schedule[i]``); one that no
     # update mentions, before the walk (the last entry).
     schedule = vp.draw_schedule
-
-    def expect_draws(poly: Poly, names: Iterable[str]) -> Poly:
-        # A fresh draw is independent of everything else left in ``poly``.
-        for name in names:
-            poly = poly.substitute(name, partial(table.moment, draws[name]))
-        return poly
-
-    poly = expect_draws(target.as_poly(), schedule[-1])
+    # A fresh draw is independent of everything else left in the polynomial.
+    poly = table.expect(target.as_poly(), [(name, draws[name]) for name in schedule[-1]])
     # Walk updates in reverse textual order: occurrences of a variable seen
     # before its own substitution step denote post-update values, afterwards
     # pre-update values; the ordering restriction (validate_program's
@@ -294,7 +290,7 @@ def moment_equation(target: Moment, vp: ValidatedProgram, table: MomentTable) ->
         symbols = poly.symbols()
         owned = tuple((name, draws[name]) for name in schedule[i] if name not in symbols)
         poly = poly.substitute(assignment.var, partial(table.image, assignment, draws=owned))
-        poly = expect_draws(poly, [name for name in schedule[i] if name in symbols])
+        poly = table.expect(poly, [(name, draws[name]) for name in schedule[i] if name in symbols])
 
     # Only state variables and parameters are left: split by linearity.
     parts = poly.split(vp.state)

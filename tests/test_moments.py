@@ -1,7 +1,9 @@
 """Distribution moments, one-step equations, and the moment closure."""
 
 import math
+import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -93,6 +95,54 @@ def test_moment_table_memoizes():
     fifth = table.initial(y0, 5)
     assert fifth == y0**5 and table.initial(Poly.var("y(0)") + b, 5) is fifth
     assert table.initial(y0, 2) == y0**2 and table.initial(d, 5) is first
+
+
+def _uniform_closed_form(lo: Poly, hi: Poly, k: int) -> Poly:
+    # sum_{i<=k} lo^i * hi^(k-i) / (k+1), every order on its own
+    return Poly.linear_combination((lo**i, hi ** (k - i)) for i in range(k + 1)) / (k + 1)
+
+
+def _gauss_from_scratch(mean: Poly, variance: Poly, k: int) -> Poly:
+    # m_k = mean*m_{k-1} + (k-1)*variance*m_{k-2}, run up from m_0 = 1 and m_1 = mean
+    m_prev, m_cur = Poly.const(1), mean
+    if k == 0:
+        return m_prev
+    for i in range(2, k + 1):
+        m_prev, m_cur = m_cur, mean * m_cur + (i - 1) * variance * m_prev
+    return m_cur
+
+
+def test_raw_moments_match_their_closed_forms():
+    cases = [
+        (Distribution("uniform", a, b), partial(_uniform_closed_form, a, b)),
+        (Distribution("uniform", Poly.const(0), b), partial(_uniform_closed_form, Poly(), b)),
+        (Distribution("uniform", a, a), partial(_uniform_closed_form, a, a)),
+        (Distribution("gauss", mu, var), partial(_gauss_from_scratch, mu, var)),
+    ]
+    for dist, closed_form in cases:
+        table = MomentTable()
+        top = table.moment(dist, 30)  # a first call fills every order below it
+        assert top == closed_form(30), dist
+        for k in range(31):
+            assert table.moment(dist, k) == closed_form(k), (dist, k)
+
+
+def test_a_first_order_above_the_recursion_limit_recurses_no_deeper():
+    k = 2 * (sys.getrecursionlimit() // 2 + 1)  # even, so the gauss moment is not 0
+    table = MomentTable()
+    unit = Distribution("uniform", Poly.const(0), Poly.const(1))
+    assert table.moment(unit, k) == Poly.const(Fraction(1, k + 1))
+    standard = Distribution("gauss", Poly.const(0), Poly.const(1))
+    assert table.moment(standard, k) == Poly.const(math.prod(range(1, k, 2)))
+
+
+def test_equal_update_branch_and_initial_value_share_their_powers():
+    vp = validate_program(parse_program("x = c\nwhile true:\n  x = c @ 1/2; 2*x @ 1/2\n"))
+    table = MomentTable()
+    update = vp.update_assignments[0]
+    c, x = Poly.var("c"), Poly.var("x")
+    assert table.image(update, 3) == (c**3 + 8 * x**3) / 2
+    assert table.initial(vp.initial["x"], 3) is table.power(update.branches[0].expr, 3)
 
 
 def test_negative_raw_moment_order_is_rejected():

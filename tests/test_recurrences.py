@@ -70,20 +70,30 @@ def test_independent_moments_use_canonical_tiebreak():
     assert topo_order(dict(reversed(list(eqs.items())))) == [M("a^1"), M("b^1")]
 
 
+def deps_eq(target: str, *deps: str) -> MomentEquation:
+    return MomentEquation(M(target), {M(d): Poly.const(1) for d in deps}, Poly())
+
+
 def test_cycle_is_reported():
-    eqs = {
-        M("a^1"): MomentEquation(M("a^1"), {M("b^1"): Poly.const(1)}, Poly()),
-        M("b^1"): MomentEquation(M("b^1"), {M("a^1"): Poly.const(1)}, Poly()),
-    }
-    with pytest.raises(SolverError, match="cyclic") as err:
-        topo_order(eqs)
-    assert "E[a^1], E[b^1]" in str(err.value)
+    cases = [
+        ([deps_eq("a^1", "b^1"), deps_eq("b^1", "a^1")], "E[a^1], E[b^1]"),
+        # a user of the cycle is stuck too; the names come in moment order
+        (
+            [deps_eq("a^2", "b^1"), deps_eq("b^1", "a^2"), deps_eq("c^1", "a^2"), deps_eq("d^1")],
+            "E[b^1], E[c^1], E[a^2]",
+        ),
+    ]
+    for equations, message in cases:
+        with pytest.raises(SolverError) as err:
+            topo_order({eq.target: eq for eq in equations})
+        assert str(err.value) == "cyclic dependency between moments " + message
 
 
 def test_order_requires_a_closed_set():
-    eqs = {M("a^1"): MomentEquation(M("a^1"), {M("b^1"): Poly.const(1)}, Poly())}
-    with pytest.raises(SolverError):
-        topo_order(eqs)
+    for deps, message in [(["b^1"], "E[b^1]"), (["c^1", "b^2", "a^1"], "E[c^1], E[b^2]")]:
+        with pytest.raises(SolverError) as err:
+            topo_order({M("a^1"): deps_eq("a^1", *deps)})
+        assert str(err.value) == "equation for E[a^1] mentions unsolved moment(s) " + message
 
 
 # -- recurrence assembly -----------------------------------------------------------

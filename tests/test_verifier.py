@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from loopmoments import ExpPoly, Moment, Poly, analyze, verifier
-from loopmoments.frontend import DISTRIBUTIONS, parse_program, validate_program
+from loopmoments import ExpPoly, Moment, MomentTable, Poly, analyze, verifier
+from loopmoments.frontend import DISTRIBUTIONS, Distribution, parse_program, validate_program
 from loopmoments.symbolic import ONE
 from loopmoments.verifier import (
     MomentEstimate,
@@ -350,9 +350,10 @@ def test_distribution_sampler_matches_its_raw_moments(kind):
     a, b = _KIND_ARGUMENTS[kind]
     assert entry.check(a, b) is None and entry.check(float(a), float(b)) is None
     draws = entry.sampler(float(a), float(b))(np.random.default_rng(7), 200_000)
+    table, dist = MomentTable(), Distribution(kind, Poly.const(a), Poly.const(b))
     for k in range(1, 5):
         powers = draws**k
-        exact = entry.raw_moment(Poly.const(a), Poly.const(b), k).const_value()
+        exact = table.moment(dist, k).const_value()
         se = powers.std(ddof=1) / math.sqrt(len(powers))
         assert abs(powers.mean() - float(exact)) <= 5 * se, (kind, k, powers.mean(), exact)
 
