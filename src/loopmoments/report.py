@@ -48,19 +48,6 @@ from .symbolic import (
 )
 from .verifier import VerifyEntry, VerifyReport
 
-FORMATS = ("txt", "tex", "json")
-
-
-def emit(report: InvariantReport, fmt: str) -> str:
-    if fmt == "txt":
-        return emit_txt(report)
-    if fmt == "tex":
-        return emit_tex(report)
-    if fmt == "json":
-        return emit_json(report)
-    raise ValueError(f"unknown output format {fmt!r}; expected one of {FORMATS}")
-
-
 # ---------------------------------------------------------------------------
 # Plain text
 # ---------------------------------------------------------------------------
@@ -369,3 +356,14 @@ def report_from_json(text: str) -> InvariantReport:
         elapsed_seconds=float(doc["elapsed_seconds"]),
         verification=_verification_from_json(doc.get("verification")),
     )
+
+
+# One writer per output format; ``FORMATS`` is the CLI's ``--format`` choices.
+_WRITERS = {"txt": emit_txt, "tex": emit_tex, "json": emit_json}
+FORMATS = tuple(_WRITERS)
+
+
+def emit(report: InvariantReport, fmt: str) -> str:
+    if fmt not in _WRITERS:
+        raise ValueError(f"unknown output format {fmt!r}; expected one of {FORMATS}")
+    return _WRITERS[fmt](report)

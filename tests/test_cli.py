@@ -164,7 +164,10 @@ def test_unresolvable_solver_case_exits_4(tmp_path, capsys):
     path = tmp_path / "prog"
     path.write_text("v = 0\nwhile true:\nv = 2*v + 1 @ p; v + 1 @ 1-p\n", encoding="utf-8")
     assert main([str(path), "--goal", "1"]) == 4
-    assert "cannot divide" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # one error line naming the moment, and no traceback
+    assert err.count("\n") == 1 and err.startswith("error: E[v^1]: ")
+    assert "cannot divide" in err
 
 
 def test_closure_cap_exits_4(walk_file, capsys):

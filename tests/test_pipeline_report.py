@@ -156,6 +156,10 @@ def test_json_round_trip():
     # a monomial goal is written as its moment and read back as a goal
     report = analyze(WALK, [1, "x^2*y"], name="walk")
     assert report.goals == (1, M("x^2*y")) and isinstance(report.goals[1], Moment)
+    assert json.loads(emit_json(report))["goals"] == [
+        {"kind": "all", "k": 1},
+        {"kind": "moment", "moment": "x^2*y^1"},
+    ]
     assert report_from_json(emit_json(report)) == report
 
 
@@ -334,8 +338,10 @@ def test_side_conditions_appear_in_txt():
 
 
 def test_emitters_reject_unknown_format():
-    with pytest.raises(ValueError):
+    message = "unknown output format 'yaml'; expected one of ('txt', 'tex', 'json')"
+    with pytest.raises(ValueError) as err:
         emit(walk_report(), "yaml")
+    assert str(err.value) == message
 
 
 def test_emitters_follow_the_canonical_order_not_the_dict_order():
@@ -362,20 +368,28 @@ def test_invariant_lines_are_deterministic():
 _HASH_SEED_RUN = """
 import json, sys
 from dataclasses import replace
+from fractions import Fraction
 from loopmoments import analyze, emit_json
-report = analyze(sys.stdin.read(), [int(sys.argv[1])])
+from loopmoments.verifier import SimConfig, check, simulate
+goals, bindings = json.loads(sys.argv[1])
+report = analyze(sys.stdin.read(), goals)
+if bindings is not None:
+    bindings = {name: Fraction(value) for name, value in bindings.items()}
+    cfg = SimConfig(bindings=bindings, iterations=5, trials=3 * 4096, seed=0)
+    estimates = simulate(report.validated, cfg, set(report.invariants))
+    report = report.with_verification(check(report.invariants, estimates, cfg))
 text = emit_json(replace(report, elapsed_seconds=0.0))
 json.dump([text, [str(m) for m in report.equations]], sys.stdout)
 """
 
 
-def _runs_under_two_hash_seeds(source: str, goal: int) -> list:
+def _runs_under_two_hash_seeds(source: str, goals: list, bindings: dict | None = None) -> list:
     src = str(Path(__file__).parents[1] / "src")
     runs = []
     for seed in ("0", "1"):
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
         proc = subprocess.run(
-            [sys.executable, "-c", _HASH_SEED_RUN, str(goal)],
+            [sys.executable, "-c", _HASH_SEED_RUN, json.dumps([goals, bindings])],
             input=source, env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
@@ -386,8 +400,13 @@ def _runs_under_two_hash_seeds(source: str, goal: int) -> list:
 def test_analysis_does_not_depend_on_the_hash_seed():
     # Set and dict orders of moments follow the string hashes, which change
     # with the seed; the report and the closure's equation order must not.
-    runs = _runs_under_two_hash_seeds(THREE_VAR, 3)
+    runs = _runs_under_two_hash_seeds(THREE_VAR, [3])
     assert runs[0] == runs[1]
+    # nor must a verified report, whose targets come as a set of moments:
+    # its target order and bindings, over three blocks of trials
+    runs = _runs_under_two_hash_seeds(WALK, [1, 2], {"b": "2", "y(0)": "0"})
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0][0])["verification"]["passed"] is True
 
 
 def test_symbolic_bases_do_not_depend_on_the_hash_seed():
@@ -395,7 +414,7 @@ def test_symbolic_bases_do_not_depend_on_the_hash_seed():
     # q^2, p*q and p^2, which the report sorts by their text, and the side
     # conditions compare them pairwise.
     source = "x = 0\nwhile true:\ny = q*y\nx = p*x + p*y - q*y\n"
-    runs = _runs_under_two_hash_seeds(source, 2)
+    runs = _runs_under_two_hash_seeds(source, [2])
     assert runs[0] == runs[1]
     report = json.loads(runs[0][0])
     assert report["side_conditions"] == ["q^2 != p*q", "q^2 != p^2", "p*q != p^2"]
@@ -597,9 +616,25 @@ def test_public_names_resolve():
     assert {"analyze", "emit", "report_from_json", "ExpPoly"} <= set(namespace)
 
 
+def readme_text() -> str:
+    return (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_library_snippet_runs_on_the_walk():
+    # the "Library" block as written: the one report record holds a closed
+    # form for every equation and the validated program, and a report read
+    # back from JSON holds no working state
+    snippet = readme_text().split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    namespace = {"source_text": WALK}
+    exec(snippet, namespace)
+    report = namespace["report"]
+    assert set(report.equations) == set(report.invariants)
+    assert report.validated is not None
+    assert report_from_json(emit(report, "json")).validated is None
+
+
 def test_readme_example_output_is_in_report_order():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    block = readme.split("Example output for the program above", 1)[1].split("```")[1]
+    block = readme_text().split("Example output for the program above", 1)[1].split("```")[1]
     shown = [line for line in block.splitlines() if line.startswith("E[")]
     assert len(shown) == 3
     lines = iter(emit_txt(analyze(WALK, [1, 2])).splitlines())
