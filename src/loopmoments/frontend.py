@@ -27,8 +27,8 @@ checks the structural restrictions that make moment computation possible
 and returns a :class:`ValidatedProgram` for the rest of the pipeline, with
 every variable resolved once: its ``variables``, the ``state`` carried
 between iterations, the ``draws``, each variable's ``initial`` value, the
-``symbols`` a binding must give and the ``draw_schedule`` by which the
-moment equations average the draws out.
+``symbols`` a binding must give, the ``draw_schedule`` by which the
+moment equations average the draws out, and the solve-order ``rank``.
 """
 
 from __future__ import annotations
@@ -215,6 +215,10 @@ class ValidatedProgram:
     is the first to mention: the reverse walk over the updates eliminates
     them right after passing it.  One more entry, the last, names the draws
     that no update mentions, eliminated before the walk.
+
+    ``rank`` lists the updates in reverse text order, then the init-only
+    constants, then the draws.  By the dependency-structure rule, sorting
+    moments on their exponent vectors over it puts dependencies first.
     """
 
     program: Program
@@ -224,6 +228,7 @@ class ValidatedProgram:
     initial: Mapping[str, InitValue]
     symbols: frozenset[str]
     draw_schedule: tuple[tuple[str, ...], ...]
+    rank: tuple[str, ...]
 
     @property
     def parameters(self) -> frozenset[str]:
@@ -592,4 +597,5 @@ def validate_program(p: Program) -> ValidatedProgram:
         initial=initial,
         symbols=p.parameters.union(*(value.symbols() for value in initial.values())),
         draw_schedule=tuple(draw_schedule),
+        rank=(*reversed(updated), *constants, *draws),
     )

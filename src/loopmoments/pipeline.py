@@ -156,7 +156,7 @@ def analyze(
     parsed_goals = tuple(parse_goals(goals, vp.variables))
     table = MomentTable()
     equations = moment_closure(goal_moments(parsed_goals, vp), vp, table, cap=max_closure)
-    order = topo_order(equations)
+    order = topo_order(equations, vp)
     init_moments = {m: initial_moment(vp, m, table) for m in equations}
     solved, side_conditions = solve_all(order, equations, init_moments)
 

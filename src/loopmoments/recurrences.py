@@ -1,5 +1,7 @@
 """First-order linear recurrences over tracked moments and their closed forms.
 
+:func:`topo_order` puts every moment after its dependencies by sorting the
+moments on their exponent vectors over the validated program's ``rank``.
 Each moment equation becomes, once its non-self dependencies are solved,
 
     f(n+1) = c * f(n) + inhom(n)
@@ -21,12 +23,12 @@ check is a bug, never an approximation.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
+from .frontend import ValidatedProgram
 from .moments import Moment, MomentEquation
 from .symbolic import ONE, ExpPoly, Poly
 
@@ -88,53 +90,19 @@ class Recurrence:
         return [f"{b} != {c}" for b, (delta, _) in self.by_base.items() if not delta.is_const()]
 
 
-def topo_order(equations: Mapping[Moment, MomentEquation]) -> list[Moment]:
-    """Moments ordered so every non-self dependency precedes its user.
+def topo_order(equations: Mapping[Moment, MomentEquation], vp: ValidatedProgram) -> list[Moment]:
+    """The moments sorted on their exponent vectors over ``vp.rank``.
 
-    Deterministic: ties are broken by the canonical moment order, with
-    dependency-free moments (the constant draw moments among them) first.
+    Validation makes each update linear in itself and otherwise read only
+    earlier variables, so every non-self dependency has a smaller vector and
+    comes first.  No two moments share a vector, so the order is unique.
     """
-    moments = set(equations)
-    deps: dict[Moment, set[Moment]] = {}
-    for m, eq in equations.items():
-        ds = deps[m] = eq.dependencies()
-        missing = ds - moments
-        if missing:
-            raise SolverError(
-                f"equation for E[{m}] mentions unsolved moment(s) "
-                + ", ".join(f"E[{d}]" for d in sorted(missing, key=Moment.sort_key))
-            )
 
-    users: dict[Moment, set[Moment]] = {m: set() for m in moments}
-    for m, ds in deps.items():
-        for d in ds:
-            users[d].add(m)
+    def vector(m: Moment) -> tuple[int, ...]:
+        powers = dict(m)
+        return tuple(powers.get(v, 0) for v in vp.rank)
 
-    def ready_key(m: Moment) -> tuple:
-        # Constant equations (no linear part at all, e.g. raw draw moments)
-        # go first; the canonical moment order breaks the remaining ties.
-        constant_first = 0 if not equations[m].linear else 1
-        return (constant_first,) + m.sort_key() + (m,)
-
-    remaining = {m: len(ds) for m, ds in deps.items()}
-    ready = [ready_key(m) for m, count in remaining.items() if count == 0]
-    heapq.heapify(ready)
-    order: list[Moment] = []
-    while ready:
-        m = heapq.heappop(ready)[-1]
-        order.append(m)
-        for user in users[m]:
-            remaining[user] -= 1
-            if remaining[user] == 0:
-                heapq.heappush(ready, ready_key(user))
-    if len(order) != len(moments):
-        # Unreachable for validated programs, whose updates only depend on
-        # themselves and on earlier variables.
-        stuck = sorted((m for m, count in remaining.items() if count), key=Moment.sort_key)
-        raise SolverError(
-            "cyclic dependency between moments " + ", ".join(f"E[{m}]" for m in stuck)
-        )
-    return order
+    return sorted(equations, key=vector)
 
 
 def build_recurrence(

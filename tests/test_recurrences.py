@@ -15,14 +15,19 @@ from loopmoments import (
     UnresolvedBaseError,
     analyze,
     build_recurrence,
+    goal_moments,
+    moment_closure,
+    parse_goals,
+    parse_program,
     solve_all,
     solve_first_order,
     topo_order,
+    validate_program,
 )
 from loopmoments import recurrences
 from loopmoments.symbolic import ONE, ZERO
 
-from corpus import CORPUS, assert_normal_poly, counting_fractions
+from corpus import CORPUS, THREE_VAR, WALK, assert_normal_poly, counting_fractions
 
 b = Poly.var("b")
 
@@ -45,7 +50,7 @@ def corpus_report(name: str):
 
 def test_walk_order_respects_dependencies():
     walk = corpus_report("walk")
-    order = topo_order(walk.equations)
+    order = topo_order(walk.equations, walk.validated)
     assert tuple(order) == walk.order
     pos = {m: i for i, m in enumerate(order)}
     assert pos[M("x^1")] < pos[M("x^1*y^1")]
@@ -53,47 +58,43 @@ def test_walk_order_respects_dependencies():
     assert pos[M("x^2")] < pos[M("y^2")]
     assert pos[M("x^1*y^1")] < pos[M("y^2")]
     # constant draw moments come first
-    assert {str(m) for m in order[:4]} == {"u^1", "u^2", "g^1", "g^2"}
+    assert [str(m) for m in order] == [
+        "g^1", "g^2", "u^1", "u^2", "x^1", "x^2", "y^1", "x^1*y^1", "y^2"
+    ]
 
 
-def test_singleton_self_recursive_order():
-    eq = MomentEquation(M("v^1"), {M("v^1"): Poly.const(1)}, Poly.const(1))
-    assert topo_order({M("v^1"): eq}) == [M("v^1")]
+ORDER_CASES = [
+    *((f"{name} k={k}", entry[0], [k]) for name, entry in CORPUS.items() for k in range(1, 5)),
+    *((f"three-var k={k}", THREE_VAR, [k]) for k in range(1, 5)),
+    ("walk mixed", WALK, ["u^1*x^1", "g^1*y^1", "u^2*x^1*y^1"]),
+]
 
 
-def test_independent_moments_use_canonical_tiebreak():
-    eqs = {
-        M("b^1"): MomentEquation(M("b^1"), {M("b^1"): Poly.const(1)}, Poly()),
-        M("a^1"): MomentEquation(M("a^1"), {M("a^1"): Poly.const(1)}, Poly()),
-    }
-    assert topo_order(eqs) == [M("a^1"), M("b^1")]
-    assert topo_order(dict(reversed(list(eqs.items())))) == [M("a^1"), M("b^1")]
+def test_order_puts_every_dependency_first():
+    for label, source, goals in ORDER_CASES:
+        vp = validate_program(parse_program(source))
+        equations = moment_closure(goal_moments(parse_goals(goals, vp.variables), vp), vp)
+        order = topo_order(equations, vp)
+        assert sorted(order) == sorted(equations), label
+        position = {m: i for i, m in enumerate(order)}
+        for moment, equation in equations.items():
+            assert all(position[d] < position[moment] for d in equation.dependencies()), (
+                label,
+                moment,
+            )
+        # the order is the moments' own, not the map's insertion order
+        assert topo_order(dict(reversed(list(equations.items()))), vp) == order, label
 
 
 def deps_eq(target: str, *deps: str) -> MomentEquation:
     return MomentEquation(M(target), {M(d): Poly.const(1) for d in deps}, Poly())
 
 
-def test_cycle_is_reported():
-    cases = [
-        ([deps_eq("a^1", "b^1"), deps_eq("b^1", "a^1")], "E[a^1], E[b^1]"),
-        # a user of the cycle is stuck too; the names come in moment order
-        (
-            [deps_eq("a^2", "b^1"), deps_eq("b^1", "a^2"), deps_eq("c^1", "a^2"), deps_eq("d^1")],
-            "E[b^1], E[c^1], E[a^2]",
-        ),
-    ]
-    for equations, message in cases:
-        with pytest.raises(SolverError) as err:
-            topo_order({eq.target: eq for eq in equations})
-        assert str(err.value) == "cyclic dependency between moments " + message
-
-
-def test_order_requires_a_closed_set():
-    for deps, message in [(["b^1"], "E[b^1]"), (["c^1", "b^2", "a^1"], "E[c^1], E[b^2]")]:
-        with pytest.raises(SolverError) as err:
-            topo_order({M("a^1"): deps_eq("a^1", *deps)})
-        assert str(err.value) == "equation for E[a^1] mentions unsolved moment(s) " + message
+def test_solving_requires_a_closed_set():
+    equations = {M("a^1"): deps_eq("a^1", "b^1")}
+    with pytest.raises(SolverError) as err:
+        solve_all([M("a^1")], equations, {M("a^1"): Poly()})
+    assert str(err.value) == "missing closed form for E[b^1] while building E[a^1]"
 
 
 # -- recurrence assembly -----------------------------------------------------------
@@ -481,7 +482,7 @@ def test_solver_failures_name_the_moment():
     }
     inits = {M("v^1"): Poly.const(0)}
     with pytest.raises(SolverError) as err:
-        solve_all(topo_order(equations), equations, inits)
+        solve_all([M("v^1")], equations, inits)
     assert "E[v^1]" in str(err.value)
 
 
