@@ -15,23 +15,27 @@ standard error (``x = 1``, ``x = 10*x @ 1/100; x @ 99/100`` at ``n = 30``,
 20000 trials, seed 6: 13.27 expected, 9.80 estimated, se 0.434).
 
 Trials are grouped into fixed-size blocks; block ``b`` uses the RNG
-substream spawned from ``(seed, b)``.  The blocks run on the CPUs in the
-process's affinity set, one thread per CPU at most, and their sums are
+substream spawned from ``(seed, b)``.  On Linux the blocks run on the CPUs
+in the process's affinity set: the calling process and one forked worker
+per further CPU at most, each worker sending its blocks' sums back through
+a pipe.  Elsewhere they all run in the calling process.  The sums are
 added in block order, so identical configurations reproduce bit for bit
-whatever the CPU count.  A negative seed is a configuration error.  An
-update with several branches draws one uniform per trial and compares it
-with the cumulative branch probabilities; the last branch takes any
-rounding remainder.  Each arithmetic step is one numpy call over a block.
+whatever the CPU count or platform.  A negative seed is a configuration
+error.  An update with several branches draws one uniform per trial and
+compares it with the cumulative branch probabilities; the last branch takes
+any rounding remainder.  Each arithmetic step is one numpy call over a
+block.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
+import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import BinaryIO, Mapping, NoReturn, Sequence
 
 from .frontend import DISTRIBUTIONS, Distribution, ValidatedProgram
 from .moments import Moment
@@ -42,10 +46,37 @@ _BLOCK = 4096
 _Z = 5.0
 
 
+# Blocks go to forked workers on Linux only: Windows has no fork, and macOS's
+# system libraries are not safe to use in a forked child.  Elsewhere every
+# block runs in the calling process.
+_FORK = sys.platform == "linux" and hasattr(os, "fork")
+
+
 def _cpus() -> int:
     """The CPUs this process may run on."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _serve(sink: BinaryIO, work) -> NoReturn:
+    """In a forked worker: send ``work()``, or the exception it raised, to
+    the parent through ``sink``, then end the process.  ``os._exit`` runs no
+    exit handler and flushes none of the parent's stdio, and the worker
+    never returns into the caller's stack.  Exit status 0 means all was sent.
+    """
+    import pickle
+
+    code = 1
+    try:
+        try:
+            sent = work()
+        except BaseException as exc:  # the parent raises it again
+            sent = exc
+        pickle.dump(sent, sink)
+        sink.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 class VerifierError(Exception):
@@ -202,6 +233,9 @@ def simulate(
     choosing a branch independently with its bound probabilities.  A value
     that overflows makes its estimate non-finite, without a warning.
     """
+    import pickle
+    import signal
+
     import numpy as np
 
     missing = sorted(vp.symbols - set(cfg.bindings))
@@ -246,7 +280,7 @@ def simulate(
     # variance from cancelling when the spread is tiny beside the mean, and
     # identical values give exactly 0.  An overflow leaves an inf or nan
     # estimate, which check() fails and the report names: numpy's warnings
-    # about it would only be noise, in whichever thread.
+    # about it would only be noise, in whichever process.
     shifts: dict[Moment, float] = {}
 
     def run_block(block: int) -> list[tuple[float, float, float]]:
@@ -271,34 +305,67 @@ def simulate(
                 sums.append((float(values.sum()), float(shifted.sum()), float(shifted.dot(shifted))))
         return sums
 
-    # Block 0 fixes the shifts.  Then the calling thread and one helper per
-    # further CPU take the other blocks in turn; once a block has raised,
-    # each stops before its next block.
+    # Block 0 fixes the shifts.  The other blocks are dealt in turn to this
+    # process and to one forked worker per further CPU.  Before each of its
+    # own blocks, this process takes in every worker that has exited, so a
+    # worker's failure stops the run there.
     n_blocks = (cfg.trials + _BLOCK - 1) // _BLOCK
     results = [run_block(0)] + [None] * (n_blocks - 1)
-    pending, lock, failures = iter(range(1, n_blocks)), threading.Lock(), []
+    workers = max(1, min(_cpus(), n_blocks - 1)) if _FORK else 1
+    pipes: list[BinaryIO] = []
+    children: dict[int, BinaryIO] = {}  # not yet reaped -> read end of its pipe
 
-    def work():
-        try:
-            while not failures:
-                with lock:
-                    block = next(pending, None)
-                if block is None:
-                    return
-                results[block] = run_block(block)
-        except BaseException as exc:
-            failures.append(exc)
+    def collect(pid: int) -> None:
+        """Read all the worker sent, reap it, then store its sums or raise
+        its exception."""
+        sent = children[pid].read()
+        status = os.waitpid(pid, 0)[1]
+        del children[pid]
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raise VerifierError(
+                f"a simulation worker exited with status {code} without sending its blocks"
+            )
+        got = pickle.loads(sent)
+        if isinstance(got, BaseException):
+            raise got
+        for block, sums in got:
+            results[block] = sums
 
-    helpers = [threading.Thread(target=work) for _ in range(min(_cpus(), n_blocks - 1) - 1)]
-    for thread in helpers:
-        thread.start()
-    work()
-    for thread in helpers:
-        thread.join()
-    if failures:
-        raise failures[0]
+    try:
+        for worker in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            with open(write_fd, "wb") as sink:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns that forking a process with threads
+                    # (numpy's BLAS pool) may deadlock the child.  The child
+                    # takes no lock another thread may hold: it touches only
+                    # its own numpy arrays and leaves through os._exit.
+                    warnings.filterwarnings(
+                        "ignore", r"This process \(pid=\d+\) is multi-threaded",
+                        DeprecationWarning,
+                    )
+                    pid = os.fork()
+                if pid == 0:
+                    mine = range(1 + worker, n_blocks, workers)
+                    _serve(sink, lambda: [(block, run_block(block)) for block in mine])
+            children[pid] = pipes[-1]
+        for block in range(1, n_blocks, workers):
+            for pid in list(children):
+                if os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT):
+                    collect(pid)
+            results[block] = run_block(block)
+        for pid in list(children):
+            collect(pid)
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
-    # Added in block order, one float at a time, as one thread would.
+    # Added in block order, one float at a time, as one process would.
     out = {}
     n = cfg.trials
     for t, per_block in zip(target_list, zip(*results)):

@@ -16,8 +16,11 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
 from fractions import Fraction
 from typing import Any, Mapping
+
+import pytest
 
 from loopmoments import (
     ExpPoly,
@@ -544,3 +547,23 @@ def counting_fractions():
         yield count
     finally:
         Fraction.__new__ = original
+
+
+def count_forks(monkeypatch) -> list[int]:
+    """The pids of the children this process forks from now on."""
+    forked, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
+
+
+def assert_no_child_is_left() -> None:
+    """No child of this process is running or waiting to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

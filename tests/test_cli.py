@@ -11,7 +11,7 @@ import pytest
 import loopmoments
 from loopmoments.cli import main
 
-from corpus import WALK
+from corpus import WALK, assert_no_child_is_left, count_forks
 
 
 @pytest.fixture()
@@ -296,7 +296,7 @@ def test_overflowed_estimate_is_reported_without_warnings(tmp_path):
 
 def test_overflow_stays_silent_on_helper_threads(tmp_path):
     # 12000 trials are three blocks; with four CPUs, blocks 1 and 2 go to
-    # the calling thread and a helper thread.
+    # the calling process and a forked worker, which must print nothing.
     (tmp_path / "prog").write_text("x = 2\nwhile true:\nx = 1000*x\n", encoding="utf-8")
     code = (
         "import sys; from loopmoments import cli, verifier; "
@@ -307,6 +307,35 @@ def test_overflow_stays_silent_on_helper_threads(tmp_path):
     assert proc.returncode == 1
     assert "E[x^40]: expected inf, estimate overflowed -> FAIL" in proc.stdout
     assert proc.stderr == "verification failed; see report\n"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="blocks run in forked workers on Linux only")
+def test_verify_runs_leave_no_worker_and_match_one_process(walk_file, tmp_path, monkeypatch,
+                                                           capsys):
+    # 12289 trials are four blocks: with four CPUs, two forked workers take
+    # blocks 2 and 3.  With the fork gate off, the path of every platform
+    # but Linux, the calling process runs them all to the same bits.
+    from loopmoments import verifier
+
+    forked = count_forks(monkeypatch)
+    monkeypatch.setattr(verifier, "_cpus", lambda: 4)
+    overflow = tmp_path / "overflow"
+    overflow.write_text("x = 2\nwhile true:\nx = 1000*x\n", encoding="utf-8")
+    walk = [walk_file, "--goal", "1", "--goal", "2", "--param", "b=2", "--param", "y(0)=1/3"]
+    entries = []
+    for args, expected_code, fork_gate in [
+        (walk, 0, True), ([str(overflow), "--goal", "40"], 1, True), (walk, 0, False)
+    ]:
+        monkeypatch.setattr(verifier, "_FORK", fork_gate)
+        forked.clear()
+        code = main([*args, "--verify", "--trials", "12289", "--format", "json"])
+        assert code == expected_code
+        doc = json.loads(capsys.readouterr().out)
+        entries.append([(e["moment"], float(e["mean"]).hex(), float(e["sd"]).hex())
+                        for e in doc["verification"]["entries"]])
+        assert len(forked) == (2 if fork_gate else 0)
+        assert_no_child_is_left()
+    assert entries[0] == entries[2]
 
 
 def test_cli_import_does_not_load_numpy(tmp_path):

@@ -1,8 +1,7 @@
 """Simulation, estimation, and the statistical check."""
 
 import math
-import sys
-import threading
+import os
 import time
 from fractions import Fraction
 
@@ -25,6 +24,8 @@ from corpus import (
     DISCRETE,
     THREE_VAR,
     WALK,
+    assert_no_child_is_left,
+    count_forks,
     enumerate_moments,
     load,
     reference_simulate,
@@ -457,96 +458,128 @@ def test_simulate_matches_the_reference_loop_bit_for_bit(name, iterations, trial
 
 @pytest.mark.parametrize("name", ["three_branches", "three_var", "walk"])
 def test_blocks_on_helper_threads_match_the_reference_loop(monkeypatch, name):
-    # Four blocks, the last of 5 trials: the calling thread and up to three
-    # helpers share blocks 1-3 on any machine, and the reference runs them
-    # one after another.
+    # Four blocks, the last of 5 trials: the calling process and up to three
+    # forked workers share blocks 1-3 on any machine, and the reference runs
+    # them one after another.
     monkeypatch.setattr(verifier, "_cpus", lambda: 4)
     _assert_matches_the_reference(name, 7, 3 * 4096 + 5)
 
 
+def _wait_until_exited(pids):
+    # Peeks at each worker's exit without reaping it, as simulate must.
+    deadline = time.monotonic() + 60
+    while not all(os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+                  for pid in pids):
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+
+
 def test_estimates_do_not_depend_on_the_cpu_count(monkeypatch):
-    # Also a stress test of the shared schedule: more threads than this
-    # machine's CPUs, switching as often as the interpreter allows.  A block
+    # 17 blocks: at 8 CPUs, more workers than this machine's CPUs.  A block
     # taken twice or never changes a sum or leaves no result.
     vp = load("walk")
     cfg = SimConfig(bindings={"b": 2, "y(0)": Fraction(1, 3)}, iterations=2,
                     trials=16 * 4096 + 1, seed=3)
     targets = {M("x^2"), M("y^1"), M("u^1*x^1")}
-    real_sampler = verifier._sampler
-    threads = set()
-
-    def sampler(value, bindings, var):
-        sample = real_sampler(value, bindings, var)
-
-        def recorded(rng, size):
-            threads.add(threading.get_ident())
-            return sample(rng, size)
-
-        return recorded
-
-    monkeypatch.setattr(verifier, "_sampler", sampler)
+    forked = count_forks(monkeypatch)
     runs = []
-    interval = sys.getswitchinterval()
-    for cpus in (1, 4, 8):
+    for cpus in (1, 2, 4, 8):
         monkeypatch.setattr(verifier, "_cpus", lambda: cpus)
-        threads.clear()
-        sys.setswitchinterval(1e-6)
-        try:
-            est = simulate(vp, cfg, targets)
-        finally:
-            sys.setswitchinterval(interval)
+        forked.clear()
+        est = simulate(vp, cfg, targets)
         runs.append({t: (est[t].mean.hex(), est[t].sd.hex()) for t in targets})
-        # one CPU starts no thread; never more threads than CPUs
-        if cpus == 1:
-            assert threads == {threading.get_ident()}
-        assert len(threads) <= cpus
-    assert runs[0] == runs[1] == runs[2]
+        # one CPU forks no worker; never more workers than further CPUs
+        assert len(forked) <= cpus - 1
+        assert_no_child_is_left()
+    assert runs[0] == runs[1] == runs[2] == runs[3]
 
 
+@pytest.mark.skipif(not verifier._FORK, reason="blocks run in forked workers on Linux only")
 def test_a_block_that_raises_in_a_helper_stops_the_run(monkeypatch):
-    # One sampler call per block: the initial value of x.  Three CPUs start
-    # two helpers.  The first helper's block waits until the second helper
-    # is in a block, then raises; the second finishes its block slowly.  The
-    # calling thread's second block waits until the first helper has raised
-    # and ended.  So simulate has to join the slow helper, and the calling
-    # thread has to stop.
+    # One sampler call per block: the initial value of x.  Three CPUs fork
+    # two workers, and of the 8 blocks the calling process takes 0, 1, 4
+    # and 7.  Each worker's first block raises.  If the caller gets to block
+    # 1, that block waits until both workers have exited, so before its next
+    # block the caller sees the failure and runs no further block.
     vp = validate_program(parse_program("x = 0\nwhile true:\n  x = x + 1\n"))
     cfg = SimConfig(bindings={}, iterations=3, trials=8 * 4096, seed=0)
     real_sampler = verifier._sampler
-    lock, entered, raised = threading.Lock(), threading.Event(), threading.Event()
-    caller, helpers, calls_here = threading.current_thread(), [], []
+    caller, calls_here = os.getpid(), []
+    forked = count_forks(monkeypatch)
 
     def sampler(value, bindings, var):
         sample = real_sampler(value, bindings, var)
 
         def failing(rng, size):
-            me = threading.current_thread()
-            if me is caller:
-                calls_here.append(None)
-                if len(calls_here) > 1:
-                    assert raised.wait(timeout=60)
-                    helpers[0].join(timeout=60)
-                    assert not helpers[0].is_alive()
-                return sample(rng, size)
-            with lock:
-                helpers.append(me)
-            if helpers[0] is me:
-                assert entered.wait(timeout=60)
-                raised.set()
+            if os.getpid() != caller:
                 raise RuntimeError("a block failed")
-            entered.set()
-            assert raised.wait(timeout=60)
-            time.sleep(0.2)
+            calls_here.append(None)
+            if len(calls_here) == 2:
+                _wait_until_exited(forked)
             return sample(rng, size)
 
         return failing
 
     monkeypatch.setattr(verifier, "_sampler", sampler)
     monkeypatch.setattr(verifier, "_cpus", lambda: 3)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="a block failed"):
+    with pytest.raises(RuntimeError, match="^a block failed$"):
         simulate(vp, cfg, {M("x^1")})
-    assert threading.active_count() == before
-    assert len(set(helpers)) == 2
-    # block 0, and at most the one block during which a helper failed
-    assert len(calls_here) <= 2
+    assert len(forked) == 2
+    assert len(calls_here) <= 2  # block 0, and at most block 1
+    assert_no_child_is_left()
+
+
+@pytest.mark.skipif(not verifier._FORK, reason="blocks run in forked workers on Linux only")
+def test_a_worker_that_sends_nothing_names_its_exit_status(monkeypatch):
+    vp = validate_program(parse_program("x = 0\nwhile true:\n  x = x + 1\n"))
+    cfg = SimConfig(bindings={}, iterations=1, trials=3 * 4096, seed=0)
+    real_sampler, caller = verifier._sampler, os.getpid()
+
+    def sampler(value, bindings, var):
+        sample = real_sampler(value, bindings, var)
+
+        def leaving(rng, size):
+            if os.getpid() != caller:
+                os._exit(3)
+            return sample(rng, size)
+
+        return leaving
+
+    monkeypatch.setattr(verifier, "_sampler", sampler)
+    monkeypatch.setattr(verifier, "_cpus", lambda: 2)
+    with pytest.raises(VerifierError, match="worker exited with status 3 without sending"):
+        simulate(vp, cfg, {M("x^1")})
+    assert_no_child_is_left()
+
+
+@pytest.mark.skipif(not verifier._FORK, reason="blocks run in forked workers on Linux only")
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_a_failure_in_the_caller_kills_the_running_workers(monkeypatch, error):
+    # The workers would sleep for a minute; the caller's block 1 raises
+    # while they run, and simulate kills and reaps them before it returns.
+    vp = validate_program(parse_program("x = 0\nwhile true:\n  x = x + 1\n"))
+    cfg = SimConfig(bindings={}, iterations=1, trials=5 * 4096, seed=0)
+    real_sampler, caller, calls_here = verifier._sampler, os.getpid(), []
+    forked = count_forks(monkeypatch)
+
+    def sampler(value, bindings, var):
+        sample = real_sampler(value, bindings, var)
+
+        def interrupted(rng, size):
+            if os.getpid() != caller:
+                time.sleep(60)
+            calls_here.append(None)
+            if len(calls_here) == 2:
+                raise error("the caller failed")
+            return sample(rng, size)
+
+        return interrupted
+
+    monkeypatch.setattr(verifier, "_sampler", sampler)
+    monkeypatch.setattr(verifier, "_cpus", lambda: 4)
+    start = time.monotonic()
+    with pytest.raises(error, match="the caller failed"):
+        simulate(vp, cfg, {M("x^1")})
+    assert time.monotonic() - start < 30
+    assert len(forked) == 3
+    assert_no_child_is_left()
