@@ -449,10 +449,9 @@ class Poly:
         return result
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, Poly):
             return NotImplemented
-        return self._den == o._den and self._terms == o._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
         if self._hash is None:

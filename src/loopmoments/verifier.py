@@ -23,8 +23,9 @@ added in block order, so identical configurations reproduce bit for bit
 whatever the CPU count or platform.  A negative seed is a configuration
 error.  An update with several branches draws one uniform per trial and
 compares it with the cumulative branch probabilities; the last branch takes
-any rounding remainder.  Each arithmetic step is one numpy call over a
-block.
+any rounding remainder.  Each polynomial is compiled to one float per
+monomial of the variables, its exact coefficient under the bindings rounded
+once, and each arithmetic step is one numpy call over a block.
 """
 
 from __future__ import annotations
@@ -49,13 +50,12 @@ _Z = 5.0
 # Blocks go to forked workers on Linux only: Windows has no fork, and macOS's
 # system libraries are not safe to use in a forked child.  Elsewhere every
 # block runs in the calling process.
-_FORK = sys.platform == "linux" and hasattr(os, "fork")
+_FORK = sys.platform == "linux"
 
 
 def _cpus() -> int:
-    """The CPUs this process may run on."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
+    """The CPUs this process may run on (called only where ``_FORK`` holds)."""
+    return len(os.sched_getaffinity(0))
 
 
 def _serve(sink: BinaryIO, work) -> NoReturn:
@@ -147,37 +147,24 @@ def _beyond_range(what: str, params: set[str]) -> VerifierError:
     return VerifierError(f"{what} is beyond float range{named}")
 
 
-def _float(value: Fraction, what: str, params: set[str]) -> float:
-    try:
-        return float(value)
-    except OverflowError:
-        raise _beyond_range(what, params) from None
-
-
 def _eval_float(poly: Poly, bindings: Mapping[str, Fraction], what: str) -> float:
-    return _float(poly.evaluate(bindings), what, poly.symbols())
+    try:
+        return float(poly.evaluate(bindings))
+    except OverflowError:
+        raise _beyond_range(what, poly.symbols()) from None
 
 
 def _compile_poly(
     poly: Poly, bindings: Mapping[str, Fraction], state_names: frozenset[str], what: str
 ):
-    """Fold parameters into float coefficients; keep state factors symbolic."""
+    """One float per monomial over ``state_names``: its exact coefficient, rounded once."""
     import numpy as np
 
     compiled: list[tuple[bool, float, tuple[tuple[str, int], ...]]] = []
-    for mono, coeff in poly.terms():
-        value = coeff
-        factors: list[tuple[str, int]] = []
-        params: set[str] = set()
-        for name, exp in mono:
-            if name in state_names:
-                factors.append((name, exp))
-            else:
-                value *= bindings[name] ** exp
-                params.add(name)
-        c = _float(value, f"a coefficient of {what}", params)
+    for factors, coeff in poly.split(state_names).items():
+        c = _eval_float(coeff, bindings, f"a coefficient of {what}")
         subtract = bool(compiled) and c == -1.0
-        compiled.append((subtract, 1.0 if subtract else c, tuple(factors)))
+        compiled.append((subtract, 1.0 if subtract else c, factors))
 
     # ``c * p1 * p2 ...`` left to right, terms summed in order, one numpy
     # call per step.  Starting from the first term rather than from zeros can

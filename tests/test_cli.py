@@ -294,7 +294,7 @@ def test_overflowed_estimate_is_reported_without_warnings(tmp_path):
     assert proc.stderr == "verification failed; see report\n"
 
 
-def test_overflow_stays_silent_on_helper_threads(tmp_path):
+def test_overflow_stays_silent_in_forked_workers(tmp_path):
     # 12000 trials are three blocks; with four CPUs, blocks 1 and 2 go to
     # the calling process and a forked worker, which must print nothing.
     (tmp_path / "prog").write_text("x = 2\nwhile true:\nx = 1000*x\n", encoding="utf-8")

@@ -173,6 +173,18 @@ def test_public_constructor_canonicalises_monomials():
         Poly({(("x", -1),): 1})
 
 
+def test_a_poly_equals_only_a_poly_so_equality_agrees_with_hashing():
+    three = Poly.const(3)
+    assert three == Poly.const(3) and hash(three) == hash(Poly.const(3))
+    # a number is no Poly: were it equal, a set holding the Poly would have
+    # to find it, and the hash of the normal form cannot promise that
+    assert three != 3 and 3 != three and three != Fraction(3)
+    assert 3 not in {three} and three not in {3}
+    assert ZERO != 0
+    # arithmetic still coerces numbers
+    assert three + 1 == Poly.const(4) and 2 * three == Poly.const(6)
+
+
 def _assert_normal_exp_poly(f: ExpPoly) -> None:
     for base, degree, coeff in f.terms():
         assert_normal_poly(base)

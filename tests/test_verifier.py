@@ -411,6 +411,27 @@ def test_compiled_evaluator_matches_the_per_term_formula():
             assert np.array_equal(evaluate(state, size), expected)
 
 
+def test_terms_on_one_state_monomial_are_summed_exactly_and_rounded_once():
+    # 1/7*p*x + 2/7*x at p = 1/3 is exactly 1/3*x: one coefficient, not two
+    # rounded terms added in floats
+    import numpy as np
+
+    x, p = Poly.var("x"), Poly.var("p")
+    poly = Fraction(1, 7) * p * x + Fraction(2, 7) * x
+    evaluate = _compile_poly(poly, {"p": Fraction(1, 3)}, frozenset({"x"}), "a test polynomial")
+    state = {"x": np.random.default_rng(5).normal(size=100_000)}
+    assert np.array_equal(evaluate(state, 100_000), float(Fraction(1, 3)) * state["x"])
+
+
+def test_an_update_with_terms_on_one_state_monomial_passes_verification():
+    report = analyze("v = 1\nwhile true:\nv = 1/7*p*v + 2/7*v @ 1/2; 2*v @ 1/2\n", [1, 2])
+    cfg = SimConfig(bindings={"p": Fraction(1, 3)}, iterations=20, trials=100_000, seed=9)
+    estimates = simulate(report.validated, cfg, set(report.invariants))
+    result = check(report.invariants, estimates, cfg)
+    assert [str(e.moment) for e in result.entries] == ["v^1", "v^2"]
+    assert result.passed
+
+
 # (source, bindings) beyond the corpus for the bit-identity test: a
 # multi-factor term with a coefficient other than 1 and a uniform with its
 # arguments reversed, three branches, a branch of probability 0, and a
@@ -457,7 +478,7 @@ def test_simulate_matches_the_reference_loop_bit_for_bit(name, iterations, trial
 
 
 @pytest.mark.parametrize("name", ["three_branches", "three_var", "walk"])
-def test_blocks_on_helper_threads_match_the_reference_loop(monkeypatch, name):
+def test_blocks_in_forked_workers_match_the_reference_loop(monkeypatch, name):
     # Four blocks, the last of 5 trials: the calling process and up to three
     # forked workers share blocks 1-3 on any machine, and the reference runs
     # them one after another.
@@ -495,7 +516,7 @@ def test_estimates_do_not_depend_on_the_cpu_count(monkeypatch):
 
 
 @pytest.mark.skipif(not verifier._FORK, reason="blocks run in forked workers on Linux only")
-def test_a_block_that_raises_in_a_helper_stops_the_run(monkeypatch):
+def test_a_block_that_raises_in_a_forked_worker_stops_the_run(monkeypatch):
     # One sampler call per block: the initial value of x.  Three CPUs fork
     # two workers, and of the 8 blocks the calling process takes 0, 1, 4
     # and 7.  Each worker's first block raises.  If the caller gets to block
