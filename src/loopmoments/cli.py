@@ -2,14 +2,12 @@
 
 Usage::
 
-    loopmoments PROGRAM --goal 1 --goal 2 [--format txt|tex|json]
-                [--out PATH] [--max-closure N]
+    loopmoments PROGRAM --goal 1 --goal 2 [--format txt|tex|json] [--out PATH]
                 [--verify --param b=2 --param "y(0)=0"
                  --iters 20 --trials 100000 --seed 0]
 
 Exit codes: 0 success, 1 verification or configuration failure, 2 parse
-error (including unreadable or non-UTF-8 input, bad goals and bad flags
-such as a ``--max-closure`` below 1), 3
+error (including unreadable or non-UTF-8 input, bad goals and bad flags), 3
 unsupported program structure, 4 solver failure or moment-set blowup.
 Diagnostics go to stderr; the report goes to stdout and, when requested,
 to a file: one that cannot be written exits 2 after the report is printed.
@@ -23,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .frontend import ParseError, UnsupportedProgramError
-from .moments import CLOSURE_CAP, ClosureOverflowError
+from .moments import ClosureOverflowError
 from .pipeline import GoalError, analyze
 from .recurrences import SolverError
 from .report import FORMATS, emit
@@ -55,13 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=FORMATS, default="txt")
     parser.add_argument("--out", metavar="PATH", help="also write the report here")
-    parser.add_argument(
-        "--max-closure",
-        type=int,
-        default=CLOSURE_CAP,
-        metavar="N",
-        help="cap on the number of tracked moments (default %(default)s)",
-    )
     parser.add_argument(
         "--verify",
         action="store_true",
@@ -100,10 +91,7 @@ def _parse_bindings(pairs: Sequence[str]) -> dict[str, Fraction]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.max_closure < 1:
-        parser.error(f"argument --max-closure: must be at least 1, got {args.max_closure}")
+    args = build_parser().parse_args(argv)
     code = EXIT_OK
     try:
         if not args.goal:
@@ -113,7 +101,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             # A leading byte-order mark is dropped after decoding, so a
             # decoding error's byte offset still counts from the file's start.
             source = handle.read().removeprefix("\ufeff")
-        report = analyze(source, args.goal, name=args.program, max_closure=args.max_closure)
+        report = analyze(source, args.goal, name=args.program)
         if args.verify:
             cfg = SimConfig(
                 bindings=bindings, iterations=args.iters, trials=args.trials, seed=args.seed

@@ -23,16 +23,16 @@ moment:
 
 with coefficients that are polynomials over parameters.  The demand-driven
 closure in :func:`moment_closure` collects every moment such an equation
-mentions, which is a finite set for validated programs; its cap counts
-every tracked moment, the goals included.  The :class:`MomentTable` of
-one analysis memoises the images, the powers of every polynomial and the
-raw moments, each built from the order below, once across all targets.
+mentions, which is a finite set for validated programs; ``CLOSURE_CAP``
+bounds the number of tracked moments, the goals included.  The
+:class:`MomentTable` of one analysis memoises the images, the powers of
+every polynomial and the raw moments, each built from the order below,
+once across all targets.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Mapping
@@ -113,19 +113,13 @@ class Moment(tuple):
 Draws = tuple[tuple[str, Distribution], ...]
 
 
-# The default cap on the number of tracked moments.
+# The cap on the number of tracked moments, the goals included: a safety
+# net, since the closure of a validated program is finite.
 CLOSURE_CAP = 10_000
 
 
 class ClosureOverflowError(Exception):
-    """The set of required moments exceeded the configured cap."""
-
-    def __init__(self, cap: int):
-        super().__init__(
-            f"the goals need more than {cap} moments, the closure cap; raise it "
-            "with --max-closure (max_closure in analyze)"
-        )
-        self.cap = cap
+    """The closure needs more than ``CLOSURE_CAP`` moments."""
 
 
 @dataclass(frozen=True)
@@ -300,37 +294,30 @@ def moment_equation(target: Moment, vp: ValidatedProgram, table: MomentTable) ->
 
 
 def moment_closure(
-    goals: Iterable[Moment],
-    vp: ValidatedProgram,
-    table: MomentTable | None = None,
-    cap: int = CLOSURE_CAP,
+    goals: Iterable[Moment], vp: ValidatedProgram, table: MomentTable | None = None
 ) -> dict[Moment, MomentEquation]:
     """Equations for the goals and everything they depend on.
 
-    Breadth-first from the goal moments; each equation's right-hand side
-    enqueues the moments it mentions, until the set is closed.  The set is
-    finite for validated programs; the cap bounds its size, the goals
-    included, for goals whose closure would take too long to build and
-    solve.  The equations come in discovery order, which the sorted goals
-    and dependencies make deterministic.
+    One walk over a list that starts with the sorted goals; each equation's
+    new dependencies join its end, sorted, until the set is closed.  The set
+    is finite for validated programs; a closure of more than ``CLOSURE_CAP``
+    moments, the goals included, raises :class:`ClosureOverflowError` before
+    any further equation is built.  The equations come in discovery order,
+    which the sorted goals and dependencies make deterministic.
     """
     table = table or MomentTable()
-    queue = sorted(set(goals), key=Moment.sort_key)
-    if len(queue) > cap:
-        raise ClosureOverflowError(cap)
+    walk = sorted(set(goals), key=Moment.sort_key)
+    seen = set(walk)
     equations: dict[Moment, MomentEquation] = {}
-    pending = deque(queue)
-    enqueued = set(queue)
-    while pending:
-        current = pending.popleft()
-        eq = moment_equation(current, vp, table)
-        equations[current] = eq
-        for dep in sorted(eq.dependencies(), key=Moment.sort_key):
-            if dep not in enqueued:
-                if len(enqueued) >= cap:
-                    raise ClosureOverflowError(cap)
-                enqueued.add(dep)
-                pending.append(dep)
+    for current in walk:  # grows while it is walked
+        if len(seen) > CLOSURE_CAP:
+            raise ClosureOverflowError(
+                f"the goals need more than {CLOSURE_CAP} moments, the closure cap"
+            )
+        equations[current] = eq = moment_equation(current, vp, table)
+        new = sorted(eq.dependencies() - seen, key=Moment.sort_key)
+        seen.update(new)
+        walk.extend(new)
     return equations
 
 

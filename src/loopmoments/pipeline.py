@@ -26,7 +26,6 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .frontend import ValidatedProgram, parse_program, validate_program
 from .moments import (
-    CLOSURE_CAP,
     Moment,
     MomentEquation,
     MomentTable,
@@ -144,18 +143,14 @@ class InvariantReport:
 
 
 def analyze(
-    source_text: str,
-    goals: Sequence[Union[Goal, str]],
-    *,
-    name: str = "<input>",
-    max_closure: int = CLOSURE_CAP,
+    source_text: str, goals: Sequence[Union[Goal, str]], *, name: str = "<input>"
 ) -> InvariantReport:
     """Compute closed-form moments of a loop program for the given goals."""
     started = time.perf_counter()
     vp = validate_program(parse_program(source_text))
     parsed_goals = tuple(parse_goals(goals, vp.variables))
     table = MomentTable()
-    equations = moment_closure(goal_moments(parsed_goals, vp), vp, table, cap=max_closure)
+    equations = moment_closure(goal_moments(parsed_goals, vp), vp, table)
     order = topo_order(equations, vp)
     init_moments = {m: initial_moment(vp, m, table) for m in equations}
     solved, side_conditions = solve_all(order, equations, init_moments)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import loopmoments
-from loopmoments.cli import main
+from loopmoments import moments
+from loopmoments.cli import build_parser, main
 
 from corpus import WALK, assert_no_child_is_left, count_forks
 
@@ -170,29 +172,33 @@ def test_unresolvable_solver_case_exits_4(tmp_path, capsys):
     assert "cannot divide" in err
 
 
-def test_closure_cap_exits_4(walk_file, capsys):
-    assert main([walk_file, "--goal", "2", "--max-closure", "2"]) == 4
-    assert "moments" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("cap", ["1"])
-def test_closure_cap_counts_the_goals_and_exits_4(tmp_path, capsys, cap):
+@pytest.mark.parametrize("cap", [1, 2])
+def test_closure_cap_counts_the_goals_and_exits_4(tmp_path, capsys, monkeypatch, cap):
     path = tmp_path / "ident.loop"
     path.write_text("while true:\na = a\nb = b\nc = c\n", encoding="utf-8")
-    assert main([str(path), "--goal", "1", "--max-closure", cap]) == 4
-    assert "the closure cap" in capsys.readouterr().err
-    assert main([str(path), "--goal", "1", "--max-closure", "3"]) == 0
-
-
-@pytest.mark.parametrize("cap", ["0", "-3", "abc"])
-def test_closure_cap_below_one_is_a_usage_error(walk_file, capsys, cap):
-    # a cap that no goal can meet, like one that is no integer, is a bad flag
-    # (exit 2), not a solver failure
-    with pytest.raises(SystemExit) as exc:
-        main([walk_file, "--goal", "1", "--max-closure", cap])
-    assert exc.value.code == 2
+    monkeypatch.setattr(moments, "CLOSURE_CAP", cap)
+    assert main([str(path), "--goal", "1"]) == 4
     err = capsys.readouterr().err
-    assert "argument --max-closure" in err and "closure cap" not in err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "the closure cap" in err
+    monkeypatch.setattr(moments, "CLOSURE_CAP", 3)
+    assert main([str(path), "--goal", "1"]) == 0
+
+
+def test_max_closure_is_an_unrecognized_argument(walk_file, capsys):
+    # the closure cap is a constant, not a flag
+    with pytest.raises(SystemExit) as exc:
+        main([walk_file, "--goal", "1", "--max-closure", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-closure 5" in capsys.readouterr().err
+
+
+def test_readme_names_every_option():
+    # the README's "Command line" section against the parser, both ways
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    parsed = {s for a in build_parser()._actions for s in a.option_strings if s.startswith("--")}
+    assert named == parsed - {"--help"}
 
 
 def test_verify_happy_path(walk_file, capsys):

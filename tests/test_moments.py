@@ -21,6 +21,7 @@ from loopmoments import (
     parse_program,
     validate_program,
 )
+from loopmoments import moments
 from loopmoments.frontend import Distribution
 
 from corpus import (
@@ -297,27 +298,33 @@ def test_closure_of_self_contained_counter():
     assert set(closure) == {M("v^1")}
 
 
-def test_closure_cap_is_enforced():
+def test_closure_cap_is_enforced(monkeypatch):
+    monkeypatch.setattr(moments, "CLOSURE_CAP", 2)
     vp = load("walk")
     with pytest.raises(ClosureOverflowError) as info:
-        moment_closure({M("y^2")}, vp, cap=2)
-    assert info.value.cap == 2
-    assert str(info.value) == (
-        "the goals need more than 2 moments, the closure cap; "
-        "raise it with --max-closure (max_closure in analyze)"
-    )
+        moment_closure({M("y^2")}, vp)
+    assert str(info.value) == "the goals need more than 2 moments, the closure cap"
 
 
-@pytest.mark.parametrize("cap", [1, 2, 0, -3])
-def test_closure_cap_counts_the_goals(cap):
+@pytest.mark.parametrize("cap", [1, 2, 0])
+def test_closure_cap_counts_the_goals(monkeypatch, cap):
     # each goal of the identity loop depends on itself only, so the three
     # goals alone are more than the cap
     vp = validate_program(parse_program("while true:\na = a\nb = b\nc = c\n"))
     goals = {M("a^1"), M("b^1"), M("c^1")}
-    with pytest.raises(ClosureOverflowError) as info:
-        moment_closure(goals, vp, cap=cap)
-    assert info.value.cap == cap
-    assert set(moment_closure(goals, vp, cap=3)) == goals
+    monkeypatch.setattr(moments, "CLOSURE_CAP", cap)
+    with pytest.raises(ClosureOverflowError, match=f"more than {cap} moments, the closure cap"):
+        moment_closure(goals, vp)
+    monkeypatch.setattr(moments, "CLOSURE_CAP", 3)
+    assert set(moment_closure(goals, vp)) == goals
+
+
+def test_closure_keeps_its_discovery_order():
+    # the goals sorted, then each equation's new dependencies, sorted, in
+    # the order their equations are built
+    assert [str(m) for m in analyze(WALK, [1, 2]).equations] == [
+        "g^1", "u^1", "x^1", "y^1", "g^2", "u^2", "x^2", "y^2", "x^1*y^1",
+    ]
 
 
 # The closure's equations against the reference that substitutes every
