@@ -9,11 +9,12 @@ Each moment equation becomes, once its non-self dependencies are solved,
 with a constant ``c`` and an exponential-polynomial inhomogeneity.  Such
 recurrences are solved exactly by undetermined coefficients: every base of
 the inhomogeneity contributes an ansatz polynomial of matching degree (one
-higher when the base equals ``c``), and the homogeneous term absorbs the
-initial value.  The resulting triangular systems are solved top-down over
-exact polynomial coefficients.  What a closed form assumes about its
-parameters is :meth:`Recurrence.side_conditions`; :func:`solve_all` owns
-the side-condition list, merging every moment's in solve order.
+higher when the base equals ``c``; indicators ``[n = k]`` for base 0), and
+the homogeneous term absorbs the initial value.  The resulting triangular
+systems are solved top-down over exact polynomial coefficients.  What a
+closed form assumes about its parameters is
+:meth:`Recurrence.side_conditions`; :func:`solve_all` owns the
+side-condition list, merging every moment's in solve order.
 
 Every closed form is verified symbolically before it is returned: the
 kernel's residual ``f(n+1) - c*f(n) - inhom(n)`` (:meth:`ExpPoly.residual`)
@@ -141,12 +142,12 @@ def solve_first_order(rec: Recurrence) -> ExpPoly:
       inhomogeneity): Q has degree d+1 and no constant term, and the
       coefficient of n^(m+1) is divided by rho*(m+1).
 
-    The homogeneous term alpha*c^n matches the initial value.  A base-0
-    term in the result (0^n with 0^0 == 1) carries a one-point correction
-    at n = 0; base-0 resonance (c == 0 meeting a base-0 inhomogeneity)
-    would need a correction at n = 1, which this representation cannot
-    express, so it is reported as an error.  What it assumes about the
-    parameters is :meth:`Recurrence.side_conditions`.
+    A base-0 part sum a_k*[n = k] has the particular solution sum
+    q_k*[n = k], whose [n = k] coefficient in P(n+1) - c*P(n) is
+    q_(k+1) - c*q_k.  At c == 0 each a_k*[n = k] becomes a_k*[n = k+1];
+    otherwise the q_k are solved top-down, one exact division by -c each.
+    The homogeneous term alpha*c^n matches the initial value.  What it
+    assumes about the parameters is :meth:`Recurrence.side_conditions`.
     """
     c = rec.self_coeff
     particular: dict[tuple[Poly, int], Poly] = {}
@@ -154,11 +155,6 @@ def solve_first_order(rec: Recurrence) -> ExpPoly:
     for base, (delta, parts) in rec.by_base.items():
         degree = max(parts)
         resonant = delta.is_zero()
-        if resonant and base.is_zero():
-            raise SolverError(
-                f"E[{rec.target}]: inhomogeneity active only at n = 0 with no "
-                "self-term; the transient at n = 1 has no closed form here"
-            )
         # Q(n) = sum_j q_j n^j with base*Q(n+1) - c*Q(n) = P(n); the
         # coefficient of n^m gives (base - c)*q_m + base*sum_{j>m} C(j,m)*q_j
         # = P_m, solved top-down.  At resonance the first term vanishes, so
@@ -168,9 +164,13 @@ def solve_first_order(rec: Recurrence) -> ExpPoly:
         q: dict[int, Poly] = {}
         for m in range(degree, -1, -1):
             row = [(1, ONE, parts[m])] if m in parts else []
-            for j in range(m + shift + 1, degree + shift + 1):
-                row.append((-math.comb(j, m), q[j], base))
-            divisor, times = (base, m + 1) if resonant else (delta, 1)
+            if base.is_zero():  # [n + 1 = j] is [n = j - 1]: q_(m+1) - c*q_m = P_m
+                row += [(-1, q[m + 1], ONE)] if m < degree and not resonant else []
+                divisor, times = (ONE if resonant else delta), 1
+            else:
+                for j in range(m + shift + 1, degree + shift + 1):
+                    row.append((-math.comb(j, m), q[j], base))
+                divisor, times = (base, m + 1) if resonant else (delta, 1)
             quotient = Poly.quotient(row, divisor, times)
             if quotient is None:
                 raise UnresolvedBaseError(rec.target, Poly.quotient(row, ONE), divisor * times)
@@ -197,7 +197,7 @@ def _check_closed_form(rec: Recurrence, closed: ExpPoly) -> None:
             f"internal: closed form for E[{rec.target}] failed its defining "
             f"identity (residual {residual})"
         )
-    start = closed.value_at_zero()
+    start = closed.value_at(0)
     if start != rec.init:
         raise SolverError(
             f"internal: closed form for E[{rec.target}] gives f(0) = {start}, "

@@ -19,10 +19,10 @@ Every surface walks a closed form's terms once, in print order
 style, and :func:`_closed_form_text` sums the terms' texts.  The JSON takes
 each entry's ``num`` and ``den`` and its ``text`` from the same pass, so the
 gcd and decimal conversions of a term are made once per writer.  A closed
-form containing a base-0 term (an indicator of ``n == 0``) is printed as its
-``n >= 1`` form with the initial value annotated, since the one-point
-correction has no conventional surface syntax.  Moments come in the
-report's own order.
+form containing base-0 terms (indicators ``[n = k]``) is printed as the form
+that holds after the last indicator's point, with the value at each point
+up to it noted, since the indicators have no conventional surface syntax.
+Moments come in the report's own order.
 """
 
 from __future__ import annotations
@@ -76,21 +76,24 @@ def render_closed_form(form: ExpPoly, style: Style = TEXT, texts: dict | None = 
     return _closed_form_text(form, pieces, style)
 
 
-# The note on a one-point correction at n = 0, around the initial value.
-_AT_ZERO = {
-    TEXT: "  [n >= 1; at n = 0: {}]",
-    TEX: r" \quad (n \geq 1;\ {}\text{{ at }}n=0)",
+# The note on the points before a closed form holds: head, entry per point, tail.
+_NOTE = {
+    TEXT: ("  [n >= {}", "; at n = {}: {}", "]"),
+    TEX: (r" \quad (n \geq {}", r";\ {1}\text{{ at }}n={0}", ")"),
 }
 
 
 def _closed_form_text(form: ExpPoly, pieces: list[str], style: Style) -> str:
     """``form`` in ``style`` from the pieces of its terms with a nonzero
-    base, with a one-point correction at n = 0 noted as the initial value."""
+    base, with its value noted at each point up to its last indicator's."""
     text = joined(pieces)
-    if form.zero_base_part().is_zero():
+    last = max((degree for base, degree, _ in form.terms() if base.is_zero()), default=-1)
+    if last < 0:
         return text
-    initial = render_sum([(ONE, 0, form.value_at_zero())], style)
-    return text + _AT_ZERO[style].format(initial)
+    head, point, tail = _NOTE[style]
+    points = range(last + 1)
+    values = (render_sum([(ONE, 0, form.value_at(n))], style) for n in points)
+    return text + head.format(last + 1) + "".join(map(point.format, points, values)) + tail
 
 
 def emit_txt(report: InvariantReport) -> str:

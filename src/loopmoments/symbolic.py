@@ -22,7 +22,7 @@ Normal form, the invariant every value holds:
   Each monomial is a tuple of ``(name, exponent)`` pairs sorted by name,
   with distinct names and positive integer exponents;
 * an :class:`ExpPoly` maps ``(base, degree)`` keys to nonzero coefficient
-  polynomials.
+  polynomials; a key ``(0, k)`` is the indicator ``[n = k]``.
 
 So structural equality is algebraic equality, and equal values hash alike.
 No other module reads a value's numerators: the others go through the
@@ -515,9 +515,9 @@ class ExpPoly:
     """Finite sum of ``coeff * base**n * n**degree`` terms.
 
     Keys are (base, degree) pairs with the base compared by polynomial
-    normal form; the coefficient of each key is a :class:`Poly`.  The
-    convention ``0**0 == 1`` makes a base-0 term an indicator of ``n == 0``,
-    which is how one-point initial corrections are represented.
+    normal form; the coefficient of each key is a :class:`Poly`.  A base-0
+    key ``(0, k)`` is the indicator ``[n = k]``, 1 at ``n == k`` and 0
+    elsewhere: the values at the few points before a closed form holds.
     """
 
     __slots__ = ("_terms",)
@@ -564,15 +564,19 @@ class ExpPoly:
         the zero value without reducing a sum when all numerators cancel.
         ``coeff*base**(n+1)*(n+1)**d - c*coeff*base**n*n**d`` is
         ``base*C(d, j)*coeff`` at each degree ``j < d`` and ``(base -
-        c)*coeff`` at ``d`` (``-c*coeff`` for base 0: ``0**(n+1) == 0``)."""
+        c)*coeff`` at ``d``; for base 0, ``coeff*[n + 1 = d]`` is ``coeff``
+        at ``(0, d - 1)``."""
         accs: defaultdict[tuple[Poly, int], _Acc] = defaultdict(_Acc)
         deltas: dict[Poly, Poly] = {}
         for (base, degree), coeff in self._terms.items():
             delta = deltas.get(base)
             if delta is None:
                 delta = deltas[base] = base - c
-            for j in range(degree):
-                accs[(base, j)].add(base, coeff, math.comb(degree, j))
+            if base._terms:
+                for j in range(degree):
+                    accs[(base, j)].add(base, coeff, math.comb(degree, j))
+            elif degree:
+                accs[(base, degree - 1)].add(ONE, coeff)
             accs[(base, degree)].add(delta, coeff)
         for key, c in inhom._terms.items():
             accs[key].fold(c, -1, 1)
@@ -627,15 +631,14 @@ class ExpPoly:
             out += [(base, degree, coeff) for degree, coeff in group]
         return out
 
-    def value_at_zero(self) -> Poly:
-        """f(0) as a polynomial; every base contributes via base**0 == 1."""
+    def value_at(self, n: int) -> Poly:
+        """f(n) as a polynomial, for the few points before a closed form
+        holds; ``f(0)`` reads the degree-0 coefficients only."""
         return Poly.linear_combination(
-            (ONE, coeff) for (_, degree), coeff in self._terms.items() if degree == 0
+            (base**n * n**degree if n and base._terms else ONE, coeff)
+            for (base, degree), coeff in self._terms.items()
+            if degree == n or (n and base._terms)
         )
-
-    def zero_base_part(self) -> Poly:
-        """The coefficient of the ``n == 0`` indicator ``0**n``."""
-        return self._terms.get((ZERO, 0), ZERO)
 
     # -- equality -------------------------------------------------------------
 
@@ -650,14 +653,16 @@ class ExpPoly:
     # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, n: int, bindings: Mapping[str, Scalar] | None = None) -> Fraction:
-        """Exact value at loop iteration ``n`` (with 0**0 == 1)."""
+        """Exact value at loop iteration ``n``."""
         if n < 0:
             raise ValueError("the loop counter is nonnegative")
         bindings = bindings or {}
         total = Fraction(0)
         for (base, degree), coeff in self._terms.items():
-            b = base.evaluate(bindings)
-            total += coeff.evaluate(bindings) * b**n * Fraction(n) ** degree
+            if base._terms:
+                total += coeff.evaluate(bindings) * base.evaluate(bindings) ** n * n**degree
+            elif degree == n:
+                total += coeff.evaluate(bindings)
         return total
 
     # -- rendering --------------------------------------------------------------
@@ -705,10 +710,10 @@ def render_terms(
     passes one dict to the sums of one report."""
     power, sep = style.power.format, style.join
     tail = texts.get((base, ndeg))
-    if tail is None:  # the factors that every term shares
-        tail = ["n" if ndeg == 1 else power("n", ndeg)] if ndeg else []
+    if tail is None:  # the factors that every term shares; [n = k] for base 0
+        tail = ["n" if ndeg == 1 else power("n", ndeg)] if ndeg and base._terms else []
         if base != ONE:
-            tail.append(power(_render_base(base, style), "n"))
+            tail.append(power(_render_base(base, style), "n") if base._terms else f"[n = {ndeg}]")
         tail = texts[(base, ndeg)] = sep.join(tail)
     den, nums = coeff._den, coeff._terms
     for mono in sorted(nums, key=_grlex_key) if len(nums) > 1 else nums:
@@ -766,6 +771,4 @@ def _render_base(base: Poly, style: Style) -> str:
             return str(num)
         if len(mono) == 1 and mono[0][1] == 1 and num == 1:
             return mono[0][0]
-    elif not terms:
-        return "0"
     return style.group.format(render_sum([(ONE, 0, base)], style))

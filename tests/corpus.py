@@ -17,6 +17,7 @@ import contextlib
 import json
 import math
 import os
+import random
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -56,6 +57,43 @@ while true:
   y = y + x*x + g
   z = 1/3*z + x*y + 1
 """
+
+# Branch mixing cancels the self-coefficient of x (1/3*2 + 2/3*(-1) = 0),
+# so E[x] carries an [n = 0] term and the moments it feeds hold their
+# closed forms only from n = 2 on, with their own values at n = 0 and 1.
+TRANSIENT = """\
+while true:
+  g = RV(gauss, 0, 1)
+  x = 2*x @ 1/3; -1*x + g + 1 @ 2/3
+  y = x*x + g
+"""
+TRANSIENT_Z = TRANSIENT + "  z = y*y + x\n"
+
+
+def mixing_program(rng: random.Random) -> str:
+    """A random program of the family of ``TRANSIENT``: 1-3 state variables,
+    each updated either by two branches at 1/3 and 2/3 with self-coefficients
+    2 and -1 (whose mean is 0) or without a self-term, plus small products of
+    earlier variables and a Gaussian draw.  No parameters; an initial value
+    is a small integer or left symbolic."""
+    names = ["x", "y", "z"][: rng.randint(1, 3)]
+    lines = [f"{v} = {rng.randint(-2, 2)}" for v in names if rng.random() < 0.5]
+    lines += ["while true:", "  g = RV(gauss, 0, 1)"]
+    for i, v in enumerate(names):
+        factors = names[:i] + ["g"]
+
+        def extra() -> str:
+            terms = [
+                "*".join([str(rng.randint(-2, 3))] + rng.choices(factors, k=rng.randint(0, 2)))
+                for _ in range(rng.randint(0, 2))
+            ]
+            return "".join(f" + {t}" for t in terms)
+
+        if rng.random() < 0.7:
+            lines.append(f"  {v} = 2*{v}{extra()} @ 1/3; -1*{v}{extra()} @ 2/3")
+        else:
+            lines.append(f"  {v} = 1{extra()}")
+    return "\n".join(lines) + "\n"
 
 # name -> (source, goals, example bindings for numeric oracles)
 CORPUS: dict[str, tuple[str, list, dict[str, Fraction]]] = {
@@ -185,10 +223,13 @@ def naive_moment_equation(
 def shifted(f: ExpPoly) -> ExpPoly:
     """The sequence n -> f(n+1): each term ``coeff*base**(n+1)*(n+1)**d``
     expanded by the binomial theorem with public ``Poly`` arithmetic, one
-    product at a time; base-0 terms vanish since 0**(n+1) == 0."""
+    product at a time; a base-0 key ``(0, k)``, the indicator ``[n = k]``,
+    moves to ``(0, k - 1)``, and ``(0, 0)`` vanishes."""
     terms: dict[tuple[Poly, int], Poly] = {}
     for base, degree, coeff in f.terms():
         if base.is_zero():
+            if degree:
+                terms[(base, degree - 1)] = terms.get((base, degree - 1), Poly()) + coeff
             continue
         for j in range(degree + 1):
             term = math.comb(degree, j) * coeff * base

@@ -122,7 +122,7 @@ def test_criterion_3_symbolic_self_check_across_corpus():
                 [(ONE, shifted(form)), (-recurrence.self_coeff, form), (-ONE, recurrence.inhom)]
             )
             assert residual.is_zero(), (name, str(moment))
-            assert form.value_at_zero() == recurrence.init, (name, str(moment))
+            assert form.value_at(0) == recurrence.init, (name, str(moment))
             checked += 1
             c = recurrence.self_coeff
             if c.is_const():

@@ -13,7 +13,7 @@ import loopmoments
 from loopmoments import moments
 from loopmoments.cli import build_parser, main
 
-from corpus import WALK, assert_no_child_is_left, count_forks
+from corpus import TRANSIENT, TRANSIENT_Z, WALK, assert_no_child_is_left, count_forks
 
 
 @pytest.fixture()
@@ -170,6 +170,29 @@ def test_unresolvable_solver_case_exits_4(tmp_path, capsys):
     # one error line naming the moment, and no traceback
     assert err.count("\n") == 1 and err.startswith("error: E[v^1]: ")
     assert "cannot divide" in err
+
+
+@pytest.mark.parametrize(
+    "source, goal", [(TRANSIENT, "y^2"), (TRANSIENT_Z, "z^1")], ids=["y^2", "z^1"]
+)
+def test_a_transient_at_n_1_solves_with_every_early_point_noted(tmp_path, capsys, source, goal):
+    path = tmp_path / "transient.loop"
+    path.write_text(source, encoding="utf-8")
+    assert main([str(path), "--goal", goal]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    [line] = [line for line in lines if line.startswith(f"E[{goal}] = ")]
+    assert re.search(r"  \[n >= 2; at n = 0: [^;\]]+; at n = 1: [^;\]]+\]$", line), line
+
+
+@pytest.mark.parametrize("iters", ["0", "1", "2", "5"])
+def test_verify_passes_on_a_transient_at_n_1(tmp_path, capsys, iters):
+    path = tmp_path / "transient.loop"
+    path.write_text(TRANSIENT, encoding="utf-8")
+    args = ["--goal", "y^2", "--verify", "--param", "x(0)=1/2", "--param", "y(0)=-1"]
+    code = main([str(path), *args, "--iters", iters, "--trials", "20000", "--seed", "7"])
+    out = capsys.readouterr().out
+    assert code == 0 and "verification result: PASS" in out
+    assert f"verification: n={iters}, trials=20000" in out
 
 
 @pytest.mark.parametrize("cap", [1, 2])

@@ -16,9 +16,11 @@ from pathlib import Path
 import pytest
 
 from loopmoments import (
+    ExpPoly,
     GoalError,
     InvariantReport,
     Moment,
+    Poly,
     analyze,
     emit,
     emit_json,
@@ -29,9 +31,10 @@ from loopmoments import (
     solve_all,
 )
 from loopmoments.report import invariant_lines, render_closed_form
+from loopmoments.symbolic import ONE, TEX, ZERO
 from loopmoments.verifier import SimConfig, VerifierError, simulate
 
-from corpus import CORPUS, THREE_VAR, WALK, counting_fractions, reference_json
+from corpus import CORPUS, THREE_VAR, TRANSIENT, WALK, counting_fractions, reference_json
 
 
 def M(text: str) -> Moment:
@@ -329,6 +332,39 @@ def test_one_point_corrections_render_with_validity_range():
     # JSON carries the exact correction term
     restored = report_from_json(emit_json(report))
     assert restored.invariants[M("v^1")] == report.invariants[M("v^1")]
+
+
+def test_the_note_lists_every_point_before_the_form_holds():
+    v0 = Poly.var("v(0)")
+    form = ExpPoly({(ONE, 0): ONE, (ZERO, 0): v0 - 1, (ZERO, 2): Poly.const(3)})
+    assert render_closed_form(form) == "1  [n >= 3; at n = 0: v(0); at n = 1: 1; at n = 2: 4]"
+    assert render_closed_form(form, TEX) == (
+        r"1 \quad (n \geq 3;\ v(0)\text{ at }n=0;\ 1\text{ at }n=1;\ 4\text{ at }n=2)"
+    )
+    # only n = 0 special: the one-point note
+    assert render_closed_form(ExpPoly({(ZERO, 0): v0})) == "0  [n >= 1; at n = 0: v(0)]"
+    assert render_closed_form(ExpPoly({(ZERO, 0): v0}), TEX) == (
+        r"0 \quad (n \geq 1;\ v(0)\text{ at }n=0)"
+    )
+
+
+def test_json_round_trip_with_a_transient_at_n_1():
+    report = analyze(TRANSIENT, ["y^2"], name="transient")
+    terms = report.invariants[M("y^2")].terms()
+    assert any(base.is_zero() and degree == 1 for base, degree, _ in terms)
+    assert report_from_json(emit_json(report)) == report
+
+
+def test_json_base_0_term_reads_as_an_indicator():
+    # a hand-written term with "base": [] and "degree": 1 is [n = 1]
+    report = analyze("x = 3\nwhile true:\nx = x\n", [1], name="ident")
+    doc = json.loads(emit_json(report))
+    [entry] = doc["invariants"]
+    two = [{"num": 2, "den": 1, "powers": []}]
+    entry["closed_form"].append({"coeff": two, "base": [], "degree": 1})
+    form = report_from_json(json.dumps(doc)).invariants[M("x^1")]
+    assert form == ExpPoly({(ONE, 0): Poly.const(3), (ZERO, 1): Poly.const(2)})
+    assert [form.evaluate(n) for n in range(4)] == [3, 5, 3, 3]
 
 
 def test_side_conditions_appear_in_txt():

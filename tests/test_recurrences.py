@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from loopmoments import (
+    ClosureOverflowError,
     ExpPoly,
     Moment,
     MomentEquation,
@@ -27,7 +28,17 @@ from loopmoments import (
 from loopmoments import recurrences
 from loopmoments.symbolic import ONE, ZERO
 
-from corpus import CORPUS, THREE_VAR, WALK, assert_normal_poly, counting_fractions
+from corpus import (
+    CORPUS,
+    THREE_VAR,
+    TRANSIENT,
+    TRANSIENT_Z,
+    WALK,
+    assert_normal_poly,
+    counting_fractions,
+    iterate_equations,
+    mixing_program,
+)
 
 b = Poly.var("b")
 
@@ -189,17 +200,42 @@ def test_resonant_doubling():
 def test_zero_self_coefficient_gets_a_one_point_correction():
     v0 = Poly.var("v(0)")
     f = solve_first_order(rec("v^1", 0, ExpPoly.const(Fraction(1, 2)), v0))
-    assert f.value_at_zero() == v0
+    assert f.value_at(0) == v0
     assert [t for t in f.terms() if not t[0].is_zero()] == [(ONE, 0, Poly.const(Fraction(1, 2)))]
     assert f.evaluate(0, {"v(0)": 9}) == 9
     assert f.evaluate(4, {"v(0)": 9}) == Fraction(1, 2)
 
 
-def test_zero_base_resonance_is_an_honest_error():
+def test_zero_base_resonance_moves_the_indicator_to_n_1():
+    # f(n+1) = [n = 0] + 1 with f(0) = 0 is 0, 2, 1, 1, ...: 1 - [n = 0] + [n = 1]
     inhom = ExpPoly({(ZERO, 0): ONE, (ONE, 0): ONE})
-    with pytest.raises(SolverError) as err:
-        solve_first_order(rec("v^1", 0, inhom, 0))
-    assert "n = 1" in str(err.value)
+    f = solve_first_order(rec("v^1", 0, inhom, 0))
+    assert f == ExpPoly({(ONE, 0): ONE, (ZERO, 0): -ONE, (ZERO, 1): ONE})
+    assert [f.evaluate(n) for n in range(5)] == [0, 2, 1, 1, 1]
+
+
+@pytest.mark.parametrize("c", ["0", "2", "p"])
+@pytest.mark.parametrize("k", range(4))
+def test_an_indicator_inhomogeneity_matches_direct_iteration(c, k):
+    # f(n+1) = c*f(n) + a*[n = k]: at c == 0 the indicator moves to n = k + 1,
+    # otherwise every point up to k takes one division by -c
+    p, v0 = Poly.var("p"), Poly.var("v(0)")
+    coeff = {"0": ZERO, "2": Poly.const(2), "p": p}[c]
+    a = Fraction(3, 2) * p ** (k + 1)
+    f = solve_first_order(rec("v^1", coeff, ExpPoly({(ZERO, k): a}), v0))
+    points = {degree for base, degree, _ in f.terms() if base.is_zero()}
+    assert points == ({0, k + 1} if c == "0" else set(range(k + 1)))
+    for bindings in (
+        {"p": Fraction(3), "v(0)": Fraction(-2, 3)},
+        {"p": Fraction(-1, 2), "v(0)": Fraction(5)},
+    ):
+        value, cv = bindings["v(0)"], coeff.evaluate(bindings)
+        for n in range(10):
+            assert f.evaluate(n, bindings) == value, (n, bindings)
+            value = cv * value + (a.evaluate(bindings) if n == k else 0)
+    if c == "p":  # the divisions by -p leave the ring
+        with pytest.raises(UnresolvedBaseError):
+            solve_first_order(rec("v^1", p, ExpPoly({(ZERO, k): p**k}), v0))
 
 
 def test_parameterized_drift_is_an_honest_error():
@@ -294,8 +330,6 @@ def test_random_recurrences_match_exact_iteration():
         pairs = []
         for _ in range(rng.randint(0, 3)):
             base = rng.choice(base_pool)
-            if c_val == 0 and base == 0:
-                continue  # representable only when the forcing term is absent
             coeff = Poly.const(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
             pairs.append((coeff, ExpPoly({(Poly.const(base), rng.randint(0, 2)): ONE})))
         inhom = ExpPoly.linear_combination(pairs)
@@ -305,6 +339,55 @@ def test_random_recurrences_match_exact_iteration():
         for n in range(0, 25):
             assert f.evaluate(n) == value
             value = c_val * value + inhom.evaluate(n)
+
+
+def _assert_matches_iteration(report, bindings, steps: int) -> None:
+    history = iterate_equations(report.equations, report.initial_moments, bindings, steps)
+    for moment, form in report.invariants.items():
+        got = [form.evaluate(n, bindings) for n in range(steps + 1)]
+        assert got == [values[moment] for values in history], str(moment)
+
+
+@pytest.mark.parametrize(
+    "name, goal",
+    [("transient", g) for g in ("y^2", 2, 3)] + [("transient_z", g) for g in ("y^2", "z^2", 2, 3)],
+)
+def test_transient_programs_match_exact_iteration(name, goal):
+    # E[x] carries [n = 0], so the moments it feeds carry [n = 1]
+    report = analyze({"transient": TRANSIENT, "transient_z": TRANSIENT_Z}[name], [goal])
+    assert any(
+        base.is_zero() and degree == 1
+        for form in report.invariants.values()
+        for base, degree, _ in form.terms()
+    )
+    for bindings in (
+        {"x(0)": Fraction(1, 2), "y(0)": Fraction(-3), "z(0)": Fraction(2)},
+        {"x(0)": Fraction(-2), "y(0)": Fraction(1, 3), "z(0)": Fraction(0)},
+    ):
+        _assert_matches_iteration(report, bindings, 8)
+
+
+def test_mixing_programs_solve_exactly():
+    # the family whose branch mixing cancels self-coefficients: each program
+    # solves and matches exact iteration, or fails with an honest solver error
+    outcomes = {"solved": 0, "transient after n = 0": 0}
+    for seed in range(300):
+        rng = random.Random(seed)
+        source = mixing_program(rng)
+        try:
+            report = analyze(source, [rng.choice([1, 2])])
+        except (UnresolvedBaseError, ClosureOverflowError) as exc:
+            outcomes[type(exc).__name__] = outcomes.get(type(exc).__name__, 0) + 1
+            continue
+        symbols = sorted(set().union(*(v.symbols() for v in report.initial_moments.values())))
+        _assert_matches_iteration(report, {s: Fraction(rng.randint(-3, 3), 2) for s in symbols}, 6)
+        late = any(
+            base.is_zero() and degree
+            for form in report.invariants.values()
+            for base, degree, _ in form.terms()
+        )
+        outcomes["transient after n = 0" if late else "solved"] += 1
+    assert outcomes["transient after n = 0"] > 0, outcomes
 
 
 def test_self_check_rejects_a_wrong_closed_form(monkeypatch):
@@ -342,7 +425,7 @@ def test_self_check_rejects_a_residual_at_a_key_the_closed_form_lacks():
         (half, 0): Poly.const(Fraction(-8, 3)),
     })
     missing = ExpPoly({(ONE, 0): Poly.const(2), (half, 0): Poly.const(-2)})
-    assert missing.value_at_zero() == r.init
+    assert missing.value_at(0) == r.init
     with pytest.raises(SolverError, match=r"failed its defining identity \(residual -2\^n\)"):
         recurrences._check_closed_form(r, missing)
 
@@ -355,7 +438,7 @@ def test_self_check_rejects_a_wrong_coefficient_at_the_resonant_key():
     r = rec("w^1", 2, ExpPoly({(two, 0): ONE}), 0)
     assert solve_first_order(r) == ExpPoly({(two, 1): Poly.const(Fraction(1, 2))})
     wrong = ExpPoly({(two, 1): Poly.const(Fraction(1, 3))})
-    assert wrong.value_at_zero() == r.init
+    assert wrong.value_at(0) == r.init
     with pytest.raises(SolverError, match=r"failed its defining identity \(residual -2\^n/3\)"):
         recurrences._check_closed_form(r, wrong)
 
@@ -370,21 +453,22 @@ def test_self_check_rejects_a_wrong_lower_degree_coefficient():
     right[(two, 0)] += 1
     right[(half, 0)] -= 1
     wrong = ExpPoly({k: Poly.const(v) for k, v in right.items()})
-    assert wrong.value_at_zero() == r.init
+    assert wrong.value_at(0) == r.init
     with pytest.raises(SolverError, match=r"failed its defining identity \(residual 3\*2\^n/2\)"):
         recurrences._check_closed_form(r, wrong)
 
 
 def test_self_check_rejects_a_wrong_one_point_correction():
-    # f(n+1) = 1/2*f(n) + 0^n with f(0) = 0 is 2*(1/2)^n - 2*0^n.  With the
-    # base-0 correction at -1 the product (0 - c)*coeff leaves a residual;
-    # with alpha moved as well f(0) fails instead.
+    # f(n+1) = 1/2*f(n) + [n = 0] with f(0) = 0 is 2*(1/2)^n - 2*[n = 0].
+    # With the base-0 correction at -1 the product (0 - c)*coeff leaves a
+    # residual; with alpha moved as well f(0) fails instead.
     half = Poly.const(Fraction(1, 2))
     r = rec("v^1", Fraction(1, 2), ExpPoly({(ZERO, 0): ONE}), 0)
     assert solve_first_order(r) == ExpPoly({(half, 0): Poly.const(2), (ZERO, 0): Poly.const(-2)})
     wrong = ExpPoly({(half, 0): ONE, (ZERO, 0): -ONE})
-    assert wrong.value_at_zero() == r.init
-    with pytest.raises(SolverError, match=r"failed its defining identity \(residual -0\^n/2\)"):
+    assert wrong.value_at(0) == r.init
+    residual = r"failed its defining identity \(residual -\[n = 0\]/2\)"
+    with pytest.raises(SolverError, match=residual):
         recurrences._check_closed_form(r, wrong)
     # f(n+1) = 0*f(n) + 1/2 with f(0) = v(0): the correction is all that
     # carries the initial value, and only f(0) can see it

@@ -512,12 +512,19 @@ def test_exp_poly_evaluation_examples():
 
 
 def test_exp_poly_zero_base_is_an_indicator():
-    f = ExpPoly({(ONE, 0): Poly.const(4), (ZERO, 0): Poly.const(3)})
-    assert f.evaluate(0, {}) == 7  # 0^0 == 1
-    assert f.evaluate(1, {}) == 4
-    assert f.value_at_zero() == Poly.const(7)
-    assert [t for t in f.terms() if not t[0].is_zero()] == [(ONE, 0, Poly.const(4))]
-    assert f.zero_base_part() == Poly.const(3)
+    # the key (0, k) is [n = k]: 1 at n == k and 0 at every other n
+    for k in range(4):
+        indicator = ExpPoly({(ZERO, k): ONE})
+        assert indicator != ExpPoly()
+        assert [indicator.evaluate(n) for n in range(6)] == [int(n == k) for n in range(6)]
+        assert [indicator.value_at(n) for n in range(6)] == [ONE if n == k else ZERO for n in range(6)]
+        assert str(indicator) == f"[n = {k}]"
+    y = Poly.var("y")
+    f = ExpPoly({(ONE, 0): Poly.const(4), (ZERO, 0): Poly.const(3), (ZERO, 2): y, (ONE, 1): ONE})
+    assert [f.evaluate(n, {"y": 5}) for n in range(5)] == [7, 5, 11, 7, 8]
+    assert [f.value_at(n) for n in (0, 1, 3)] == [Poly.const(7), Poly.const(5), Poly.const(7)]
+    assert f.value_at(2) == y + 6
+    assert [t for t in f.terms() if not t[0].is_zero()] == [(ONE, 0, Poly.const(4)), (ONE, 1, ONE)]
 
 
 def _random_exp_poly(rng: random.Random, random_coeff=None) -> ExpPoly:
@@ -535,13 +542,16 @@ def _random_exp_poly(rng: random.Random, random_coeff=None) -> ExpPoly:
 
 def test_shift_agrees_with_pointwise_evaluation():
     rng = random.Random(99)
+    indicators = set()
     for _ in range(100):
         f = _random_exp_poly(rng)
+        indicators |= {degree for base, degree, _ in f.terms() if base.is_zero()}
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         residual = ExpPoly.linear_combination([(ONE, shifted(f)), (Poly.const(-c), f)])
         for n in range(0, 11):
             expected = f.evaluate(n + 1) - c * f.evaluate(n)
             assert residual.evaluate(n) == expected
+    assert indicators == {0, 1, 2, 3}  # [n = k] moves to [n = k - 1] at every k
 
 
 def test_residual_agrees_with_pointwise_evaluation():
